@@ -8,7 +8,7 @@ cover series against them produces integers that behave like counts.
 from fractions import Fraction
 
 from tangentia import (
-    CoverTable,
+    divisors,
     instanton_numbers,
     integrality_report,
     local_cover,
@@ -59,14 +59,19 @@ assert [m1[d] for d in range(2, 5)] == [0, 0, 0]
 print("w = 1 vanishes beyond d = 1, as the extrapolated rows predict")
 
 # ---------------------------------------------------------------------------
-# the round trip: covers of instantons rebuild the cover table
+# the round trip: covers of instantons rebuild the cover contributions
 # ---------------------------------------------------------------------------
 
-table = CoverTable.build("relative", first_max=6, d_max=8)
-table.check()  # recomputes every entry from scratch, raises on any drift
+# summing M'_{d1 w}[d / d1] * m_w[d1] over the divisors d1 of d gives M_w[d]
+# back, recomputed here from scratch for every entry of a 6 x 8 box
+for w in range(1, 7):
+    m = instanton_numbers(w, 8)
+    for d in range(1, 9):
+        rebuilt = sum(local_cover(d1 * w, d // d1) * m[d1] for d1 in divisors(d))
+        assert rebuilt == multiple_cover(w, d), (w, d)
 print()
 print("round trip M' * m = M verified on the 6 x 8 relative table")
 
-total = sum(table.entries[(3, d)] for d in range(1, 9))
+total = sum(multiple_cover(3, d) for d in range(1, 9))
 assert isinstance(total, Fraction)
 print(f"sum of M_3[1..8], exactly: {total}")

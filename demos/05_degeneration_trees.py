@@ -6,7 +6,7 @@ labeled pieces at the bottom, and a genuine branching in every layer above
 the bottom.  These are the same thing as strict coarsening chains of set
 partitions of the labels, which is how the enumeration works.
 """
-from tangentia import CombType, enumerate_types, propagate_weights, validate
+from tangentia import CombType, enumerate_types, propagate_weights
 
 for n, r in ((0, 1), (1, 2), (1, 3), (2, 3), (2, 4), (3, 4)):
     print(f"G({n}, {r}): {len(enumerate_types(n, r))} types")
@@ -55,5 +55,5 @@ chain_only = CombType(
     parents=(("2:0", "1:0"),),
     leaf_order=("2:0",),
 )
-print(f"violated axioms of the unbranched chain: {validate(chain_only)}")
+print(f"violated axioms of the unbranched chain: {chain_only.violations()}")
 print(f"G(1, 1) is empty: {enumerate_types(1, 1)}")

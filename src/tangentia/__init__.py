@@ -33,7 +33,6 @@ from .census import (
     euler_budget,
 )
 from .covers import (
-    CoverTable,
     IntegralityRow,
     divisors,
     instanton_numbers,
@@ -55,7 +54,7 @@ from .lattice import (
     parse_class_literal,
     tangency_degree,
 )
-from .rationals import Rat, binomial, format_rat, parse_rat, rat_arith
+from .rationals import Rat, binomial
 from .torsion import (
     STANDARD_MARKING,
     MarkedCubicConfig,
@@ -74,7 +73,6 @@ from .trees import (
     enumerate_types,
     propagate_weights,
     relabel_leaves,
-    validate,
 )
 from .verify import CheckResult, run_all_checks
 

@@ -225,32 +225,24 @@ def instanton_census(stratum) -> int:
     """Degree-4 instanton count at one point of the stratum.
 
     Replacing each cover contribution M by the corresponding instanton
-    number m in the boundary census must give the same integer for all
-    three strata (it is 16); a spread signals an inconsistent census and
-    raises ArithmeticError.
+    number m in the boundary census of the stratum gives the count; it is
+    16 for all three strata.  A count that is not a nonnegative integer
+    signals an inconsistent census and raises ArithmeticError.
     """
-    per_stratum: dict[str, Rat] = {}
-    for label in census_strata(4):
-        entry = boundary_census(4, label)
-        total = Rat(0)
-        for comp in entry.components:
-            if comp.kind == IMMERSED:
-                total += comp.count
-            elif comp.kind == COVER:
-                w = 3 * comp.base_degree
-                total += comp.count * instanton_numbers(w, comp.multiplicity)[
-                    comp.multiplicity
-                ]
-            elif comp.kind == PAIR:
-                total += comp.count * pair_contribution(*comp.tangencies)
-        per_stratum[label] = total
-    values = set(per_stratum.values())
-    if len(values) != 1:
-        raise ArithmeticError(f"instanton counts differ across strata: {per_stratum}")
-    value = values.pop()
-    if value.denominator != 1 or value < 0:
-        raise ArithmeticError(f"instanton count {value} is not a nonnegative integer")
-    requested = stratum.value if hasattr(stratum, "value") else str(stratum)
-    if requested not in per_stratum:
-        raise ValueError(f"no degree-4 stratum {requested!r}")
-    return int(value)
+    label = stratum.value if hasattr(stratum, "value") else str(stratum)
+    if label not in census_strata(4):
+        raise ValueError(f"no degree-4 stratum {label!r}")
+    total = Rat(0)
+    for comp in boundary_census(4, label).components:
+        if comp.kind == IMMERSED:
+            total += comp.count
+        elif comp.kind == COVER:
+            w = 3 * comp.base_degree
+            total += comp.count * instanton_numbers(w, comp.multiplicity)[
+                comp.multiplicity
+            ]
+        elif comp.kind == PAIR:
+            total += comp.count * pair_contribution(*comp.tangencies)
+    if total.denominator != 1 or total < 0:
+        raise ArithmeticError(f"instanton count {total} is not a nonnegative integer")
+    return int(total)

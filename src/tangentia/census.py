@@ -20,8 +20,10 @@ plane) gives the immersed quartic counts per point.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Optional, Union
+from types import MappingProxyType
+from typing import Mapping, Optional, Union
 
 from .lattice import enumerate_classes
 from .torsion import Stratum, nonflex_nine_torsion_count, stratify, stratum_sizes, torsion_points
@@ -42,10 +44,6 @@ CHI_CUBIC_NONFLEX_SPECIAL = 9  # cubics with ninefold contact, order-9 point
 CHI_QUARTIC_ORDER2_SPECIAL = 6  # genus-1 quartic classes at a T2 point
 CHI_QUARTIC_ORDER4_SPECIAL = 4  # genus-1 quartic classes at a T3 point
 
-# Immersed quartic counts per point, as stated by the classification of
-# maximally tangent quartics; tests re-derive them via aggregate_N.
-IMMERSED_QUARTICS = {Stratum.T1: 8, Stratum.T2: 14, Stratum.T3: 16}
-
 
 def euler_budget(chi_surface: int, chi_special_fiber: int) -> int:
     """Number of nodal rational members of a pencil: chi of the total
@@ -55,7 +53,8 @@ def euler_budget(chi_surface: int, chi_special_fiber: int) -> int:
     return chi_surface - chi_special_fiber
 
 
-def quadrisection_split() -> dict[Stratum, int]:
+@functools.cache
+def quadrisection_split() -> Mapping[Stratum, int]:
     """How the 16 solutions of 4P = c (c any 3-torsion point) fall into the
     strata: translating by the 4-torsion subgroup distributes them (1, 3, 12)
     regardless of c, so the split is read off at c = 0."""
@@ -64,10 +63,10 @@ def quadrisection_split() -> dict[Stratum, int]:
         s = stratify(t)
         assert s is not None
         split[s] += 1
-    return split
+    return MappingProxyType(split)
 
 
-def class_curve_counts(p_a: int) -> dict[Stratum, int]:
+def class_curve_counts(p_a: int) -> Mapping[Stratum, int]:
     """Irreducible curves contributed by one ordered class of the given
     genus, totalled over its 16 quartic division points, per stratum.
 
@@ -90,7 +89,8 @@ def class_curve_counts(p_a: int) -> dict[Stratum, int]:
     raise ValueError(f"no curve-count rule for arithmetic genus {p_a}")
 
 
-def aggregate_N() -> dict[Stratum, int]:
+@functools.cache
+def aggregate_N() -> Mapping[Stratum, int]:
     """Total irreducible immersed quartic count N_i per stratum, summed
     over all 243 ordered classes of the degree-4 table."""
     totals = {s: 0 for s in Stratum}
@@ -98,7 +98,7 @@ def aggregate_N() -> dict[Stratum, int]:
         counts = class_curve_counts(row.p_a)
         for s in Stratum:
             totals[s] += row.ordered_count * counts[s]
-    return totals
+    return MappingProxyType(totals)
 
 
 def count_M4(stratum: Stratum) -> int:
@@ -255,19 +255,17 @@ def boundary_census(
                 ),
             )
     else:
+        immersed = Component(IMMERSED, count_M4(Stratum(label)))
         if label == "T1":
             components = (
                 Component(COVER, 1, base_degree=1, multiplicity=4),
                 Component(PAIR, nodal_cubics_at_flex, tangencies=(3, 9)),
-                Component(IMMERSED, IMMERSED_QUARTICS[Stratum.T1]),
+                immersed,
             )
         elif label == "T2":
-            components = (
-                Component(COVER, 1, base_degree=2, multiplicity=2),
-                Component(IMMERSED, IMMERSED_QUARTICS[Stratum.T2]),
-            )
+            components = (Component(COVER, 1, base_degree=2, multiplicity=2), immersed)
         else:
-            components = (Component(IMMERSED, IMMERSED_QUARTICS[Stratum.T3]),)
+            components = (immersed,)
 
     return CensusEntry(
         degree=degree,

@@ -15,8 +15,9 @@ Subcommands:
 Formats: text (default), json everywhere, csv for the tabular commands
 (classes, integrality).  Select with --format / --json / --csv or the
 TANGENTIA_FORMAT environment variable; an explicit flag wins over the
-environment.  Exit codes: 0 success, 1 usage or input error,
-2 verification failure.
+environment.  Each handler returns an :class:`Output` record and
+``_emit`` renders it in the selected format.  Exit codes: 0 success,
+1 usage or input error, 2 verification failure.
 
 Examples:
 
@@ -33,11 +34,10 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import os
 import sys
-from typing import Optional
+from typing import Any, NamedTuple, Optional
 
 from . import assembly, census, covers, lattice, torsion, trees, verify
 
@@ -54,16 +54,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _add_format_options(sub: argparse.ArgumentParser, with_csv: bool = False) -> None:
-    sub.add_argument("--format", choices=FORMATS, default=None,
-                     help="output format (default: text)")
-    sub.add_argument("--json", action="store_const", const="json", dest="format",
-                     help="shorthand for --format json")
-    if with_csv:
-        sub.add_argument("--csv", action="store_const", const="csv", dest="format",
-                         help="shorthand for --format csv")
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="tangentia", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -71,19 +61,16 @@ def build_parser() -> _Parser:
     p = sub.add_parser("mcover", help="multiple-cover contribution M_w[d]")
     p.add_argument("--w", type=int, required=True, help="contact order of the base curve")
     p.add_argument("--d", type=int, required=True, help="covering degree")
-    _add_format_options(p)
     p.set_defaults(handler=cmd_mcover)
 
     p = sub.add_parser("instantons", help="instanton numbers m_w[1..dmax]")
     p.add_argument("--w", type=int, required=True)
     p.add_argument("--dmax", type=int, required=True)
-    _add_format_options(p)
     p.set_defaults(handler=cmd_instantons)
 
     p = sub.add_parser("integrality", help="integrality report for m_w[d]")
     p.add_argument("--wmax", type=int, required=True)
     p.add_argument("--dmax", type=int, required=True)
-    _add_format_options(p, with_csv=True)
     p.set_defaults(handler=cmd_integrality)
 
     p = sub.add_parser("torsion", help="torsion strata and division points")
@@ -94,12 +81,10 @@ def build_parser() -> _Parser:
     p.add_argument("--class", dest="class_literal", metavar="CLASS",
                    help='divisor class literal, e.g. "2H-E1-E2"')
     p.add_argument("--m", type=int, default=4, help="division order (default 4)")
-    _add_format_options(p)
     p.set_defaults(handler=cmd_torsion)
 
     p = sub.add_parser("classes", help="class table for a tangency degree")
     p.add_argument("--degree", type=int, default=4)
-    _add_format_options(p, with_csv=True)
     p.set_defaults(handler=cmd_classes)
 
     p = sub.add_parser("census", help="boundary census of tangent curves")
@@ -109,30 +94,35 @@ def build_parser() -> _Parser:
                    help="aggregate quartic counts instead of one entry")
     p.add_argument("--special-cubic", action="store_true",
                    help="census variant for special smooth cubics")
-    _add_format_options(p)
     p.set_defaults(handler=cmd_census)
 
     p = sub.add_parser("check-gw", help="assemble an invariant and verify it")
     p.add_argument("--degree", type=int, required=True)
-    _add_format_options(p)
     p.set_defaults(handler=cmd_check_gw)
 
     p = sub.add_parser("graphs", help="combinatorial degeneration types")
     p.add_argument("--n", type=int, required=True, help="number of layer steps")
     p.add_argument("--r", type=int, required=True, help="number of labeled bottom vertices")
     p.add_argument("--weights", help="comma-separated positive weights, one per label")
-    _add_format_options(p)
     p.set_defaults(handler=cmd_graphs)
 
     p = sub.add_parser("verify-all", help="run every verification check")
-    _add_format_options(p)
     p.set_defaults(handler=cmd_verify_all)
 
+    # format options come last on every subcommand; --csv only on CSV_COMMANDS
+    for name, p in sub.choices.items():
+        p.add_argument("--format", choices=FORMATS, default=None,
+                       help="output format (default: text)")
+        p.add_argument("--json", action="store_const", const="json", dest="format",
+                       help="shorthand for --format json")
+        if name in CSV_COMMANDS:
+            p.add_argument("--csv", action="store_const", const="csv", dest="format",
+                           help="shorthand for --format csv")
     return parser
 
 
 def _resolve_format(args: argparse.Namespace) -> str:
-    fmt: Optional[str] = getattr(args, "format", None)
+    fmt: Optional[str] = args.format
     if fmt is None:
         env = os.environ.get("TANGENTIA_FORMAT", "").strip().lower()
         if env:
@@ -149,16 +139,24 @@ def _resolve_format(args: argparse.Namespace) -> str:
     return fmt
 
 
-def _emit_json(payload) -> None:
-    print(json.dumps(payload, indent=2))
+class Output(NamedTuple):
+    """A handler's result: the json payload, the text lines, the csv table
+    (header row first, only for CSV_COMMANDS) and the exit code."""
+
+    payload: Any
+    lines: list[str]
+    table: Optional[list[list]] = None
+    code: int = 0
 
 
-def _emit_csv(header: list[str], rows: list[list]) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    print(buf.getvalue(), end="")
+def _emit(out: Output, fmt: str) -> int:
+    if fmt == "json":
+        print(json.dumps(out.payload, indent=2))
+    elif fmt == "csv":
+        csv.writer(sys.stdout, lineterminator="\n").writerows(out.table)
+    else:
+        print("\n".join(out.lines))
+    return out.code
 
 
 def _point_payload(p: torsion.TorsionPoint) -> dict:
@@ -169,146 +167,119 @@ def _point_payload(p: torsion.TorsionPoint) -> dict:
 # handlers
 # ---------------------------------------------------------------------------
 
-def cmd_mcover(args, fmt: str) -> int:
+def cmd_mcover(args) -> Output:
     value = covers.multiple_cover(args.w, args.d)
-    if fmt == "json":
-        _emit_json({"w": args.w, "d": args.d, "value": str(value)})
-    else:
-        print(f"M_{args.w}[{args.d}] = {value}")
-    return 0
+    return Output({"w": args.w, "d": args.d, "value": str(value)},
+                  [f"M_{args.w}[{args.d}] = {value}"])
 
 
-def cmd_instantons(args, fmt: str) -> int:
+def cmd_instantons(args) -> Output:
     numbers = covers.instanton_numbers(args.w, args.dmax)
-    if fmt == "json":
-        _emit_json({
-            "w": args.w,
-            "dmax": args.dmax,
-            "values": [str(numbers[d]) for d in range(1, args.dmax + 1)],
-        })
-    else:
-        for d in range(1, args.dmax + 1):
-            print(f"m_{args.w}[{d}] = {numbers[d]}")
-    return 0
+    degrees = range(1, args.dmax + 1)
+    return Output(
+        {"w": args.w, "dmax": args.dmax, "values": [str(numbers[d]) for d in degrees]},
+        [f"m_{args.w}[{d}] = {numbers[d]}" for d in degrees],
+    )
 
 
-def cmd_integrality(args, fmt: str) -> int:
+def cmd_integrality(args) -> Output:
     report = covers.integrality_report(args.wmax, args.dmax)
     all_pass = all(r.passes for r in report)
-    if fmt == "json":
-        _emit_json({
-            "wmax": args.wmax,
-            "dmax": args.dmax,
-            "rows": [
-                {
-                    "w": r.w, "d": r.d, "value": str(r.value),
-                    "integer": r.is_integer, "positive": r.is_positive,
-                    "extrapolated": r.extrapolated, "pass": r.passes,
-                }
-                for r in report
-            ],
-            "all_pass": all_pass,
-        })
-    elif fmt == "csv":
-        _emit_csv(
-            ["w", "d", "value", "integer", "positive", "extrapolated", "pass"],
-            [
-                [r.w, r.d, str(r.value), r.is_integer, r.is_positive,
-                 r.extrapolated, r.passes]
-                for r in report
-            ],
-        )
-    else:
-        for r in report:
-            flags = []
-            if r.extrapolated:
-                flags.append("extrapolated")
-            status = "ok" if r.passes else "FAIL"
-            extra = f" ({', '.join(flags)})" if flags else ""
-            print(f"m_{r.w}[{r.d}] = {r.value}  {status}{extra}")
-        verdict = "all rows pass" if all_pass else "some rows FAIL"
-        print(f"{len(report)} rows, w <= {args.wmax}, d <= {args.dmax}: {verdict}")
-    return 0 if all_pass else 2
+    header = ["w", "d", "value", "integer", "positive", "extrapolated", "pass"]
+    rows = [
+        [r.w, r.d, str(r.value), r.is_integer, r.is_positive, r.extrapolated, r.passes]
+        for r in report
+    ]
+    lines = [
+        f"m_{r.w}[{r.d}] = {r.value}  {'ok' if r.passes else 'FAIL'}"
+        + (" (extrapolated)" if r.extrapolated else "")
+        for r in report
+    ]
+    verdict = "all rows pass" if all_pass else "some rows FAIL"
+    lines.append(f"{len(report)} rows, w <= {args.wmax}, d <= {args.dmax}: {verdict}")
+    payload = {
+        "wmax": args.wmax,
+        "dmax": args.dmax,
+        "rows": [dict(zip(header, row)) for row in rows],
+        "all_pass": all_pass,
+    }
+    return Output(payload, lines, [header, *rows], 0 if all_pass else 2)
 
 
-def cmd_torsion(args, fmt: str) -> int:
+_STRATUM_DESCRIPTIONS = {
+    "T1": "order 1 or 3 (flexes)",
+    "T2": "order 2 or 6",
+    "T3": "order 4 or 12",
+}
+
+
+def cmd_torsion(args) -> Output:
     if args.strata:
         sizes = torsion.stratum_sizes()
         payload = {s.value: sizes[s] for s in torsion.Stratum}
-        if fmt == "json":
-            _emit_json(payload)
-        else:
-            descriptions = {
-                "T1": "order 1 or 3 (flexes)",
-                "T2": "order 2 or 6",
-                "T3": "order 4 or 12",
-            }
-            for label, size in payload.items():
-                print(f"{label}: {size} points, {descriptions[label]}")
-        return 0
+        return Output(payload, [
+            f"{label}: {size} points, {_STRATUM_DESCRIPTIONS[label]}"
+            for label, size in payload.items()
+        ])
 
     if not args.class_literal:
         raise UsageError("--solve requires --class")
     cls = lattice.parse_class_literal(args.class_literal)
     c = torsion.restriction_class(cls)
-    solutions = torsion.solve_division(c, args.m)
     annotated = []
-    for p in solutions:
+    for p in torsion.solve_division(c, args.m):
         stratum = torsion.stratify(p)
         annotated.append((p, stratum.value if stratum else None))
-    if fmt == "json":
-        _emit_json({
-            "class": lattice.class_literal(cls),
-            "restriction": _point_payload(c),
-            "m": args.m,
-            "solutions": [
-                dict(_point_payload(p), stratum=s) for p, s in annotated
-            ],
-        })
-    else:
-        print(f"class {lattice.class_literal(cls)} restricts to {c}, "
-              f"order {torsion.point_order(c)}")
-        print(f"{len(annotated)} solutions of {args.m}*P = c:")
-        for p, s in annotated:
-            print(f"  {p}  order {torsion.point_order(p):>2}  stratum {s or '-'}")
-    return 0
+    payload = {
+        "class": lattice.class_literal(cls),
+        "restriction": _point_payload(c),
+        "m": args.m,
+        "solutions": [dict(_point_payload(p), stratum=s) for p, s in annotated],
+    }
+    lines = [
+        f"class {lattice.class_literal(cls)} restricts to {c}, "
+        f"order {torsion.point_order(c)}",
+        f"{len(annotated)} solutions of {args.m}*P = c:",
+    ]
+    lines += [
+        f"  {p}  order {torsion.point_order(p):>2}  stratum {s or '-'}"
+        for p, s in annotated
+    ]
+    return Output(payload, lines)
 
 
-def cmd_classes(args, fmt: str) -> int:
+def cmd_classes(args) -> Output:
     rows = lattice.enumerate_classes(args.degree)
     validated = args.degree == 4
     totals: dict[int, int] = {}
     for r in rows:
         totals[r.p_a] = totals.get(r.p_a, 0) + r.ordered_count
-    if fmt == "json":
-        _emit_json({
-            "degree": args.degree,
-            "validated": validated,
-            "rows": [
-                {
-                    "e": r.e, "a": list(r.a_multiset), "p_a": r.p_a,
-                    "ordered_count": r.ordered_count,
-                    "class": lattice.class_literal(r.representative),
-                }
-                for r in rows
-            ],
-            "totals": {str(g): totals[g] for g in sorted(totals)},
-        })
-    elif fmt == "csv":
-        _emit_csv(
-            ["e", "a1", "a2", "a3", "a4", "a5", "a6", "p_a", "ordered_count"],
-            [[r.e, *r.a_multiset, r.p_a, r.ordered_count] for r in rows],
-        )
-    else:
-        for r in rows:
-            print(f"e={r.e} a={list(r.a_multiset)} p_a={r.p_a} "
-                  f"ordered={r.ordered_count:>3}  {lattice.class_literal(r.representative)}")
-        parts = [f"genus {g}: {totals[g]}" for g in sorted(totals)]
-        print(f"{len(rows)} rows; ordered classes: {', '.join(parts)}")
-        if not validated:
-            print("note: only the degree-4 table is cross-checked; "
-                  "this output is unvalidated")
-    return 0
+    payload = {
+        "degree": args.degree,
+        "validated": validated,
+        "rows": [
+            {
+                "e": r.e, "a": list(r.a_multiset), "p_a": r.p_a,
+                "ordered_count": r.ordered_count,
+                "class": lattice.class_literal(r.representative),
+            }
+            for r in rows
+        ],
+        "totals": {str(g): totals[g] for g in sorted(totals)},
+    }
+    lines = [
+        f"e={r.e} a={list(r.a_multiset)} p_a={r.p_a} "
+        f"ordered={r.ordered_count:>3}  {lattice.class_literal(r.representative)}"
+        for r in rows
+    ]
+    parts = [f"genus {g}: {totals[g]}" for g in sorted(totals)]
+    lines.append(f"{len(rows)} rows; ordered classes: {', '.join(parts)}")
+    if not validated:
+        lines.append("note: only the degree-4 table is cross-checked; "
+                     "this output is unvalidated")
+    table = [["e", "a1", "a2", "a3", "a4", "a5", "a6", "p_a", "ordered_count"]]
+    table += [[r.e, *r.a_multiset, r.p_a, r.ordered_count] for r in rows]
+    return Output(payload, lines, table)
 
 
 def _component_payload(comp: census.Component) -> dict:
@@ -333,53 +304,45 @@ def _component_text(comp: census.Component) -> str:
     return f"{comp.count} x immersed irreducible curve"
 
 
-def cmd_census(args, fmt: str) -> int:
+def cmd_census(args) -> Output:
     if args.aggregate:
         totals = census.aggregate_N()
         per_point = {s: census.count_M4(s) for s in torsion.Stratum}
         sizes = torsion.stratum_sizes()
         cross = sum(sizes[s] * per_point[s] for s in torsion.Stratum)
-        if fmt == "json":
-            _emit_json({
-                "N": {s.value: totals[s] for s in torsion.Stratum},
-                "per_point": {s.value: per_point[s] for s in torsion.Stratum},
-                "cross_check": cross,
-            })
-        else:
-            for s in torsion.Stratum:
-                print(f"{s.value}: N = {totals[s]:>5}, per point "
-                      f"{per_point[s]:>2} (stratum size {sizes[s]})")
-            print(f"cross-check: sum of per-point counts over all points = {cross}")
-        return 0
+        payload = {
+            "N": {s.value: totals[s] for s in torsion.Stratum},
+            "per_point": {s.value: per_point[s] for s in torsion.Stratum},
+            "cross_check": cross,
+        }
+        lines = [
+            f"{s.value}: N = {totals[s]:>5}, per point "
+            f"{per_point[s]:>2} (stratum size {sizes[s]})"
+            for s in torsion.Stratum
+        ]
+        lines.append(f"cross-check: sum of per-point counts over all points = {cross}")
+        return Output(payload, lines)
 
     if args.degree is None or args.stratum is None:
         raise UsageError("census needs either --aggregate or --degree with --stratum")
     entry = census.boundary_census(args.degree, args.stratum,
                                    special_cubic=args.special_cubic)
-    if fmt == "json":
-        _emit_json({
-            "degree": entry.degree,
-            "stratum": entry.stratum,
-            "points": entry.points,
-            "special_cubic": entry.special_cubic,
-            "components": [_component_payload(c) for c in entry.components],
-        })
-    else:
-        variant = "; special cubic" if entry.special_cubic else ""
-        print(f"degree {entry.degree} at {entry.stratum} "
-              f"({entry.points} points{variant}):")
-        for comp in entry.components:
-            print(f"  {_component_text(comp)}")
-    return 0
+    payload = {
+        "degree": entry.degree,
+        "stratum": entry.stratum,
+        "points": entry.points,
+        "special_cubic": entry.special_cubic,
+        "components": [_component_payload(c) for c in entry.components],
+    }
+    variant = "; special cubic" if entry.special_cubic else ""
+    lines = [f"degree {entry.degree} at {entry.stratum} "
+             f"({entry.points} points{variant}):"]
+    lines += [f"  {_component_text(comp)}" for comp in entry.components]
+    return Output(payload, lines)
 
 
-def cmd_check_gw(args, fmt: str) -> int:
-    try:
-        ledger = assembly.assemble_invariant(args.degree)
-    except assembly.AssemblyMismatch as exc:
-        print(f"FAIL degree {exc.degree}: assembled {exc.computed}, "
-              f"reference {exc.reference}", file=sys.stderr)
-        return 2
+def cmd_check_gw(args) -> Output:
+    ledger = assembly.assemble_invariant(args.degree)
     payload = {
         "degree": ledger.degree,
         "lines": [
@@ -396,21 +359,19 @@ def cmd_check_gw(args, fmt: str) -> int:
         "reference": str(ledger.reference),
         "match": ledger.total == ledger.reference,
     }
+    lines = [
+        f"{line.stratum:>3} x{line.points:<3} {str(line.per_point):>6} "
+        f"per point = {str(line.subtotal):>8}   [{line.provenance}]"
+        for line in ledger.lines
+    ]
+    lines.append(f"total {ledger.total} vs reference {ledger.reference}: PASS")
     if ledger.note:
         payload["note"] = ledger.note
-    if fmt == "json":
-        _emit_json(payload)
-    else:
-        for line in ledger.lines:
-            print(f"{line.stratum:>3} x{line.points:<3} {str(line.per_point):>6} "
-                  f"per point = {str(line.subtotal):>8}   [{line.provenance}]")
-        print(f"total {ledger.total} vs reference {ledger.reference}: PASS")
-        if ledger.note:
-            print(f"note: {ledger.note}")
-    return 0
+        lines.append(f"note: {ledger.note}")
+    return Output(payload, lines)
 
 
-def cmd_graphs(args, fmt: str) -> int:
+def cmd_graphs(args) -> Output:
     shapes = trees.enumerate_types(args.n, args.r)
     weights = None
     if args.weights:
@@ -423,65 +384,59 @@ def cmd_graphs(args, fmt: str) -> int:
     weighted = [
         trees.propagate_weights(s, weights) if weights else None for s in shapes
     ]
-    if fmt == "json":
-        _emit_json({
-            "n": args.n,
-            "r": args.r,
-            "count": len(shapes),
-            "types": [
-                {
-                    "layers": [list(layer) for layer in s.layers],
-                    "parents": dict(s.parents),
-                    "leaf_order": list(s.leaf_order),
-                    **({"weights": dict(w.weights)} if w else {}),
-                }
-                for s, w in zip(shapes, weighted)
-            ],
-        })
-    else:
-        print(f"{len(shapes)} types for n={args.n}, r={args.r}")
-        for index, (shape, w) in enumerate(zip(shapes, weighted), start=1):
-            print(f"type {index}:")
-            _print_tree(shape, w)
-    return 0
+    payload = {
+        "n": args.n,
+        "r": args.r,
+        "count": len(shapes),
+        "types": [
+            {
+                "layers": [list(layer) for layer in s.layers],
+                "parents": dict(s.parents),
+                "leaf_order": list(s.leaf_order),
+                **({"weights": dict(w.weights)} if w else {}),
+            }
+            for s, w in zip(shapes, weighted)
+        ],
+    }
+    lines = [f"{len(shapes)} types for n={args.n}, r={args.r}"]
+    for index, (shape, w) in enumerate(zip(shapes, weighted), start=1):
+        lines.append(f"type {index}:")
+        lines += _tree_lines(shape, w)
+    return Output(payload, lines)
 
 
-def _print_tree(shape: trees.CombType, weighted) -> None:
+def _tree_lines(shape: trees.CombType, weighted) -> list[str]:
     children = shape.children_map
     labels = {v: i + 1 for i, v in enumerate(shape.leaf_order)}
+    lines = []
 
-    def describe(v: str) -> str:
+    def walk(v: str, depth: int) -> None:
         text = v
         if v in labels and shape.layer_of(v) == shape.n + 1:
             text += f" = label {labels[v]}"
         if weighted is not None:
             text += f" (weight {weighted.weight(v)})"
-        return text
-
-    def walk(v: str, depth: int) -> None:
-        print("  " * (depth + 1) + describe(v))
+        lines.append("  " * (depth + 1) + text)
         for child in children[v]:
             walk(child, depth + 1)
 
     walk(shape.layers[0][0], 0)
+    return lines
 
 
-def cmd_verify_all(args, fmt: str) -> int:
+def cmd_verify_all(args) -> Output:
     results = verify.run_all_checks()
     all_passed = all(r.passed for r in results)
-    if fmt == "json":
-        _emit_json({
-            "checks": [
-                {"name": r.name, "passed": r.passed, "detail": r.detail}
-                for r in results
-            ],
-            "all_passed": all_passed,
-        })
-    else:
-        for r in results:
-            print(f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}")
-        print(f"{sum(r.passed for r in results)}/{len(results)} checks passed")
-    return 0 if all_passed else 2
+    payload = {
+        "checks": [
+            {"name": r.name, "passed": r.passed, "detail": r.detail}
+            for r in results
+        ],
+        "all_passed": all_passed,
+    }
+    lines = [f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}" for r in results]
+    lines.append(f"{sum(r.passed for r in results)}/{len(results)} checks passed")
+    return Output(payload, lines, code=0 if all_passed else 2)
 
 
 # ---------------------------------------------------------------------------
@@ -491,10 +446,14 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         fmt = _resolve_format(args)
-        return args.handler(args, fmt)
+        return _emit(args.handler(args), fmt)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
+    except assembly.AssemblyMismatch as exc:
+        print(f"FAIL degree {exc.degree}: assembled {exc.computed}, "
+              f"reference {exc.reference}", file=sys.stderr)
+        return 2
     except (ValueError, ArithmeticError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -28,7 +28,7 @@ generalized formula yields zeros from d = 2 on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Iterator
 
 from .rationals import Rat, binomial
 
@@ -117,52 +117,6 @@ def integrality_report(w_max: int, d_max: int) -> list[IntegralityRow]:
                 )
             )
     return rows
-
-
-# Table kinds: "relative" holds M_w[d] keyed by (w, d), "local" holds
-# M'_n[d] keyed by (n, d), "instanton" holds m_w[d] keyed by (w, d).
-TABLE_KINDS = ("relative", "local", "instanton")
-
-
-@dataclass(frozen=True)
-class CoverTable:
-    kind: str
-    entries: Mapping[tuple[int, int], Rat]
-
-    @classmethod
-    def build(cls, kind: str, first_max: int, d_max: int) -> "CoverTable":
-        if kind not in TABLE_KINDS:
-            raise ValueError(f"unknown table kind {kind!r}")
-        entries: dict[tuple[int, int], Rat] = {}
-        for w in range(1, first_max + 1):
-            if kind == "instanton":
-                column = instanton_numbers(w, d_max)
-                for d in range(1, d_max + 1):
-                    entries[(w, d)] = column[d]
-            else:
-                fn = multiple_cover if kind == "relative" else local_cover
-                for d in range(1, d_max + 1):
-                    entries[(w, d)] = fn(w, d)
-        return cls(kind=kind, entries=entries)
-
-    def check(self) -> None:
-        """Recompute every entry; raise AssertionError on any mismatch.
-
-        For instanton tables this also re-verifies the defining identity
-        sum over d = d1*d2 of M'_{d1 w}[d2] * m_w[d1] = M_w[d], which makes
-        sense because a (w, d) entry forces (w, d1) entries for all d1 | d.
-        """
-        for (w, d), value in self.entries.items():
-            if self.kind == "relative":
-                assert value == multiple_cover(w, d)
-            elif self.kind == "local":
-                assert value == local_cover(w, d)
-            else:
-                total = sum(
-                    local_cover(d1 * w, d // d1) * self.entries[(w, d1)]
-                    for d1 in divisors(d)
-                )
-                assert total == multiple_cover(w, d)
 
 
 def _require_positive(**named: int) -> None:

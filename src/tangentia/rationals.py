@@ -12,9 +12,6 @@ from fractions import Fraction
 
 Rat = Fraction
 
-ZERO = Rat(0)
-ONE = Rat(1)
-
 
 def binomial(n: int, k: int) -> int:
     """Binomial coefficient C(n, k) for arbitrary integer n, k >= 0.
@@ -32,30 +29,3 @@ def binomial(n: int, k: int) -> int:
     # k! divides any product of k consecutive integers, so this is exact
     assert rem == 0
     return quot
-
-
-def parse_rat(text: str) -> Rat:
-    """Parse ``"num/den"`` or ``"num"`` into a Rat.  Raises ValueError on junk."""
-    return Rat(text.strip())
-
-
-def format_rat(q: Rat) -> str:
-    """Inverse of :func:`parse_rat`; integers print without a denominator."""
-    return str(q)
-
-
-def rat_arith(a: Rat, b: Rat, op: str) -> Rat:
-    """Apply one of ``+ - * /`` to two rationals.
-
-    Division by zero raises ZeroDivisionError; an unknown operator raises
-    ValueError.
-    """
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    if op == "/":
-        return a / b
-    raise ValueError(f"unknown operator {op!r}")

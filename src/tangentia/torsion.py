@@ -23,10 +23,12 @@ point O' with 3*O' equal to the hyperplane restriction.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from types import MappingProxyType
+from typing import Mapping, Optional
 
 from .lattice import NUM_POINTS, DivisorClass
 
@@ -107,7 +109,8 @@ def stratify(p: TorsionPoint) -> Optional[Stratum]:
     return None
 
 
-def stratum_sizes() -> dict[Stratum, int]:
+@functools.cache
+def stratum_sizes() -> Mapping[Stratum, int]:
     """Sizes (9, 27, 108) of T1, T2, T3, computed by enumerating the
     144 points of 12-torsion."""
     sizes = {s: 0 for s in Stratum}
@@ -115,7 +118,7 @@ def stratum_sizes() -> dict[Stratum, int]:
         s = stratify(p)
         assert s is not None
         sizes[s] += 1
-    return sizes
+    return MappingProxyType(sizes)
 
 
 def nonflex_nine_torsion_count() -> int:

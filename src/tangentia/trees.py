@@ -201,11 +201,6 @@ class CombType:
         return tuple(reversed(chain))
 
 
-def validate(candidate: CombType) -> list[int]:
-    """Violated axiom numbers of a candidate tree (empty list = valid)."""
-    return candidate.violations()
-
-
 def enumerate_types(n: int, r: int) -> list[CombType]:
     """All combinatorial types with n + 1 layers and r labeled bottom
     vertices, canonically ordered.  Bounded to n <= 6 and r <= 6."""

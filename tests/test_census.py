@@ -21,7 +21,7 @@ from tangentia.census import (
     quadrisection_split,
     stratum_point_count,
 )
-from tangentia.torsion import Stratum
+from tangentia.torsion import Stratum, stratum_sizes
 
 
 def test_euler_budget():
@@ -54,6 +54,14 @@ def test_aggregate_N():
     assert totals[Stratum.T1] == 216 * 1 + 27 * 0
     assert totals[Stratum.T2] == 216 * 3 + 27 * 18
     assert totals[Stratum.T3] == 216 * 12 + 27 * 96
+
+
+@pytest.mark.parametrize("fn", [stratum_sizes, quadrisection_split, aggregate_N])
+def test_cached_counts_are_read_only(fn):
+    counts = fn()
+    with pytest.raises(TypeError):
+        counts[Stratum.T1] = 0
+    assert fn() is counts
 
 
 def test_count_M4():

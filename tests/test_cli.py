@@ -1,7 +1,9 @@
 import json
+from fractions import Fraction
 
 import pytest
 
+from tangentia import assembly
 from tangentia.cli import main
 
 
@@ -204,6 +206,14 @@ def test_check_gw_text(capsys):
     assert code == 0
     assert "total 36999/16 vs reference 36999/16: PASS" in out
     assert "note:" in out
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_check_gw_mismatch_exits_two(capsys, monkeypatch, fmt):
+    monkeypatch.setitem(assembly.REFERENCE_INVARIANTS, 4, Fraction(36999, 4))
+    code, out, err = run(capsys, "check-gw", "--degree", "4", "--format", fmt)
+    assert (code, out) == (2, "")
+    assert err == "FAIL degree 4: assembled 36999/16, reference 36999/4\n"
 
 
 def test_graphs_json(capsys):

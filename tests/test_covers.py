@@ -1,7 +1,6 @@
 import pytest
 
 from tangentia.covers import (
-    CoverTable,
     divisors,
     instanton_numbers,
     integrality_report,
@@ -103,27 +102,6 @@ def test_integrality_report_flags_low_contact_orders():
     assert flagged == [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3)]
     zero_rows = [r for r in report if r.value == 0]
     assert zero_rows and all(r.passes for r in zero_rows)
-
-
-def test_cover_table_build_and_check():
-    for kind in ("relative", "local", "instanton"):
-        table = CoverTable.build(kind, 6, 6)
-        assert len(table.entries) == 36
-        table.check()
-    assert CoverTable.build("relative", 3, 4).entries[(3, 4)] == Rat(35, 16)
-    assert CoverTable.build("instanton", 3, 4).entries[(3, 4)] == 2
-
-
-def test_cover_table_rejects_unknown_kind():
-    with pytest.raises(ValueError):
-        CoverTable.build("projective", 2, 2)
-
-
-def test_cover_table_check_catches_corruption():
-    table = CoverTable.build("relative", 3, 3)
-    tampered = CoverTable(kind="relative", entries={**table.entries, (3, 2): Rat(1)})
-    with pytest.raises(AssertionError):
-        tampered.check()
 
 
 @pytest.mark.parametrize("fn", [multiple_cover, local_cover])

@@ -8,7 +8,6 @@ from tangentia.trees import (
     enumerate_types,
     propagate_weights,
     relabel_leaves,
-    validate,
 )
 
 # ---------------------------------------------------------------------------
@@ -96,7 +95,7 @@ def test_enumerated_types_are_valid_and_canonical():
             types = enumerate_types(n, r)
             assert len(set(types)) == len(types)
             for shape in types:
-                assert validate(shape) == []
+                assert shape.violations() == []
                 rebuilt = CombType.from_partition_chain(shape.partition_chain())
                 assert rebuilt == shape
     assert enumerate_types(2, 3) == enumerate_types(2, 3)  # deterministic
@@ -176,7 +175,7 @@ def test_validate_axiom_one():
         parents=(("2:0", "1:0"), ("2:1", "1:0")),
         leaf_order=("2:0", "2:0"),
     )
-    assert validate(broken) == [1]
+    assert broken.violations() == [1]
 
 
 def test_validate_axiom_two():
@@ -188,7 +187,7 @@ def test_validate_axiom_two():
         parents=(("2:0", "1:0"), ("2:1", "1:0"), ("3:0", "2:0")),
         leaf_order=("3:0",),
     )
-    assert 2 in validate(broken)
+    assert 2 in broken.violations()
     # parent link that skips a layer
     skipping = CombType(
         n=2,
@@ -197,7 +196,7 @@ def test_validate_axiom_two():
         parents=(("2:0", "1:0"), ("3:0", "2:0"), ("3:1", "1:0")),
         leaf_order=("3:0", "3:1"),
     )
-    assert 2 in validate(skipping)
+    assert 2 in skipping.violations()
 
 
 def test_validate_axiom_three():
@@ -209,7 +208,7 @@ def test_validate_axiom_three():
         parents=(("2:0", "1:0"),),
         leaf_order=("2:0",),
     )
-    assert validate(chain) == [3]
+    assert chain.violations() == [3]
 
 
 def test_validate_passes_on_hand_built_type():
@@ -220,7 +219,7 @@ def test_validate_passes_on_hand_built_type():
         parents=(("2:0", "1:0"), ("2:1", "1:0")),
         leaf_order=("2:0", "2:1"),
     )
-    assert validate(shape) == []
+    assert shape.violations() == []
     assert shape in enumerate_types(1, 2)
 
 
