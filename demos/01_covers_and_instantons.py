@@ -42,7 +42,7 @@ print()
 print("instanton numbers m_w[1..6]:")
 for w in (3, 4, 5, 6):
     m = instanton_numbers(w, 6)
-    print(f"  w = {w}: {[m[d] for d in range(1, 7)]}")
+    print(f"  w = {w}: {[str(m[d]) for d in range(1, 7)]}")
 
 # every one of those is a positive integer, which the raw M values (look at
 # 3/4 and 10/9 above) had no obvious reason to produce

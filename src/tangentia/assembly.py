@@ -189,12 +189,13 @@ def assemble_invariant(degree: int, special_cubic: bool = False) -> GwLedger:
                     f"{comp.count} line-plus-cubic pairs glued at the flex, "
                     f"each counting min{comp.tangencies}"
                 )
-            else:
-                assert comp.kind == CUSPIDAL
+            elif comp.kind == CUSPIDAL:
                 raise ValueError(
                     "cannot assemble an invariant from a cuspidal member: "
                     "the cover and pair rules require immersed curves"
                 )
+            else:
+                raise ValueError(f"unknown component kind {comp.kind!r}")
             lines.append(
                 LedgerLine(
                     stratum=label,

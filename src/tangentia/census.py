@@ -61,7 +61,8 @@ def quadrisection_split() -> Mapping[Stratum, int]:
     split = {s: 0 for s in Stratum}
     for t in torsion_points(4):
         s = stratify(t)
-        assert s is not None
+        if s is None:
+            raise ArithmeticError(f"4-torsion point {t} lies in no stratum")
         split[s] += 1
     return MappingProxyType(split)
 

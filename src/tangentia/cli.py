@@ -412,7 +412,7 @@ def _tree_lines(shape: trees.CombType, weighted) -> list[str]:
 
     def walk(v: str, depth: int) -> None:
         text = v
-        if v in labels and shape.layer_of(v) == shape.n + 1:
+        if v in labels:
             text += f" = label {labels[v]}"
         if weighted is not None:
             text += f" (weight {weighted.weight(v)})"

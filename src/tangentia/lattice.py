@@ -69,7 +69,8 @@ def adjunction_genus(c: DivisorClass) -> int:
     """Same genus via adjunction, (c.c + c.K)/2 + 1; used as a cross-check."""
     num = pairing(c, c) + pairing(c, CANONICAL)
     quot, rem = divmod(num, 2)
-    assert rem == 0
+    if rem:
+        raise ArithmeticError(f"c.c + c.K is odd for {c}")
     return quot + 1
 
 
@@ -153,21 +154,16 @@ def enumerate_classes(target_degree: int = 4) -> list[ClassTableRow]:
     if target_degree < 0:
         raise ValueError("target degree must be nonnegative")
     rows = []
-    e_min = -(-target_degree // 3)  # smallest e with 3e - target_degree >= 0
-    e_max = (target_degree + NUM_POINTS * target_degree) // 3
-    for e in range(e_min, e_max + 1):
-        total = 3 * e - target_degree
-        for a in combinations_with_replacement(range(target_degree + 1), NUM_POINTS):
-            if sum(a) != total:
-                continue
-            genus = arithmetic_genus(DivisorClass.make(e, a))
-            if genus < 0:
-                continue
-            rows.append(
-                ClassTableRow(
-                    e=e, a_multiset=a, p_a=genus, ordered_count=ordered_count(a)
-                )
-            )
+    for a in combinations_with_replacement(range(target_degree + 1), NUM_POINTS):
+        e, rem = divmod(target_degree + sum(a), 3)
+        if rem:
+            continue
+        genus = arithmetic_genus(DivisorClass.make(e, a))
+        if genus < 0:
+            continue
+        rows.append(
+            ClassTableRow(e=e, a_multiset=a, p_a=genus, ordered_count=ordered_count(a))
+        )
     rows.sort(key=lambda r: (r.e, r.a_multiset))
     return rows
 

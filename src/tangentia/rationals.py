@@ -27,5 +27,6 @@ def binomial(n: int, k: int) -> int:
         num *= n - i
     quot, rem = divmod(num, math.factorial(k))
     # k! divides any product of k consecutive integers, so this is exact
-    assert rem == 0
+    if rem:
+        raise ArithmeticError(f"{k}! does not divide the falling factorial of {n}")
     return quot

@@ -99,12 +99,14 @@ class Stratum(enum.Enum):
 
 def stratify(p: TorsionPoint) -> Optional[Stratum]:
     """Stratum of a point: T1 if 3p = 0, T2 if 6p = 0 but 3p != 0,
-    T3 if 12p = 0 but 6p != 0, None for everything else."""
-    if (3 * p).is_zero:
+    T3 if 12p = 0 but 6p != 0, None for everything else.  Since k*p = 0
+    exactly when the order of p divides k, no multiple is built."""
+    order = point_order(p)
+    if 3 % order == 0:
         return Stratum.T1
-    if (6 * p).is_zero:
+    if 6 % order == 0:
         return Stratum.T2
-    if (12 * p).is_zero:
+    if 12 % order == 0:
         return Stratum.T3
     return None
 
@@ -116,7 +118,8 @@ def stratum_sizes() -> Mapping[Stratum, int]:
     sizes = {s: 0 for s in Stratum}
     for p in torsion_points(12):
         s = stratify(p)
-        assert s is not None
+        if s is None:
+            raise ArithmeticError(f"12-torsion point {p} lies in no stratum")
         sizes[s] += 1
     return MappingProxyType(sizes)
 
@@ -134,7 +137,8 @@ def solve_division(c: TorsionPoint, m: int) -> list[TorsionPoint]:
         raise ValueError(f"m must be positive, got {m}")
     base = TorsionPoint(c.x / m, c.y / m)
     sols = sorted(base + t for t in torsion_points(m))
-    assert all(m * p == c for p in sols)
+    if any(m * p != c for p in sols):
+        raise ArithmeticError(f"a solution of {m} * P = {c} does not multiply back")
     return sols
 
 

@@ -19,13 +19,18 @@ and it makes the counting facts transparent: there are no types at all once
 n exceeds r - 1, exactly one for (n, r) = (0, 1) or (1, r >= 2), and for
 example three for (n, r) = (2, 3).
 
-Weights: given positive integers attached to the bottom labels (contact
-orders of the degenerate pieces), :func:`propagate_weights` sums them up
-the tree, so the top vertex carries the total contact order.
+The tree is the stored form.  Everything else is read off one map, built
+once per type on first use by a single bottom-up walk: each vertex's sorted
+bottom labels.  Grouped by layer, that map is the partition chain
+(:meth:`CombType.partition_chain`); summed against weights attached to the
+bottom labels (contact orders of the degenerate pieces), it is
+:func:`propagate_weights`, whose top vertex carries the total contact order.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Iterator, Mapping, Sequence
 
 MAX_LAYERS = 6
@@ -57,10 +62,7 @@ def _strict_coarsenings(partition: Partition) -> Iterator[Partition]:
     for grouping in _set_partitions(range(len(blocks))):
         if len(grouping) == len(blocks):
             continue  # nothing merged
-        merged = []
-        for group in grouping:
-            merged.append(tuple(sorted(x for g in group for x in blocks[g])))
-        yield _canon_partition(merged)
+        yield _canon_partition([x for g in group for x in blocks[g]] for group in grouping)
 
 
 @dataclass(frozen=True)
@@ -72,6 +74,11 @@ class CombType:
     labeled i + 1.  Construction only checks that the ids are coherent;
     whether the axioms hold is the business of :meth:`violations`, so that
     broken candidates can be built and diagnosed.
+
+    These fields are the whole type.  The partition chain and the weights
+    both come from one labels-below map (vertex -> sorted bottom labels),
+    derived lazily and cached on the instance; deriving it runs
+    :meth:`violations` once and raises ``ValueError`` for a broken type.
     """
 
     n: int
@@ -100,25 +107,26 @@ class CombType:
 
     # -- structure helpers ------------------------------------------------
 
-    @property
-    def parent_map(self) -> dict[str, str]:
-        return dict(self.parents)
-
-    @property
-    def children_map(self) -> dict[str, list[str]]:
+    @functools.cached_property
+    def children_map(self) -> Mapping[str, tuple[str, ...]]:
         children: dict[str, list[str]] = {v: [] for layer in self.layers for v in layer}
         for child, parent in self.parents:
-            if parent in children:
-                children[parent].append(child)
-        for kids in children.values():
-            kids.sort()
-        return children
+            children[parent].append(child)
+        return MappingProxyType({v: tuple(sorted(kids)) for v, kids in children.items()})
 
-    def layer_of(self, v: str) -> int:
-        for j, layer in enumerate(self.layers, start=1):
-            if v in layer:
-                return j
-        raise KeyError(v)
+    @functools.cached_property
+    def _labels_below(self) -> Mapping[str, tuple[int, ...]]:
+        """Vertex -> sorted bottom labels below it, keyed in sorted vertex
+        order: the one bottom-up walk of a valid type."""
+        bad = self.violations()
+        if bad:
+            raise ValueError(f"invalid combinatorial type: violates axioms {bad}")
+        below = {v: (i + 1,) for i, v in enumerate(self.leaf_order)}
+        children = self.children_map
+        for layer in reversed(self.layers[:-1]):
+            for v in layer:
+                below[v] = tuple(sorted(x for c in children[v] for x in below[c]))
+        return MappingProxyType(dict(sorted(below.items())))
 
     def violations(self) -> list[int]:
         """Sorted list of violated axiom numbers; empty means valid."""
@@ -134,7 +142,7 @@ class CombType:
         ):
             bad.add(1)
 
-        parent_map = self.parent_map
+        parent_map = dict(self.parents)
         children = self.children_map
         for j, layer in enumerate(self.layers, start=1):
             for v in layer:
@@ -188,17 +196,8 @@ class CombType:
 
     def partition_chain(self) -> tuple[Partition, ...]:
         """Inverse view: the chain of bottom-label partitions, top first."""
-        label_of = {v: i + 1 for i, v in enumerate(self.leaf_order)}
-        below: dict[str, set[int]] = {v: {label_of[v]} for v in self.layers[-1]}
-        chain = [_canon_partition([tuple(below[v]) for v in self.layers[-1]])]
-        for j in range(self.n, 0, -1):
-            parent_map = self.parent_map
-            groups: dict[str, set[int]] = {v: set() for v in self.layers[j - 1]}
-            for v in self.layers[j]:
-                groups[parent_map[v]] |= below[v]
-            below = groups
-            chain.append(_canon_partition(tuple(s) for s in below.values()))
-        return tuple(reversed(chain))
+        below = self._labels_below
+        return tuple(_canon_partition(below[v] for v in layer) for layer in self.layers)
 
 
 def enumerate_types(n: int, r: int) -> list[CombType]:
@@ -253,19 +252,15 @@ class WeightedCombType:
 def propagate_weights(
     shape: CombType, root_weights: Sequence[int]
 ) -> WeightedCombType:
-    """Attach ``root_weights[i]`` to bottom label i + 1 and sum upward;
-    every interior vertex gets the total weight of its children."""
-    if shape.violations():
-        raise ValueError("cannot weight an invalid combinatorial type")
+    """Attach ``root_weights[i]`` to bottom label i + 1; every vertex gets
+    the total weight of the bottom labels below it."""
+    below = shape._labels_below
     if len(root_weights) != shape.r:
         raise ValueError(f"expected {shape.r} weights, got {len(root_weights)}")
     if any(w < 1 for w in root_weights):
         raise ValueError("weights must be positive integers")
-    mu: dict[str, int] = {}
-    for i, v in enumerate(shape.leaf_order):
-        mu[v] = int(root_weights[i])
-    children = shape.children_map
-    for j in range(shape.n, 0, -1):
-        for v in shape.layers[j - 1]:
-            mu[v] = sum(mu[c] for c in children[v])
-    return WeightedCombType(shape=shape, weights=tuple(sorted(mu.items())))
+    mu = [int(w) for w in root_weights]
+    return WeightedCombType(
+        shape=shape,
+        weights=tuple((v, sum(mu[x - 1] for x in labels)) for v, labels in below.items()),
+    )

@@ -2,8 +2,11 @@
 
 Each check recomputes one cluster of results from scratch and compares
 against the frozen expected values; :func:`run_all_checks` drives the whole
-battery.  The CLI's ``verify-all`` subcommand prints one PASS/FAIL line per
-check, and the acceptance test suite asserts the same facts.
+battery.  A check fails by raising :class:`CheckFailure`; one that raises
+any other exception fails too, with ``"<Type>: <message>"`` as its detail,
+and the rest still run.  The CLI's ``verify-all`` subcommand prints one
+PASS/FAIL line per check, and the acceptance test suite asserts the same
+facts.
 """
 from __future__ import annotations
 
@@ -225,11 +228,9 @@ def check_degeneration_trees() -> str:
             for shape in trees.enumerate_types(n, r):
                 _expect(shape.violations() == [], f"enumerated type invalid: {shape}")
                 for weights in product(range(1, 6), repeat=r):
-                    weighted = trees.propagate_weights(shape, weights)
-                    _expect(
-                        weighted.top_weight == sum(weights),
-                        f"weight leak on {shape} with {weights}",
-                    )
+                    # raised inline: a passing iteration builds no message
+                    if trees.propagate_weights(shape, weights).top_weight != sum(weights):
+                        raise CheckFailure(f"weight leak on {shape} with {weights}")
     start = time.monotonic()
     big = trees.enumerate_types(4, 5)
     elapsed = time.monotonic() - start
@@ -269,4 +270,7 @@ def run_all_checks() -> list[CheckResult]:
             results.append(CheckResult(name=name, passed=True, detail=detail))
         except CheckFailure as exc:
             results.append(CheckResult(name=name, passed=False, detail=str(exc)))
+        except Exception as exc:  # a crashing check fails; the rest still run
+            detail = f"{type(exc).__name__}: {exc}"
+            results.append(CheckResult(name=name, passed=False, detail=detail))
     return results

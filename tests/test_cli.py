@@ -1,10 +1,16 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from tangentia import assembly
+from tangentia import assembly, verify
 from tangentia.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture(autouse=True)
@@ -261,6 +267,54 @@ def test_verify_all_json(capsys):
     assert payload["all_passed"] is True
     assert len(payload["checks"]) == 10
     assert all(c["passed"] for c in payload["checks"])
+
+
+def _missing_key():
+    return {}["absent"]
+
+
+def _bad_value():
+    raise ValueError("no such stratum")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_verify_all_crashing_checks_fail_and_the_rest_run(capsys, monkeypatch, fmt):
+    monkeypatch.setattr(verify, "ALL_CHECKS", (
+        ("key-error", _missing_key),
+        ("value-error", _bad_value),
+        ("multiple-cover-values", verify.check_multiple_cover_values),
+    ))
+    code, out, err = run(capsys, "verify-all", *(["--json"] if fmt == "json" else []))
+    assert code == 2
+    assert err == ""
+    if fmt == "json":
+        payload = json.loads(out)
+        assert payload["all_passed"] is False
+        assert [(c["name"], c["passed"], c["detail"]) for c in payload["checks"]][:2] == [
+            ("key-error", False, "KeyError: 'absent'"),
+            ("value-error", False, "ValueError: no such stratum"),
+        ]
+        assert payload["checks"][2]["passed"] is True
+    else:
+        lines = out.splitlines()
+        assert lines[:2] == [
+            "FAIL key-error: KeyError: 'absent'",
+            "FAIL value-error: ValueError: no such stratum",
+        ]
+        assert lines[2].startswith("PASS multiple-cover-values: ")
+        assert lines[3] == "1/3 checks passed"
+
+
+def test_verify_all_passes_without_asserts():
+    # under -O every assert is stripped, so no check may rely on one
+    env = {k: v for k, v in os.environ.items() if not k.startswith("TANGENTIA_")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "tangentia.cli", "verify-all"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "10/10 checks passed"
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-from itertools import permutations
+from itertools import combinations_with_replacement, permutations
 
 import pytest
 from hypothesis import given, strategies as st
@@ -123,6 +123,27 @@ def test_enumerate_classes_other_degrees():
     assert enumerate_classes(0)  # the zero class row exists
     with pytest.raises(ValueError):
         enumerate_classes(-1)
+
+
+def _classes_by_e_loop(d):
+    """Naive oracle: for every e whose 3e - d fits the box, scan every
+    multiset for one with that sum."""
+    rows = []
+    for e in range(0, 7 * d // 3 + 1):
+        for a in combinations_with_replacement(range(d + 1), 6):
+            if sum(a) == 3 * e - d:
+                genus = arithmetic_genus(DivisorClass.make(e, a))
+                if genus >= 0:
+                    rows.append((e, a, genus, len(set(permutations(a)))))
+    return sorted(rows)
+
+
+@pytest.mark.parametrize("degree", range(0, 9))
+def test_enumerate_classes_against_e_loop_oracle(degree):
+    rows = enumerate_classes(degree)
+    assert [(r.e, r.a_multiset, r.p_a, r.ordered_count) for r in rows] == (
+        _classes_by_e_loop(degree)
+    )
 
 
 def test_cremona_examples():

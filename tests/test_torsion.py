@@ -79,6 +79,20 @@ def test_stratify():
     assert stratify(P(Fraction(1, 5), 0)) is None
 
 
+@given(small_fractions, small_fractions)
+def test_stratify_matches_the_multiplication_rule(x, y):
+    p = P(x, y)
+    if (3 * p).is_zero:
+        expected = Stratum.T1
+    elif (6 * p).is_zero:
+        expected = Stratum.T2
+    elif (12 * p).is_zero:
+        expected = Stratum.T3
+    else:
+        expected = None
+    assert stratify(p) == expected
+
+
 def test_stratum_sizes_against_direct_count():
     sizes = stratum_sizes()
     assert sizes == {Stratum.T1: 9, Stratum.T2: 27, Stratum.T3: 108}

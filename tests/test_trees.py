@@ -166,6 +166,48 @@ def test_weight_propagation_input_checks():
         propagate_weights(shape, [1, 2, 0])  # weights must be positive
 
 
+def test_invalid_type_is_refused_on_every_call():
+    # axiom (3) fails: the chain never branches
+    chain = CombType(
+        n=1,
+        r=1,
+        layers=(("1:0",), ("2:0",)),
+        parents=(("2:0", "1:0"),),
+        leaf_order=("2:0",),
+    )
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            propagate_weights(chain, [1])
+        with pytest.raises(ValueError):
+            chain.partition_chain()
+
+
+def test_type_is_validated_once_and_lazily(monkeypatch):
+    calls = []
+    real = CombType.violations
+
+    def counting(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(CombType, "violations", counting)
+    shape = enumerate_types(2, 3)[0]
+    assert calls == []  # building a type derives nothing
+    for weights in product(range(1, 4), repeat=3):
+        propagate_weights(shape, weights)
+    shape.partition_chain()
+    assert calls == [shape]
+
+
+def test_children_map_is_cached_and_read_only():
+    shape = enumerate_types(2, 3)[0]
+    children = shape.children_map
+    assert children is shape.children_map
+    assert all(isinstance(kids, tuple) for kids in children.values())
+    with pytest.raises(TypeError):
+        children["1:0"] = ()
+
+
 def test_validate_axiom_one():
     # bottom labels not in bijection with the bottom layer
     broken = CombType(
