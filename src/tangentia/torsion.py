@@ -2,9 +2,12 @@
 
 Choosing a flex O as origin makes a smooth cubic D an elliptic curve whose
 torsion subgroup is abstractly (Q/Z)^2.  Everything this package needs only
-depends on the group structure of the torsion, so a torsion point is stored
-as a pair of rationals (x, y) taken mod 1, and a line section, conic
-section, and so on become statements about multiples of points.
+depends on the group structure of the torsion, so a torsion point
+(x, y) mod 1 is stored in integers as (a/n, b/n), with n its exact order,
+and a line section, conic section, and so on become statements about
+multiples of points.  The group law, equality, ordering and the order of a
+point are integer arithmetic; ``Fraction`` appears only in the ``x`` and
+``y`` views and in parsing.
 
 Geometry dictionary, under a marking theta of the relevant points:
 
@@ -32,61 +35,125 @@ from typing import Mapping, Optional
 
 from .lattice import NUM_POINTS, DivisorClass
 
+# solve_division allocates m^2 points; larger m is refused up front
+MAX_DIVISION_ORDER = 256
 
-@dataclass(frozen=True, order=True)
+
+@functools.total_ordering
 class TorsionPoint:
-    """A point of (Q/Z)^2; coordinates are normalized into [0, 1)."""
+    """A point (x, y) of (Q/Z)^2, stored as integers: x = a/n, y = b/n with
+    0 <= a, b < n and gcd(a, b, n) = 1, so n is the exact order and the
+    triple is canonical.  ``x`` and ``y`` are read-only ``Fraction`` views in
+    [0, 1); points compare lexicographically by (x, y).
 
-    x: Fraction
-    y: Fraction
+    ``TorsionPoint(x, y)`` takes any rationals and reduces them mod 1;
+    ``TorsionPoint(a, b, n)`` is the point (a/n, b/n).
+    """
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "x", Fraction(self.x) % 1)
-        object.__setattr__(self, "y", Fraction(self.y) % 1)
+    __slots__ = ("a", "b", "n")
+
+    def __init__(self, x, y, n: int = 1) -> None:
+        if n < 1:
+            raise ValueError(f"n must be positive, got {n}")
+        if type(x) is not int or type(y) is not int:
+            if not isinstance(x, (int, Fraction)):
+                x = Fraction(x)
+            if not isinstance(y, (int, Fraction)):
+                y = Fraction(y)
+            d = math.lcm(x.denominator, y.denominator)
+            x = x.numerator * (d // x.denominator)
+            y = y.numerator * (d // y.denominator)
+            n *= d
+        x %= n
+        y %= n
+        g = math.gcd(x, y, n)
+        if g != 1:
+            x //= g
+            y //= g
+            n //= g
+        object.__setattr__(self, "a", x)
+        object.__setattr__(self, "b", y)
+        object.__setattr__(self, "n", n)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"TorsionPoint is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"TorsionPoint is immutable; cannot delete {name!r}")
+
+    def __reduce__(self):
+        return TorsionPoint, (self.a, self.b, self.n)
 
     @classmethod
     def of(cls, x, y) -> "TorsionPoint":
         return cls(Fraction(x), Fraction(y))
 
+    @property
+    def x(self) -> Fraction:
+        return Fraction(self.a, self.n)
+
+    @property
+    def y(self) -> Fraction:
+        return Fraction(self.b, self.n)
+
     def __add__(self, other: "TorsionPoint") -> "TorsionPoint":
-        return TorsionPoint(self.x + other.x, self.y + other.y)
+        # over the common denominator n*m; __init__ reduces to the exact order
+        n, m = self.n, other.n
+        return TorsionPoint(self.a * m + other.a * n, self.b * m + other.b * n, n * m)
 
     def __sub__(self, other: "TorsionPoint") -> "TorsionPoint":
-        return TorsionPoint(self.x - other.x, self.y - other.y)
+        n, m = self.n, other.n
+        return TorsionPoint(self.a * m - other.a * n, self.b * m - other.b * n, n * m)
 
     def __neg__(self) -> "TorsionPoint":
-        return TorsionPoint(-self.x, -self.y)
+        return TorsionPoint(-self.a, -self.b, self.n)
 
-    def __mul__(self, n: int) -> "TorsionPoint":
-        return TorsionPoint(n * self.x, n * self.y)
+    def __mul__(self, k: int) -> "TorsionPoint":
+        return TorsionPoint(k * self.a, k * self.b, self.n)
 
     __rmul__ = __mul__
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not TorsionPoint:
+            return NotImplemented
+        return self.n == other.n and self.a == other.a and self.b == other.b
+
+    def __hash__(self) -> int:
+        return hash((self.a, self.b, self.n))
+
+    def __lt__(self, other: "TorsionPoint") -> bool:
+        if other.__class__ is not TorsionPoint:
+            return NotImplemented
+        # a/n < a'/n' iff a*n' < a'*n, since n, n' > 0
+        left, right = self.a * other.n, other.a * self.n
+        if left != right:
+            return left < right
+        return self.b * other.n < other.b * self.n
 
     def __str__(self) -> str:
         return f"({self.x}, {self.y})"
 
+    def __repr__(self) -> str:
+        return f"TorsionPoint(x={self.x!r}, y={self.y!r})"
+
     @property
     def is_zero(self) -> bool:
-        return not self.x and not self.y
+        return self.n == 1
 
 
 ZERO_POINT = TorsionPoint.of(0, 0)
 
 
 def point_order(p: TorsionPoint) -> int:
-    """Exact order: the lcm of the reduced denominators."""
-    return math.lcm(p.x.denominator, p.y.denominator)
+    """Exact order: the stored denominator n."""
+    return p.n
 
 
 def torsion_points(n: int) -> list[TorsionPoint]:
     """The n^2 points killed by n, in lexicographic (x, y) order."""
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    return [
-        TorsionPoint(Fraction(i, n), Fraction(j, n))
-        for i in range(n)
-        for j in range(n)
-    ]
+    return [TorsionPoint(i, j, n) for i in range(n) for j in range(n)]
 
 
 class Stratum(enum.Enum):
@@ -101,7 +168,7 @@ def stratify(p: TorsionPoint) -> Optional[Stratum]:
     """Stratum of a point: T1 if 3p = 0, T2 if 6p = 0 but 3p != 0,
     T3 if 12p = 0 but 6p != 0, None for everything else.  Since k*p = 0
     exactly when the order of p divides k, no multiple is built."""
-    order = point_order(p)
+    order = p.n
     if 3 % order == 0:
         return Stratum.T1
     if 6 % order == 0:
@@ -131,11 +198,14 @@ def nonflex_nine_torsion_count() -> int:
 
 def solve_division(c: TorsionPoint, m: int) -> list[TorsionPoint]:
     """All m^2 solutions of m * P = c within the torsion, in lexicographic
-    order: the particular solution (c.x / m, c.y / m) translated by the
-    m-torsion subgroup."""
+    order: the particular solution (c.a, c.b) / (c.n * m) translated by the
+    m-torsion subgroup.  Bounded to m <= MAX_DIVISION_ORDER, checked before
+    any point is built."""
     if m < 1:
         raise ValueError(f"m must be positive, got {m}")
-    base = TorsionPoint(c.x / m, c.y / m)
+    if m > MAX_DIVISION_ORDER:
+        raise ValueError(f"division is budgeted to m <= {MAX_DIVISION_ORDER}, got {m}")
+    base = TorsionPoint(c.a, c.b, c.n * m)
     sols = sorted(base + t for t in torsion_points(m))
     if any(m * p != c for p in sols):
         raise ArithmeticError(f"a solution of {m} * P = {c} does not multiply back")

@@ -242,7 +242,11 @@ class WeightedCombType:
     weights: tuple[tuple[str, int], ...]  # (vertex id, weight), sorted
 
     def weight(self, v: str) -> int:
-        return dict(self.weights)[v]
+        # a tree has a few dozen vertices at most, so a scan beats building a map
+        for u, w in self.weights:
+            if u == v:
+                return w
+        raise KeyError(v)
 
     @property
     def top_weight(self) -> int:

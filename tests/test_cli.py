@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from tangentia import assembly, verify
+from tangentia import assembly, torsion, verify
 from tangentia.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -305,6 +306,19 @@ def test_verify_all_crashing_checks_fail_and_the_rest_run(capsys, monkeypatch, f
         assert lines[3] == "1/3 checks passed"
 
 
+def test_torsion_division_failure_names_the_class(capsys, monkeypatch):
+    real = torsion.solve_division
+    monkeypatch.setattr(torsion, "solve_division", lambda c, m: real(c, m)[1:])
+    with pytest.raises(verify.CheckFailure, match=r"^2H-E\d-E\d: 15 solutions$"):
+        verify.check_torsion_division()
+    monkeypatch.setattr(verify, "ALL_CHECKS", (
+        ("torsion-division", verify.check_torsion_division),
+    ))
+    code, out, _ = run(capsys, "verify-all")
+    assert code == 2
+    assert re.fullmatch(r"FAIL torsion-division: 2H-E\d-E\d: 15 solutions", out.splitlines()[0])
+
+
 def test_verify_all_passes_without_asserts():
     # under -O every assert is stripped, so no check may rely on one
     env = {k: v for k, v in os.environ.items() if not k.startswith("TANGENTIA_")}
@@ -422,6 +436,25 @@ def test_graphs_over_budget(capsys):
     code, _, err = run(capsys, "graphs", "--n", "9", "--r", "2")
     assert code == 1
     assert err.startswith("error:")
+
+
+def test_torsion_solve_at_the_division_budget(capsys):
+    m = str(torsion.MAX_DIVISION_ORDER)
+    code, out, err = run(capsys, "torsion", "--solve", "--class", "2H-E1-E2", "--m", m)
+    assert code == 0
+    assert err == ""
+    assert out.splitlines()[1] == f"{256 * 256} solutions of 256*P = c:"
+
+
+def test_torsion_solve_past_the_division_budget(capsys, monkeypatch):
+    def refuse(n):
+        raise AssertionError(f"torsion_points({n}) called past the budget")
+
+    monkeypatch.setattr(torsion, "torsion_points", refuse)
+    code, out, err = run(capsys, "torsion", "--solve", "--class", "2H-E1-E2", "--m", "257")
+    assert code == 1
+    assert out == ""
+    assert err == "error: division is budgeted to m <= 256, got 257\n"
 
 
 # ---------------------------------------------------------------------------

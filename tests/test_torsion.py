@@ -1,11 +1,16 @@
+import copy
+import math
+import pickle
 from fractions import Fraction
 from itertools import permutations
 
 import pytest
 from hypothesis import given, strategies as st
 
+from tangentia import torsion as torsion_module
 from tangentia.lattice import DivisorClass, parse_class_literal
 from tangentia.torsion import (
+    MAX_DIVISION_ORDER,
     STANDARD_MARKING,
     MarkedCubicConfig,
     Stratum,
@@ -190,3 +195,105 @@ def test_restriction_class_is_always_three_torsion():
         for ordering in set(permutations(row.a_multiset)):
             c = restriction_class(DivisorClass.make(row.e, ordering))
             assert (3 * c).is_zero
+
+
+# ---------------------------------------------------------------------------
+# the integer model against a Fraction oracle: a point is the pair
+# (x mod 1, y mod 1) of Fractions, and its order is the lcm of the
+# denominators; the implementation stores integers and shares no code
+# with this
+# ---------------------------------------------------------------------------
+
+def _oracle(x, y):
+    return (Fraction(x) % 1, Fraction(y) % 1)
+
+
+def _oracle_add(p, q):
+    return _oracle(p[0] + q[0], p[1] + q[1])
+
+
+def _oracle_order(p):
+    return p[0].denominator * p[1].denominator // math.gcd(p[0].denominator, p[1].denominator)
+
+
+def _agrees(point, oracle):
+    return (point.x, point.y) == oracle and str(point) == f"({oracle[0]}, {oracle[1]})"
+
+
+@given(small_fractions, small_fractions, small_fractions, small_fractions,
+       st.integers(min_value=-50, max_value=50))
+def test_integer_model_matches_fraction_oracle(x1, y1, x2, y2, k):
+    a, b = P(x1, y1), P(x2, y2)
+    oa, ob = _oracle(x1, y1), _oracle(x2, y2)
+    assert _agrees(a, oa) and _agrees(b, ob)
+    assert all(isinstance(v, Fraction) for v in (a.x, a.y))
+    assert _agrees(a + b, _oracle_add(oa, ob))
+    assert _agrees(a - b, _oracle(oa[0] - ob[0], oa[1] - ob[1]))
+    assert _agrees(-a, _oracle(-oa[0], -oa[1]))
+    assert _agrees(k * a, _oracle(k * oa[0], k * oa[1]))
+    assert _agrees(a * k, _oracle(k * oa[0], k * oa[1]))
+    assert point_order(a) == _oracle_order(oa)
+    assert a.is_zero == (oa == (0, 0))
+    assert (a == b) == (oa == ob)
+    assert (a != b) == (oa != ob)
+    if a == b:
+        assert hash(a) == hash(b)
+    assert (a < b) == (oa < ob)
+    assert (a <= b) == (oa <= ob)
+    assert (a > b) == (oa > ob)
+    assert (a >= b) == (oa >= ob)
+
+
+@given(st.lists(st.tuples(small_fractions, small_fractions), max_size=12))
+def test_sorted_order_matches_fraction_oracle(coords):
+    points = sorted(P(x, y) for x, y in coords)
+    assert [(p.x, p.y) for p in points] == sorted(_oracle(x, y) for x, y in coords)
+    assert len(set(points)) == len(set(_oracle(x, y) for x, y in coords))
+
+
+def test_integer_form_is_canonical():
+    p = P(Fraction(5, 4), Fraction(-1, 2))
+    assert (p.a, p.b, p.n) == (1, 2, 4)
+    assert TorsionPoint(3, 6, 12) == TorsionPoint(1, 2, 4) == p
+    assert (TorsionPoint(7, -5, 1).a, TorsionPoint(7, -5, 1).n) == (0, 1)
+    assert TorsionPoint.of("1/3", "-2/3") == TorsionPoint(1, 1, 3)
+    assert TorsionPoint(Fraction(1, 2), 0, 3) == TorsionPoint(1, 0, 6)
+    assert repr(p) == "TorsionPoint(x=Fraction(1, 4), y=Fraction(1, 2))"
+    assert str(p) == "(1/4, 1/2)"
+    with pytest.raises(ValueError):
+        TorsionPoint(1, 1, 0)
+
+
+def test_points_are_immutable():
+    p = P(Fraction(1, 3), 0)
+    for name in ("a", "b", "n", "x", "y"):
+        with pytest.raises(AttributeError):
+            setattr(p, name, 0)
+    with pytest.raises(AttributeError):
+        del p.a
+    assert copy.deepcopy(p) == p
+    assert pickle.loads(pickle.dumps(p)) == p
+
+
+def test_group_arithmetic_builds_no_fraction(monkeypatch):
+    points = torsion_points(12) + [P(Fraction(1, 9), Fraction(2, 5))]
+    c = P(Fraction(1, 3), Fraction(2, 3))
+
+    class NoFraction:
+        def __new__(cls, *args):
+            raise AssertionError("a Fraction was built")
+
+    monkeypatch.setattr(torsion_module, "Fraction", NoFraction)
+    for p in points:
+        for q in (p, c, ZERO_POINT, points[-1]):
+            p + q, p - q, -p, 7 * p, p * -3, p == q, p != q, p < q, p >= q
+        hash(p), point_order(p), stratify(p), p.is_zero
+    sorted(points)
+    assert len(solve_division(c, 4)) == 16
+    assert len(torsion_points(9)) == 81
+
+
+def test_solve_division_budget():
+    assert MAX_DIVISION_ORDER == 256  # scale workloads solve at m <= 24
+    with pytest.raises(ValueError, match="budgeted"):
+        solve_division(ZERO_POINT, MAX_DIVISION_ORDER + 1)

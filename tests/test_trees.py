@@ -1,3 +1,4 @@
+import dataclasses
 import time
 from itertools import permutations, product
 
@@ -206,6 +207,22 @@ def test_children_map_is_cached_and_read_only():
     assert all(isinstance(kids, tuple) for kids in children.values())
     with pytest.raises(TypeError):
         children["1:0"] = ()
+
+
+def test_weight_matches_weights_and_is_read_only():
+    for n, r in [(0, 1), (1, 3), (2, 3), (2, 4)]:
+        for shape in enumerate_types(n, r):
+            weighted = propagate_weights(shape, range(1, r + 1))
+            stored = dict(weighted.weights)
+            vertices = [v for layer in shape.layers for v in layer]
+            assert sorted(stored) == sorted(vertices)
+            for v in vertices:
+                assert weighted.weight(v) == stored[v]
+            assert weighted.top_weight == stored[shape.layers[0][0]]
+            with pytest.raises(KeyError):
+                weighted.weight("9:9")
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                weighted.weights = ()
 
 
 def test_validate_axiom_one():
