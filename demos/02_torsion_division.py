@@ -25,7 +25,7 @@ print()
 
 # a couple of sample points; order-9 points fall outside all three strata
 for coords in ((0, 0), ("1/3", "2/3"), ("1/2", "0"), ("1/12", "1/4"), ("1/9", "0")):
-    p = TorsionPoint.of(*coords)
+    p = TorsionPoint(*coords)
     s = stratify(p)
     print(f"{p}  order {point_order(p):>2}  stratum {s.value if s else '-'}")
 print()

@@ -53,11 +53,11 @@ for step in cremona_steps(start):
 terminals = {}
 for r in rows:
     for perm in set(permutations(r.a_multiset)):
-        final = cremona_reduce(DivisorClass.make(r.e, perm))
+        final = cremona_reduce(DivisorClass(r.e, perm))
         key = (final.e, tuple(sorted(final.a, reverse=True)))
         terminals[key] = terminals.get(key, 0) + 1
 
 print("\nterminal forms over all 243 ordered classes:")
 for (e, a), count in sorted(terminals.items()):
     print(f"  e={e}, a={list(a)}: {count} classes"
-          f"  (genus {arithmetic_genus(DivisorClass.make(e, a))})")
+          f"  (genus {arithmetic_genus(DivisorClass(e, a))})")

@@ -54,10 +54,8 @@ from .lattice import (
     parse_class_literal,
     tangency_degree,
 )
-from .rationals import Rat, binomial
+from .rationals import binomial
 from .torsion import (
-    STANDARD_MARKING,
-    MarkedCubicConfig,
     Stratum,
     TorsionPoint,
     point_order,

@@ -8,24 +8,25 @@ both pieces are immersed, meet the cubic only at that common point with
 minimal intersection there, and the pair (plane, cubic) is the log
 Calabi-Yau one).  The ledger produced by :func:`assemble_invariant` makes
 every line of that bookkeeping explicit and is checked against the
-tabulated reference values.
+tabulated reference values; :func:`instanton_census` applies the same
+per-point rule with instanton numbers in place of the cover terms.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from fractions import Fraction
+from typing import Callable, Optional
 
 from .census import (
     COVER,
-    CUSPIDAL,
     IMMERSED,
     NONFLEX_NINE,
     PAIR,
+    Component,
     boundary_census,
     census_strata,
 )
 from .covers import instanton_numbers, multiple_cover
-from .rationals import Rat
 
 
 class HypothesisViolation(ValueError):
@@ -39,7 +40,7 @@ class HypothesisViolation(ValueError):
 class AssemblyMismatch(ValueError):
     """A ledger total disagrees with the tabulated reference value."""
 
-    def __init__(self, degree: int, computed: Rat, reference: Rat) -> None:
+    def __init__(self, degree: int, computed: Fraction, reference: Fraction) -> None:
         self.degree = degree
         self.computed = computed
         self.reference = reference
@@ -56,7 +57,7 @@ def pair_contribution(
     same_point: bool = True,
     log_cy: bool = True,
     transversal_intersection_at_p: bool = True,
-) -> Rat:
+) -> Fraction:
     """Contribution min(w1, w2) of a two-component curve glued at the
     contact point.
 
@@ -76,14 +77,14 @@ def pair_contribution(
             raise HypothesisViolation(name)
     if tangency_one < 1 or tangency_two < 1:
         raise ValueError("contact orders must be positive")
-    return Rat(min(tangency_one, tangency_two))
+    return Fraction(min(tangency_one, tangency_two))
 
 
 REFERENCE_INVARIANTS = {
-    1: Rat(9),
-    2: Rat(135, 4),
-    3: Rat(244),
-    4: Rat(36999, 16),
+    1: Fraction(9),
+    2: Fraction(135, 4),
+    3: Fraction(244),
+    4: Fraction(36999, 16),
 }
 
 # The degree-4 total circulates in print with a dropped denominator factor;
@@ -94,7 +95,7 @@ DEGREE_4_MISPRINT_NOTE = (
 )
 
 
-def reference_invariant(degree: int) -> Rat:
+def reference_invariant(degree: int) -> Fraction:
     if degree not in REFERENCE_INVARIANTS:
         raise ValueError(f"no tabulated invariant for degree {degree}")
     return REFERENCE_INVARIANTS[degree]
@@ -104,7 +105,7 @@ def reference_invariant(degree: int) -> Rat:
 class LedgerLine:
     stratum: str
     points: int  # number of contact points in the stratum
-    per_point: Rat  # contribution of one point
+    per_point: Fraction  # contribution of one point
     provenance: str
 
     def __post_init__(self) -> None:
@@ -112,7 +113,7 @@ class LedgerLine:
             raise ValueError("every ledger line must state its provenance")
 
     @property
-    def subtotal(self) -> Rat:
+    def subtotal(self) -> Fraction:
         return self.points * self.per_point
 
 
@@ -120,7 +121,7 @@ class LedgerLine:
 class GwLedger:
     degree: int
     lines: tuple[LedgerLine, ...]
-    reference: Rat
+    reference: Fraction
     note: Optional[str] = None
 
     def __post_init__(self) -> None:
@@ -128,8 +129,8 @@ class GwLedger:
             raise AssemblyMismatch(self.degree, self.total, self.reference)
 
     @property
-    def total(self) -> Rat:
-        return sum((line.subtotal for line in self.lines), Rat(0))
+    def total(self) -> Fraction:
+        return sum((line.subtotal for line in self.lines), Fraction(0))
 
 
 _STRATUM_PHRASE = {
@@ -143,65 +144,61 @@ _BASE_CURVE = {1: "tangent line", 2: "sixfold-contact conic"}
 _TRAVERSAL = {2: "double", 3: "triple", 4: "quadruple"}
 
 
-def _cover_provenance(stratum: str, base_degree: int, multiplicity: int) -> str:
-    return (
-        f"{_TRAVERSAL[multiplicity]} covers of the {_BASE_CURVE[base_degree]} "
-        f"at the {_STRATUM_PHRASE[stratum]}"
-    )
-
-
-def _immersed_provenance(degree: int, stratum: str, count: int) -> str:
+def _provenance(degree: int, stratum: str, comp: Component) -> str:
     where = _STRATUM_PHRASE[stratum]
+    if comp.kind == COVER:
+        return (
+            f"{_TRAVERSAL[comp.multiplicity]} covers of the "
+            f"{_BASE_CURVE[comp.base_degree]} at the {where}"
+        )
+    if comp.kind == PAIR:
+        return (
+            f"{comp.count} line-plus-cubic pairs glued at the flex, "
+            f"each counting min{comp.tangencies}"
+        )
     if degree == 1:
         return f"the tangent line at the {where} meets the cubic only there"
     if degree == 2:
         return f"one smooth conic with sixfold contact at the {where}"
     if degree == 3:
-        return f"{count} nodal cubics with ninefold contact at the {where}"
-    return f"{count} immersed rational quartics with full contact at the {where}"
+        return f"{comp.count} nodal cubics with ninefold contact at the {where}"
+    return f"{comp.count} immersed rational quartics with full contact at the {where}"
 
 
-def assemble_invariant(degree: int, special_cubic: bool = False) -> GwLedger:
-    """Build the degree-d ledger from the boundary census and check its
-    total against the reference invariant.
+def _per_point(comp: Component, cover: Callable[[int, int], Fraction]) -> Fraction:
+    """The one per-component rule, at one contact point: immersed curves
+    count 1 each, d-fold covers of a degree-b member ``cover(3b, d)`` each,
+    and reducible pairs the smaller of their two contact orders each.  Any
+    other kind (a cuspidal member) raises ValueError."""
+    if comp.kind == IMMERSED:
+        return Fraction(comp.count)
+    if comp.kind == COVER:
+        return comp.count * cover(3 * comp.base_degree, comp.multiplicity)
+    if comp.kind == PAIR:
+        return comp.count * pair_contribution(*comp.tangencies)
+    raise ValueError(
+        "cannot assemble an invariant from a cuspidal member: "
+        "the cover and pair rules require immersed curves"
+    )
 
-    Raises :class:`AssemblyMismatch` if the total disagrees and ValueError
-    when the special-cubic census is requested in degrees 3 or 4, whose
-    contributions involve a cuspidal (hence non-immersed) member.
+
+def assemble_invariant(degree: int) -> GwLedger:
+    """Build the degree-d ledger from the boundary census, one line per
+    census component priced by the per-component rule with M_w[d] for the
+    covers, and check its total against the reference invariant.
+
+    Raises :class:`AssemblyMismatch` if the total disagrees.
     """
     lines = []
     for label in census_strata(degree):
-        entry = boundary_census(degree, label, special_cubic=special_cubic)
+        entry = boundary_census(degree, label)
         for comp in entry.components:
-            if comp.kind == IMMERSED:
-                per_point = Rat(comp.count)
-                provenance = _immersed_provenance(degree, label, comp.count)
-            elif comp.kind == COVER:
-                per_point = comp.count * multiple_cover(
-                    3 * comp.base_degree, comp.multiplicity
-                )
-                provenance = _cover_provenance(
-                    label, comp.base_degree, comp.multiplicity
-                )
-            elif comp.kind == PAIR:
-                per_point = comp.count * pair_contribution(*comp.tangencies)
-                provenance = (
-                    f"{comp.count} line-plus-cubic pairs glued at the flex, "
-                    f"each counting min{comp.tangencies}"
-                )
-            elif comp.kind == CUSPIDAL:
-                raise ValueError(
-                    "cannot assemble an invariant from a cuspidal member: "
-                    "the cover and pair rules require immersed curves"
-                )
-            else:
-                raise ValueError(f"unknown component kind {comp.kind!r}")
             lines.append(
                 LedgerLine(
                     stratum=label,
                     points=entry.points,
-                    per_point=per_point,
-                    provenance=provenance,
+                    per_point=_per_point(comp, multiple_cover),
+                    provenance=_provenance(degree, label, comp),
                 )
             )
     note = DEGREE_4_MISPRINT_NOTE if degree == 4 else None
@@ -213,37 +210,31 @@ def assemble_invariant(degree: int, special_cubic: bool = False) -> GwLedger:
     )
 
 
-def local_invariant(degree: int) -> Rat:
-    """Local invariant of the cubic: K_d = (-1)^(d-1) I_d / (3d).
+def local_invariant(degree: int) -> Fraction:
+    """Local invariant of the cubic: K_d = (-1)^(d-1) I_d / (3d), with I_d
+    the total of the assembled ledger (:func:`assemble_invariant`).
 
     Values: K_1 = 3, K_2 = -45/8, K_3 = 244/9, K_4 = -12333/64.
     """
     sign = -1 if degree % 2 == 0 else 1
-    return sign * reference_invariant(degree) / (3 * degree)
+    return sign * assemble_invariant(degree).total / (3 * degree)
 
 
 def instanton_census(stratum) -> int:
     """Degree-4 instanton count at one point of the stratum.
 
-    Replacing each cover contribution M by the corresponding instanton
-    number m in the boundary census of the stratum gives the count; it is
-    16 for all three strata.  A count that is not a nonnegative integer
-    signals an inconsistent census and raises ArithmeticError.
+    The same per-component rule as the ledger, with each cover contribution
+    M replaced by the corresponding instanton number m; it is 16 for all
+    three strata.  A count that is not a nonnegative integer signals an
+    inconsistent census and raises ArithmeticError.
     """
-    label = stratum.value if hasattr(stratum, "value") else str(stratum)
-    if label not in census_strata(4):
-        raise ValueError(f"no degree-4 stratum {label!r}")
-    total = Rat(0)
-    for comp in boundary_census(4, label).components:
-        if comp.kind == IMMERSED:
-            total += comp.count
-        elif comp.kind == COVER:
-            w = 3 * comp.base_degree
-            total += comp.count * instanton_numbers(w, comp.multiplicity)[
-                comp.multiplicity
-            ]
-        elif comp.kind == PAIR:
-            total += comp.count * pair_contribution(*comp.tangencies)
+    total = sum(
+        (
+            _per_point(comp, lambda w, d: instanton_numbers(w, d)[d])
+            for comp in boundary_census(4, stratum).components
+        ),
+        Fraction(0),
+    )
     if total.denominator != 1 or total < 0:
         raise ArithmeticError(f"instanton count {total} is not a nonnegative integer")
     return int(total)

@@ -28,22 +28,28 @@ generalized formula yields zeros from d = 2 on.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterator
 
-from .rationals import Rat, binomial
+from .rationals import binomial
+
+# work budgets, checked before any work: instanton_numbers makes O(d_max^2)
+# bigint steps, and integrality_report one such solve per w
+MAX_INSTANTON_DEGREE = 1000
+MAX_INTEGRALITY_CELLS = 4096
 
 
-def multiple_cover(w: int, d: int) -> Rat:
+def multiple_cover(w: int, d: int) -> Fraction:
     """Contribution M_w[d] of connected d-fold covers, contact order w."""
     _require_positive(w=w, d=d)
-    return Rat(binomial(d * (w - 1) - 1, d - 1), d * d)
+    return Fraction(binomial(d * (w - 1) - 1, d - 1), d * d)
 
 
-def local_cover(n: int, d: int) -> Rat:
+def local_cover(n: int, d: int) -> Fraction:
     """Contribution M'_n[d] of d-fold covers of a curve inside the divisor."""
     _require_positive(n=n, d=d)
     sign = -1 if (n * (d - 1)) % 2 else 1
-    return Rat(sign, d * d)
+    return Fraction(sign, d * d)
 
 
 def divisors(d: int) -> Iterator[int]:
@@ -55,14 +61,20 @@ def divisors(d: int) -> Iterator[int]:
             yield k
 
 
-def instanton_numbers(w: int, d_max: int) -> dict[int, Rat]:
+def instanton_numbers(w: int, d_max: int) -> dict[int, Fraction]:
     """Solve the multiple cover formula for m_w[1..d_max].
 
     m_w[d] = M_w[d] - sum over proper divisors d1 of d of
              M'_{d1 w}[d / d1] * m_w[d1].
+
+    Bounded to d_max <= MAX_INSTANTON_DEGREE.
     """
     _require_positive(w=w, d_max=d_max)
-    m: dict[int, Rat] = {}
+    if d_max > MAX_INSTANTON_DEGREE:
+        raise ValueError(
+            f"instanton numbers are budgeted to dmax <= {MAX_INSTANTON_DEGREE}, got {d_max}"
+        )
+    m: dict[int, Fraction] = {}
     for d in range(1, d_max + 1):
         value = multiple_cover(w, d)
         for d1 in divisors(d):
@@ -84,7 +96,7 @@ class IntegralityRow:
 
     w: int
     d: int
-    value: Rat
+    value: Fraction
     is_integer: bool
     is_positive: bool
     extrapolated: bool
@@ -98,9 +110,15 @@ def integrality_report(w_max: int, d_max: int) -> list[IntegralityRow]:
     """Integrality and positivity of m_w[d] over the requested box.
 
     The report covers exactly 1 <= w <= w_max, 1 <= d <= d_max; nothing
-    outside the user-supplied bounds is claimed.
+    outside the user-supplied bounds is claimed.  Bounded to
+    w_max * d_max <= MAX_INTEGRALITY_CELLS.
     """
     _require_positive(w_max=w_max, d_max=d_max)
+    if w_max * d_max > MAX_INTEGRALITY_CELLS:
+        raise ValueError(
+            f"the integrality box is budgeted to wmax * dmax <= {MAX_INTEGRALITY_CELLS}, "
+            f"got {w_max} * {d_max} = {w_max * d_max}"
+        )
     rows = []
     for w in range(1, w_max + 1):
         m = instanton_numbers(w, d_max)

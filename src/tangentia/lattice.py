@@ -30,20 +30,17 @@ class DivisorClass:
     a: tuple[int, int, int, int, int, int]
 
     def __post_init__(self) -> None:
-        if len(self.a) != NUM_POINTS:
-            raise ValueError(f"expected {NUM_POINTS} multiplicities, got {len(self.a)}")
-        object.__setattr__(self, "a", tuple(int(x) for x in self.a))
-
-    @classmethod
-    def make(cls, e: int, a: Sequence[int]) -> "DivisorClass":
-        return cls(e=e, a=tuple(a))
+        a = tuple(int(x) for x in self.a)
+        if len(a) != NUM_POINTS:
+            raise ValueError(f"expected {NUM_POINTS} multiplicities, got {len(a)}")
+        object.__setattr__(self, "a", a)
 
     def __str__(self) -> str:
         return class_literal(self)
 
 
 # canonical class of the blowup: K = -3H + E1 + ... + E6
-CANONICAL = DivisorClass.make(-3, (-1, -1, -1, -1, -1, -1))
+CANONICAL = DivisorClass(-3, (-1, -1, -1, -1, -1, -1))
 
 
 def pairing(c1: DivisorClass, c2: DivisorClass) -> int:
@@ -87,7 +84,7 @@ def parse_class_literal(text: str) -> DivisorClass:
     if not compact:
         raise ValueError("empty class literal")
     if compact == "0":
-        return DivisorClass.make(0, (0,) * NUM_POINTS)
+        return DivisorClass(0, (0,) * NUM_POINTS)
     e = 0
     a = [0] * NUM_POINTS
     pos = 0
@@ -103,7 +100,7 @@ def parse_class_literal(text: str) -> DivisorClass:
             # the literal writes -E1 for multiplicity +1 at the first point
             a[int(m.group(4)) - 1] -= sign * coef
         pos = m.end()
-    return DivisorClass.make(e, a)
+    return DivisorClass(e, a)
 
 
 def class_literal(c: DivisorClass) -> str:
@@ -140,7 +137,11 @@ class ClassTableRow:
 
     @property
     def representative(self) -> DivisorClass:
-        return DivisorClass.make(self.e, self.a_multiset)
+        return DivisorClass(self.e, self.a_multiset)
+
+
+# the search box holds C(d + 6, 6) multisets; larger degrees are refused up front
+MAX_CLASS_DEGREE = 20
 
 
 def enumerate_classes(target_degree: int = 4) -> list[ClassTableRow]:
@@ -148,17 +149,22 @@ def enumerate_classes(target_degree: int = 4) -> list[ClassTableRow]:
 
     The search box is 0 <= ai <= target_degree with e determined by
     3e = target_degree + sum(ai); rows come back sorted by (e, multiset).
+    Bounded to target_degree <= MAX_CLASS_DEGREE, checked before the search.
     For target degree 4 this is a census of 9 rows whose ordered classes
     total 216 of genus 0 and 27 of genus 1.
     """
     if target_degree < 0:
         raise ValueError("target degree must be nonnegative")
+    if target_degree > MAX_CLASS_DEGREE:
+        raise ValueError(
+            f"class search is budgeted to degree <= {MAX_CLASS_DEGREE}, got {target_degree}"
+        )
     rows = []
     for a in combinations_with_replacement(range(target_degree + 1), NUM_POINTS):
         e, rem = divmod(target_degree + sum(a), 3)
         if rem:
             continue
-        genus = arithmetic_genus(DivisorClass.make(e, a))
+        genus = arithmetic_genus(DivisorClass(e, a))
         if genus < 0:
             continue
         rows.append(
@@ -171,23 +177,20 @@ def enumerate_classes(target_degree: int = 4) -> list[ClassTableRow]:
 MAX_CREMONA_STEPS = 100
 
 
-def cremona_steps(
-    c: DivisorClass, max_steps: int = MAX_CREMONA_STEPS
-) -> Iterator[DivisorClass]:
+def cremona_steps(c: DivisorClass) -> Iterator[DivisorClass]:
     """Yield the reduction path starting at c (multiplicities sorted
     descending), transforming at the three largest multiplicities while
     their sum exceeds e.
 
     Any choice of maximal triple gives the same multiset at each step, so
     working on the descending-sorted representative loses nothing.  Raises
-    RuntimeError after ``max_steps`` steps (default 100), which signals an
-    input outside the degree-4, p_a in {0, 1} regime this reduction is
-    meant for.
+    RuntimeError after MAX_CREMONA_STEPS steps, which signals an input
+    outside the degree-4, p_a in {0, 1} regime this reduction is meant for.
     """
     e = c.e
     a = tuple(sorted(c.a, reverse=True))
-    yield DivisorClass.make(e, a)
-    for _ in range(max_steps):
+    yield DivisorClass(e, a)
+    for _ in range(MAX_CREMONA_STEPS):
         if a[0] + a[1] + a[2] <= e:
             return
         # quadratic transformation centered at the three largest points:
@@ -201,9 +204,9 @@ def cremona_steps(
                 )
             ),
         )
-        yield DivisorClass.make(e, a)
+        yield DivisorClass(e, a)
     raise RuntimeError(
-        f"no terminal form within {max_steps} Cremona steps; "
+        f"no terminal form within {MAX_CREMONA_STEPS} Cremona steps; "
         f"input {c} is outside the reduction's hypotheses"
     )
 

@@ -1,16 +1,13 @@
 """Exact rational arithmetic helpers.
 
-``Rat`` is an alias for :class:`fractions.Fraction`: values are always stored
-in lowest terms with a positive denominator, so equality is structural and
-``str()`` prints ``"num/den"`` (or just ``"num"`` for integers), which is the
-serialization used everywhere in this package.
+Rationals throughout this package are :class:`fractions.Fraction`: values
+are always stored in lowest terms with a positive denominator, so equality
+is structural and ``str()`` prints ``"num/den"`` (or just ``"num"`` for
+integers), which is the serialization used everywhere in this package.
 """
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-
-Rat = Fraction
 
 
 def binomial(n: int, k: int) -> int:

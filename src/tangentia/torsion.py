@@ -19,21 +19,20 @@ Geometry dictionary, under a marking theta of the relevant points:
   them), handled by the census module.
 
 The standard marking puts the six blown-up base points P1..P6 at the
-3-torsion values fixed in :data:`STANDARD_MARKING` (their theta-values sum
-to zero, as they must for points cut out by a conic), and a ninth-order
-point O' with 3*O' equal to the hyperplane restriction.
+3-torsion values fixed in :data:`BASE_POINTS` (their theta-values sum to
+zero, as they must for points cut out by a conic), and the ninth-order
+point O' at :data:`O_PRIME`, with 3*O' equal to the hyperplane restriction.
 """
 from __future__ import annotations
 
 import enum
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping, Optional
 
-from .lattice import NUM_POINTS, DivisorClass
+from .lattice import DivisorClass
 
 # solve_division allocates m^2 points; larger m is refused up front
 MAX_DIVISION_ORDER = 256
@@ -46,7 +45,8 @@ class TorsionPoint:
     triple is canonical.  ``x`` and ``y`` are read-only ``Fraction`` views in
     [0, 1); points compare lexicographically by (x, y).
 
-    ``TorsionPoint(x, y)`` takes any rationals and reduces them mod 1;
+    ``TorsionPoint(x, y)`` takes any rationals (or strings such as
+    ``"1/3"``) and reduces them mod 1;
     ``TorsionPoint(a, b, n)`` is the point (a/n, b/n).
     """
 
@@ -83,10 +83,6 @@ class TorsionPoint:
 
     def __reduce__(self):
         return TorsionPoint, (self.a, self.b, self.n)
-
-    @classmethod
-    def of(cls, x, y) -> "TorsionPoint":
-        return cls(Fraction(x), Fraction(y))
 
     @property
     def x(self) -> Fraction:
@@ -139,9 +135,6 @@ class TorsionPoint:
     @property
     def is_zero(self) -> bool:
         return self.n == 1
-
-
-ZERO_POINT = TorsionPoint.of(0, 0)
 
 
 def point_order(p: TorsionPoint) -> int:
@@ -212,59 +205,19 @@ def solve_division(c: TorsionPoint, m: int) -> list[TorsionPoint]:
     return sols
 
 
-@dataclass(frozen=True)
-class MarkedCubicConfig:
-    """A marking theta of the configuration used by the quartic census.
-
-    ``base_points`` are the images of the six blown-up points P1..P6 (all
-    3-torsion, summing to zero: twice a line section is a conic section),
-    ``o_prime`` is a point of order 9 whose triple represents the
-    hyperplane restriction, and ``q_points`` are the three 3-torsion
-    points left over once the base points are chosen (they sum to zero,
-    so they are cut out by a line).
-    """
-
-    base_points: tuple[TorsionPoint, ...]
-    o_prime: TorsionPoint
-    q_points: tuple[TorsionPoint, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.base_points) != NUM_POINTS:
-            raise ValueError("expected six marked base points")
-        total = ZERO_POINT
-        for p in self.base_points:
-            if not (3 * p).is_zero:
-                raise ValueError(f"base point {p} is not 3-torsion")
-            total = total + p
-        if not total.is_zero:
-            raise ValueError("marked base points must sum to zero")
-        if point_order(self.o_prime) != 9:
-            raise ValueError("o_prime must have exact order 9")
-        if len(self.q_points) != 3:
-            raise ValueError("expected three auxiliary 3-torsion points")
-
-
-STANDARD_MARKING = MarkedCubicConfig(
-    base_points=(
-        TorsionPoint.of(0, 0),
-        TorsionPoint.of(Fraction(1, 3), 0),
-        TorsionPoint.of(Fraction(2, 3), 0),
-        TorsionPoint.of(0, Fraction(1, 3)),
-        TorsionPoint.of(Fraction(1, 3), Fraction(1, 3)),
-        TorsionPoint.of(Fraction(2, 3), Fraction(1, 3)),
-    ),
-    o_prime=TorsionPoint.of(Fraction(1, 9), 0),
-    q_points=(
-        TorsionPoint.of(0, Fraction(2, 3)),
-        TorsionPoint.of(Fraction(1, 3), Fraction(2, 3)),
-        TorsionPoint.of(Fraction(2, 3), Fraction(2, 3)),
-    ),
+# the standard marking theta of P1..P6 and of O' (see the module docstring)
+BASE_POINTS = (
+    TorsionPoint(0, 0),
+    TorsionPoint(1, 0, 3),
+    TorsionPoint(2, 0, 3),
+    TorsionPoint(0, 1, 3),
+    TorsionPoint(1, 1, 3),
+    TorsionPoint(2, 1, 3),
 )
+O_PRIME = TorsionPoint(1, 0, 9)
 
 
-def restriction_class(
-    c: DivisorClass, config: MarkedCubicConfig = STANDARD_MARKING
-) -> TorsionPoint:
+def restriction_class(c: DivisorClass) -> TorsionPoint:
     """Restriction of the class e*H - sum ai*Ei to the cubic, as a torsion
     point: 3e * theta(O') - sum ai * theta(Pi).
 
@@ -272,7 +225,7 @@ def restriction_class(
     building blocks conspire), which is what lets the quartic equation
     4P = c have its uniform (1, 3, 12) solution pattern.
     """
-    total = (3 * c.e) * config.o_prime
-    for ai, p in zip(c.a, config.base_points):
+    total = (3 * c.e) * O_PRIME
+    for ai, p in zip(c.a, BASE_POINTS):
         total = total - ai * p
     return total

@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import permutations, product
 from typing import Callable
 
 from . import assembly, census, covers, lattice, torsion, trees
-from .rationals import Rat
 
 
 @dataclass(frozen=True)
@@ -41,10 +41,10 @@ def _expect(condition: bool, message: str) -> None:
 
 def check_multiple_cover_values() -> str:
     expected = {
-        (3, 2): Rat(3, 4),
-        (3, 3): Rat(10, 9),
-        (3, 4): Rat(35, 16),
-        (6, 2): Rat(9, 4),
+        (3, 2): Fraction(3, 4),
+        (3, 3): Fraction(10, 9),
+        (3, 4): Fraction(35, 16),
+        (6, 2): Fraction(9, 4),
     }
     for (w, d), value in expected.items():
         got = covers.multiple_cover(w, d)
@@ -103,12 +103,12 @@ def check_class_table() -> str:
 
 
 def check_cremona_reduction() -> str:
-    conic = lattice.DivisorClass.make(2, (1, 1, 0, 0, 0, 0))
-    cubic = lattice.DivisorClass.make(3, (1, 1, 1, 1, 1, 0))
+    conic = lattice.DivisorClass(2, (1, 1, 0, 0, 0, 0))
+    cubic = lattice.DivisorClass(3, (1, 1, 1, 1, 1, 0))
     checked = 0
     for e, multiset, p_a, _count in EXPECTED_TABLE:
         for ordering in set(permutations(multiset)):
-            start = lattice.DivisorClass.make(e, ordering)
+            start = lattice.DivisorClass(e, ordering)
             path = list(lattice.cremona_steps(start))
             # failures are raised inline: a passing class renders no message
             for prev, cur in zip(path, path[1:]):
@@ -135,7 +135,7 @@ def check_torsion_division() -> str:
     _expect(torsion.nonflex_nine_torsion_count() == 72, "order-9 non-flex count")
     for e, multiset, _p_a, _count in EXPECTED_TABLE:
         for ordering in set(permutations(multiset)):
-            cls = lattice.DivisorClass.make(e, ordering)
+            cls = lattice.DivisorClass(e, ordering)
             c = torsion.restriction_class(cls)
             # failures are raised inline: a passing class renders no message
             if not (3 * c).is_zero:
@@ -167,11 +167,13 @@ def check_aggregate_counts() -> str:
 
 
 def check_invariant_ledgers() -> str:
-    expected = {1: Rat(9), 2: Rat(135, 4), 3: Rat(244), 4: Rat(36999, 16)}
+    expected = {
+        1: Fraction(9), 2: Fraction(135, 4), 3: Fraction(244), 4: Fraction(36999, 16)
+    }
     for degree, value in expected.items():
         ledger = assembly.assemble_invariant(degree)
         _expect(ledger.total == value, f"I_{degree} = {ledger.total}")
-        recomputed = sum((l.points * l.per_point for l in ledger.lines), Rat(0))
+        recomputed = sum((l.points * l.per_point for l in ledger.lines), Fraction(0))
         _expect(recomputed == value, f"ledger lines of degree {degree} do not re-sum")
         _expect(
             all(l.provenance for l in ledger.lines),
@@ -191,7 +193,9 @@ def check_invariant_ledgers() -> str:
 
 
 def check_local_invariants() -> str:
-    expected = {1: Rat(3), 2: Rat(-45, 8), 3: Rat(244, 9), 4: Rat(-12333, 64)}
+    expected = {
+        1: Fraction(3), 2: Fraction(-45, 8), 3: Fraction(244, 9), 4: Fraction(-12333, 64)
+    }
     for degree, value in expected.items():
         got = assembly.local_invariant(degree)
         _expect(got == value, f"K_{degree} = {got}")

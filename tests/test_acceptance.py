@@ -92,7 +92,7 @@ def test_criterion_03_divisor_class_table():
 def _ordered_representatives():
     for row in enumerate_classes(4):
         for perm in set(permutations(row.a_multiset)):
-            yield row, DivisorClass.make(row.e, perm)
+            yield row, DivisorClass(row.e, perm)
 
 
 TERMINALS = {(2, (1, 1, 0, 0, 0, 0)), (3, (1, 1, 1, 1, 1, 0))}

@@ -1,5 +1,8 @@
+from fractions import Fraction
+
 import pytest
 
+from tangentia import assembly
 from tangentia.assembly import (
     AssemblyMismatch,
     GwLedger,
@@ -11,8 +14,7 @@ from tangentia.assembly import (
     pair_contribution,
     reference_invariant,
 )
-from tangentia.census import NONFLEX_NINE
-from tangentia.rationals import Rat
+from tangentia.census import CUSPIDAL, IMMERSED, NONFLEX_NINE, CensusEntry, Component
 from tangentia.torsion import Stratum
 
 
@@ -36,9 +38,9 @@ def test_pair_contribution_names_violated_hypothesis():
 
 def test_reference_invariants():
     assert reference_invariant(1) == 9
-    assert reference_invariant(2) == Rat(135, 4)
+    assert reference_invariant(2) == Fraction(135, 4)
     assert reference_invariant(3) == 244
-    assert reference_invariant(4) == Rat(36999, 16)
+    assert reference_invariant(4) == Fraction(36999, 16)
     with pytest.raises(ValueError):
         reference_invariant(5)
     with pytest.raises(ValueError):
@@ -49,24 +51,24 @@ def test_assembled_totals_match_reference():
     for degree in (1, 2, 3, 4):
         ledger = assemble_invariant(degree)
         assert ledger.total == reference_invariant(degree)
-        resummed = sum((l.points * l.per_point for l in ledger.lines), Rat(0))
+        resummed = sum((l.points * l.per_point for l in ledger.lines), Fraction(0))
         assert resummed == ledger.total
 
 
 def test_degree_two_ledger_lines():
     ledger = assemble_invariant(2)
     assert [(l.stratum, l.points, l.per_point) for l in ledger.lines] == [
-        ("T1", 9, Rat(3, 4)),
-        ("T2", 27, Rat(1)),
+        ("T1", 9, Fraction(3, 4)),
+        ("T2", 27, Fraction(1)),
     ]
 
 
 def test_degree_three_ledger_lines():
     ledger = assemble_invariant(3)
     assert [(l.stratum, l.points, l.per_point) for l in ledger.lines] == [
-        ("T1", 9, Rat(10, 9)),
-        ("T1", 9, Rat(2)),
-        (NONFLEX_NINE, 72, Rat(3)),
+        ("T1", 9, Fraction(10, 9)),
+        ("T1", 9, Fraction(2)),
+        (NONFLEX_NINE, 72, Fraction(3)),
     ]
     assert ledger.total == 244
 
@@ -74,12 +76,12 @@ def test_degree_three_ledger_lines():
 def test_degree_four_ledger_lines():
     ledger = assemble_invariant(4)
     assert [(l.stratum, l.points, l.per_point) for l in ledger.lines] == [
-        ("T1", 9, Rat(35, 16)),
-        ("T1", 9, Rat(6)),  # two pairs, min(3, 9) each
-        ("T1", 9, Rat(8)),
-        ("T2", 27, Rat(9, 4)),
-        ("T2", 27, Rat(14)),
-        ("T3", 108, Rat(16)),
+        ("T1", 9, Fraction(35, 16)),
+        ("T1", 9, Fraction(6)),  # two pairs, min(3, 9) each
+        ("T1", 9, Fraction(8)),
+        ("T2", 27, Fraction(9, 4)),
+        ("T2", 27, Fraction(14)),
+        ("T3", 108, Fraction(16)),
     ]
 
 
@@ -91,7 +93,7 @@ def test_every_ledger_line_has_provenance():
 
 def test_ledger_line_requires_provenance():
     with pytest.raises(ValueError):
-        LedgerLine(stratum="T1", points=9, per_point=Rat(1), provenance="")
+        LedgerLine(stratum="T1", points=9, per_point=Fraction(1), provenance="")
 
 
 def test_degree_four_misprint_note():
@@ -103,27 +105,40 @@ def test_degree_four_misprint_note():
 
 
 def test_ledger_rejects_mismatched_reference():
-    line = LedgerLine(stratum="T1", points=9, per_point=Rat(1), provenance="x")
+    line = LedgerLine(stratum="T1", points=9, per_point=Fraction(1), provenance="x")
     with pytest.raises(AssemblyMismatch) as excinfo:
-        GwLedger(degree=1, lines=(line,), reference=Rat(10))
+        GwLedger(degree=1, lines=(line,), reference=Fraction(10))
     assert excinfo.value.computed == 9
     assert excinfo.value.reference == 10
 
 
-def test_special_cubic_assembly_refused():
-    with pytest.raises(ValueError):
-        assemble_invariant(3, special_cubic=True)
-    with pytest.raises(ValueError):
-        assemble_invariant(4, special_cubic=True)
-    # degrees without cuspidal members still assemble
-    assert assemble_invariant(2, special_cubic=True).total == Rat(135, 4)
+def test_one_rule_refuses_a_cuspidal_member(monkeypatch):
+    # the ledger and the instanton census price components by one rule, so
+    # both refuse a kind that rule does not price
+    def census_with_cusp(degree, stratum):
+        components = (Component(IMMERSED, 8), Component(CUSPIDAL, 1))
+        return CensusEntry(degree, str(stratum), 9, components)
+
+    monkeypatch.setattr(assembly, "boundary_census", census_with_cusp)
+    with pytest.raises(ValueError, match="cuspidal"):
+        assemble_invariant(1)
+    with pytest.raises(ValueError, match="cuspidal"):
+        instanton_census("T1")
 
 
 def test_local_invariants():
     assert local_invariant(1) == 3
-    assert local_invariant(2) == Rat(-45, 8)
-    assert local_invariant(3) == Rat(244, 9)
-    assert local_invariant(4) == Rat(-12333, 64)
+    assert local_invariant(2) == Fraction(-45, 8)
+    assert local_invariant(3) == Fraction(244, 9)
+    assert local_invariant(4) == Fraction(-12333, 64)
+
+
+def test_local_invariant_comes_from_the_ledger(monkeypatch):
+    # K_d is derived from the assembled total, which is checked against the
+    # reference, so a corrupted reference cannot pass through unnoticed
+    monkeypatch.setitem(assembly.REFERENCE_INVARIANTS, 1, Fraction(10))
+    with pytest.raises(AssemblyMismatch):
+        local_invariant(1)
 
 
 def test_local_invariant_sign_reconstruction():

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from tangentia import assembly, torsion, verify
+from tangentia import assembly, covers, lattice, torsion, verify
 from tangentia.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -455,6 +455,50 @@ def test_torsion_solve_past_the_division_budget(capsys, monkeypatch):
     assert code == 1
     assert out == ""
     assert err == "error: division is budgeted to m <= 256, got 257\n"
+
+
+def test_classes_at_the_degree_budget(capsys):
+    assert lattice.MAX_CLASS_DEGREE == 20  # scale workloads search degree <= 16
+    code, out, err = run(capsys, "classes", "--degree", "20")
+    assert code == 0
+    assert err == ""
+    assert out.startswith("e=")
+
+
+def test_instantons_at_the_degree_budget(capsys):
+    assert covers.MAX_INSTANTON_DEGREE == 1000  # scale workloads solve dmax <= 400
+    code, out, err = run(capsys, "instantons", "--w", "3", "--dmax", "1000")
+    assert code == 0
+    assert err == ""
+    assert len(out.splitlines()) == 1000
+
+
+def test_integrality_at_the_box_budget(capsys):
+    assert covers.MAX_INTEGRALITY_CELLS == 4096  # scale workloads check 12 x 40
+    code, out, err = run(capsys, "integrality", "--wmax", "64", "--dmax", "64")
+    assert code == 0
+    assert err == ""
+    assert out.splitlines()[-1] == "4096 rows, w <= 64, d <= 64: all rows pass"
+
+
+def _refuse(*args):
+    raise AssertionError("work started past the budget")
+
+
+@pytest.mark.parametrize("argv, module, heavy, message", [
+    (("classes", "--degree", "21"), lattice, "combinations_with_replacement",
+     "class search is budgeted to degree <= 20, got 21"),
+    (("instantons", "--w", "3", "--dmax", "1001"), covers, "multiple_cover",
+     "instanton numbers are budgeted to dmax <= 1000, got 1001"),
+    (("integrality", "--wmax", "17", "--dmax", "241"), covers, "instanton_numbers",
+     "the integrality box is budgeted to wmax * dmax <= 4096, got 17 * 241 = 4097"),
+], ids=["classes", "instantons", "integrality"])
+def test_past_the_work_budgets(capsys, monkeypatch, argv, module, heavy, message):
+    monkeypatch.setattr(module, heavy, _refuse)
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
 
 
 # ---------------------------------------------------------------------------

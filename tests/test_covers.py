@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from tangentia.covers import (
@@ -7,16 +9,16 @@ from tangentia.covers import (
     local_cover,
     multiple_cover,
 )
-from tangentia.rationals import Rat, binomial
+from tangentia.rationals import binomial
 
 
 def test_multiple_cover_reference_values():
-    assert multiple_cover(3, 2) == Rat(3, 4)
-    assert multiple_cover(3, 3) == Rat(10, 9)
-    assert multiple_cover(3, 4) == Rat(35, 16)
-    assert multiple_cover(6, 2) == Rat(9, 4)
-    assert multiple_cover(4, 2) == Rat(5, 4)
-    assert multiple_cover(5, 2) == Rat(7, 4)
+    assert multiple_cover(3, 2) == Fraction(3, 4)
+    assert multiple_cover(3, 3) == Fraction(10, 9)
+    assert multiple_cover(3, 4) == Fraction(35, 16)
+    assert multiple_cover(6, 2) == Fraction(9, 4)
+    assert multiple_cover(4, 2) == Fraction(5, 4)
+    assert multiple_cover(5, 2) == Fraction(7, 4)
 
 
 def test_multiple_cover_degree_one_is_trivial():
@@ -28,7 +30,7 @@ def test_multiple_cover_against_binomial_formula():
     # independent recomputation straight from the closed formula
     for w in range(1, 13):
         for d in range(1, 11):
-            expected = Rat(binomial(d * (w - 1) - 1, d - 1), d * d)
+            expected = Fraction(binomial(d * (w - 1) - 1, d - 1), d * d)
             assert multiple_cover(w, d) == expected
 
 
@@ -40,13 +42,13 @@ def test_d_squared_clears_denominator():
 
 def test_local_cover_values_and_sign_rule():
     assert local_cover(1, 1) == 1
-    assert local_cover(1, 2) == Rat(-1, 4)
-    assert local_cover(2, 3) == Rat(1, 9)
-    assert local_cover(3, 2) == Rat(-1, 4)
+    assert local_cover(1, 2) == Fraction(-1, 4)
+    assert local_cover(2, 3) == Fraction(1, 9)
+    assert local_cover(3, 2) == Fraction(-1, 4)
     for n in range(1, 10):
         for d in range(1, 8):
             value = local_cover(n, d)
-            assert abs(value) == Rat(1, d * d)
+            assert abs(value) == Fraction(1, d * d)
             # tripling the contact order never changes the local contribution
             assert value == local_cover(3 * n, d)
             assert local_cover(n, 1) == 1

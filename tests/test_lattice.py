@@ -3,6 +3,7 @@ from itertools import combinations_with_replacement, permutations
 import pytest
 from hypothesis import given, strategies as st
 
+from tangentia import lattice
 from tangentia.lattice import (
     CANONICAL,
     DivisorClass,
@@ -18,10 +19,10 @@ from tangentia.lattice import (
     tangency_degree,
 )
 
-H = DivisorClass.make(1, (0, 0, 0, 0, 0, 0))
-E1 = DivisorClass.make(0, (-1, 0, 0, 0, 0, 0))
-CONIC = DivisorClass.make(2, (1, 1, 0, 0, 0, 0))
-CUBIC = DivisorClass.make(3, (1, 1, 1, 1, 1, 0))
+H = DivisorClass(1, (0, 0, 0, 0, 0, 0))
+E1 = DivisorClass(0, (-1, 0, 0, 0, 0, 0))
+CONIC = DivisorClass(2, (1, 1, 0, 0, 0, 0))
+CUBIC = DivisorClass(3, (1, 1, 1, 1, 1, 0))
 
 
 def test_pairing_on_generators():
@@ -36,19 +37,19 @@ def test_tangency_degree():
     assert tangency_degree(H) == 3
     assert tangency_degree(CONIC) == 4
     assert tangency_degree(CUBIC) == 4
-    assert tangency_degree(DivisorClass.make(4, (1, 1, 1, 1, 2, 2))) == 4
+    assert tangency_degree(DivisorClass(4, (1, 1, 1, 1, 2, 2))) == 4
 
 
 def test_arithmetic_genus_examples():
     assert arithmetic_genus(H) == 0
     assert arithmetic_genus(CONIC) == 0
     assert arithmetic_genus(CUBIC) == 1
-    assert arithmetic_genus(DivisorClass.make(6, (2, 2, 2, 2, 3, 3))) == 0
-    assert arithmetic_genus(DivisorClass.make(4, (1, 1, 1, 1, 2, 2))) == 1
+    assert arithmetic_genus(DivisorClass(6, (2, 2, 2, 2, 3, 3))) == 0
+    assert arithmetic_genus(DivisorClass(4, (1, 1, 1, 1, 2, 2))) == 1
 
 
 classes = st.builds(
-    DivisorClass.make,
+    DivisorClass,
     st.integers(-6, 9),
     st.tuples(*[st.integers(-4, 4)] * 6),
 )
@@ -84,7 +85,12 @@ def test_parse_class_literal_rejects_junk():
 
 def test_divisor_class_needs_six_multiplicities():
     with pytest.raises(ValueError):
-        DivisorClass.make(1, (0, 0, 0))
+        DivisorClass(1, (0, 0, 0))
+    with pytest.raises(ValueError):
+        DivisorClass(1, iter((0, 0, 0)))
+    # any iterable of integers is normalised to a tuple
+    assert DivisorClass(2, iter([1, 1, 0, 0, 0, 0])) == CONIC
+    assert DivisorClass(2, [1, 1, 0, 0, 0, 0]).a == (1, 1, 0, 0, 0, 0)
 
 
 def test_ordered_count_against_permutation_oracle():
@@ -132,7 +138,7 @@ def _classes_by_e_loop(d):
     for e in range(0, 7 * d // 3 + 1):
         for a in combinations_with_replacement(range(d + 1), 6):
             if sum(a) == 3 * e - d:
-                genus = arithmetic_genus(DivisorClass.make(e, a))
+                genus = arithmetic_genus(DivisorClass(e, a))
                 if genus >= 0:
                     rows.append((e, a, genus, len(set(permutations(a)))))
     return sorted(rows)
@@ -147,24 +153,24 @@ def test_enumerate_classes_against_e_loop_oracle(degree):
 
 
 def test_cremona_examples():
-    path = list(cremona_steps(DivisorClass.make(4, (1, 1, 1, 1, 1, 3))))
+    path = list(cremona_steps(DivisorClass(4, (1, 1, 1, 1, 1, 3))))
     assert [(c.e, c.a) for c in path] == [
         (4, (3, 1, 1, 1, 1, 1)),
         (3, (2, 1, 1, 1, 0, 0)),
         (2, (1, 1, 0, 0, 0, 0)),
     ]
     # an already-terminal class comes back unchanged (up to ordering)
-    terminal = cremona_reduce(DivisorClass.make(2, (0, 0, 0, 0, 1, 1)))
+    terminal = cremona_reduce(DivisorClass(2, (0, 0, 0, 0, 1, 1)))
     assert (terminal.e, tuple(sorted(terminal.a))) == (2, (0, 0, 0, 0, 1, 1))
     # one step for the genus-1 quartic class
-    reduced = cremona_reduce(DivisorClass.make(4, (1, 1, 1, 1, 2, 2)))
+    reduced = cremona_reduce(DivisorClass(4, (1, 1, 1, 1, 2, 2)))
     assert (reduced.e, tuple(sorted(reduced.a))) == (3, (0, 1, 1, 1, 1, 1))
 
 
 def test_cremona_preserves_invariants_stepwise():
     for row in enumerate_classes(4):
         for ordering in set(permutations(row.a_multiset)):
-            path = list(cremona_steps(DivisorClass.make(row.e, ordering)))
+            path = list(cremona_steps(DivisorClass(row.e, ordering)))
             for prev, cur in zip(path, path[1:]):
                 assert arithmetic_genus(prev) == arithmetic_genus(cur)
                 assert tangency_degree(prev) == tangency_degree(cur)
@@ -181,8 +187,9 @@ def test_cremona_terminal_forms():
             assert (terminal.e, terminal.a) == (3, (1, 1, 1, 1, 1, 0))
 
 
-def test_cremona_step_cap():
-    needs_three_steps = DivisorClass.make(-3, (4, 4, 4, 4, -3, -3))
+def test_cremona_step_cap(monkeypatch):
+    needs_three_steps = DivisorClass(-3, (4, 4, 4, 4, -3, -3))
     assert cremona_reduce(needs_three_steps)  # terminates under the default cap
-    with pytest.raises(RuntimeError):
-        list(cremona_steps(needs_three_steps, max_steps=1))
+    monkeypatch.setattr(lattice, "MAX_CREMONA_STEPS", 1)
+    with pytest.raises(RuntimeError, match="within 1 Cremona steps"):
+        list(cremona_steps(needs_three_steps))

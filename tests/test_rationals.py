@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from tangentia.rationals import Rat, binomial
+from tangentia.rationals import binomial
 
 
 def test_binomial_small_values():
@@ -47,16 +47,16 @@ def test_binomial_pascal_rule(n, k):
 
 
 def test_rat_is_normalized_fraction():
-    q = Rat(6, -8)
+    q = Fraction(6, -8)
     assert (q.numerator, q.denominator) == (-3, 4)
-    assert Rat(2, 4) == Rat(1, 2)
+    assert Fraction(2, 4) == Fraction(1, 2)
 
 
 def test_parse_and_format_round_trip():
     # str() is the serialization the CLI prints; Fraction() reads it back
     for text in ["35/16", "-45/8", "244", "0", "-12333/64"]:
         assert str(Fraction(text)) == text
-    assert Fraction(" 3/4 ") == Rat(3, 4)
+    assert Fraction(" 3/4 ") == Fraction(3, 4)
 
 
 def test_parse_rejects_junk():

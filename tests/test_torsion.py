@@ -10,12 +10,11 @@ from hypothesis import given, strategies as st
 from tangentia import torsion as torsion_module
 from tangentia.lattice import DivisorClass, parse_class_literal
 from tangentia.torsion import (
+    BASE_POINTS,
     MAX_DIVISION_ORDER,
-    STANDARD_MARKING,
-    MarkedCubicConfig,
+    O_PRIME,
     Stratum,
     TorsionPoint,
-    ZERO_POINT,
     nonflex_nine_torsion_count,
     point_order,
     restriction_class,
@@ -25,21 +24,22 @@ from tangentia.torsion import (
     torsion_points,
 )
 
-P = TorsionPoint.of
+P = TorsionPoint
+ZERO = TorsionPoint(0, 0)
 
 
 def test_coordinates_normalize_mod_one():
     assert P(Fraction(5, 4), Fraction(-1, 3)) == P(Fraction(1, 4), Fraction(2, 3))
-    assert P(3, -2) == ZERO_POINT
+    assert P(3, -2) == ZERO
 
 
 def test_group_operations():
     a = P(Fraction(1, 3), Fraction(1, 4))
     b = P(Fraction(2, 3), Fraction(3, 4))
-    assert a + b == ZERO_POINT
+    assert a + b == ZERO
     assert -a == b
-    assert a - a == ZERO_POINT
-    assert 12 * a == ZERO_POINT
+    assert a - a == ZERO
+    assert 12 * a == ZERO
     assert 2 * a == P(Fraction(2, 3), Fraction(1, 2))
 
 
@@ -51,11 +51,11 @@ def test_group_laws(x1, y1, x2, y2):
     a, b = P(x1, y1), P(x2, y2)
     assert (a + b) - b == a
     assert a + b == b + a
-    assert point_order(a) * a == ZERO_POINT
+    assert point_order(a) * a == ZERO
 
 
 def test_point_order_examples():
-    assert point_order(ZERO_POINT) == 1
+    assert point_order(ZERO) == 1
     assert point_order(P(Fraction(1, 3), 0)) == 3
     assert point_order(P(Fraction(1, 12), Fraction(1, 4))) == 12
     assert point_order(P(Fraction(1, 9), 0)) == 9
@@ -74,7 +74,7 @@ def test_torsion_points_counts_and_order():
 
 
 def test_stratify():
-    assert stratify(ZERO_POINT) == Stratum.T1
+    assert stratify(ZERO) == Stratum.T1
     assert stratify(P(Fraction(1, 3), Fraction(2, 3))) == Stratum.T1
     assert stratify(P(Fraction(1, 2), 0)) == Stratum.T2
     assert stratify(P(Fraction(1, 6), Fraction(1, 3))) == Stratum.T2
@@ -114,7 +114,7 @@ def test_solve_division_trivial_case():
 
 
 def test_solve_division_brute_force_oracle():
-    for c in [ZERO_POINT, P(Fraction(1, 3), 0), P(Fraction(2, 3), Fraction(1, 3))]:
+    for c in [ZERO, P(Fraction(1, 3), 0), P(Fraction(2, 3), Fraction(1, 3))]:
         for m in (2, 3, 4):
             # independent oracle: scan the full lattice of candidate points
             grid = m * 3
@@ -146,46 +146,25 @@ def test_division_points_split_one_three_twelve():
 
 
 def test_standard_marking_invariants():
-    m = STANDARD_MARKING
-    total = ZERO_POINT
-    for p in m.base_points:
+    assert len(set(BASE_POINTS)) == 6
+    total = ZERO
+    for p in BASE_POINTS:
         assert (3 * p).is_zero
         total = total + p
     assert total.is_zero
-    assert point_order(m.o_prime) == 9
-    # base points, q points, and nothing else exhaust the 3-torsion
-    three_torsion = set(torsion_points(3))
-    assert set(m.base_points) | set(m.q_points) == three_torsion
-
-
-def test_marking_rejects_bad_configurations():
-    m = STANDARD_MARKING
-    with pytest.raises(ValueError):
-        MarkedCubicConfig(
-            base_points=m.base_points,
-            o_prime=P(Fraction(1, 3), 0),  # order 3, not 9
-            q_points=m.q_points,
-        )
-    with pytest.raises(ValueError):
-        MarkedCubicConfig(
-            base_points=(P(Fraction(1, 4), 0),) + m.base_points[1:],  # not 3-torsion
-            o_prime=m.o_prime,
-            q_points=m.q_points,
-        )
-    skewed = (P(Fraction(1, 3), 0),) * 2 + m.base_points[2:]
-    with pytest.raises(ValueError):
-        MarkedCubicConfig(base_points=skewed, o_prime=m.o_prime, q_points=m.q_points)
+    assert point_order(O_PRIME) == 9
 
 
 def test_restriction_class_examples():
     conic = restriction_class(parse_class_literal("2H-E1-E2"))
     assert conic == P(Fraction(1, 3), 0)
+    assert restriction_class(parse_class_literal("H")) == 3 * O_PRIME
     # 3H minus all base points but Pi restricts to theta(Pi)
     for i in range(6):
         a = [1] * 6
         a[i] = 0
-        c = restriction_class(DivisorClass.make(3, a))
-        assert c == STANDARD_MARKING.base_points[i]
+        c = restriction_class(DivisorClass(3, a))
+        assert c == BASE_POINTS[i]
 
 
 def test_restriction_class_is_always_three_torsion():
@@ -193,7 +172,7 @@ def test_restriction_class_is_always_three_torsion():
 
     for row in enumerate_classes(4):
         for ordering in set(permutations(row.a_multiset)):
-            c = restriction_class(DivisorClass.make(row.e, ordering))
+            c = restriction_class(DivisorClass(row.e, ordering))
             assert (3 * c).is_zero
 
 
@@ -256,7 +235,7 @@ def test_integer_form_is_canonical():
     assert (p.a, p.b, p.n) == (1, 2, 4)
     assert TorsionPoint(3, 6, 12) == TorsionPoint(1, 2, 4) == p
     assert (TorsionPoint(7, -5, 1).a, TorsionPoint(7, -5, 1).n) == (0, 1)
-    assert TorsionPoint.of("1/3", "-2/3") == TorsionPoint(1, 1, 3)
+    assert TorsionPoint("1/3", "-2/3") == TorsionPoint(1, 1, 3)
     assert TorsionPoint(Fraction(1, 2), 0, 3) == TorsionPoint(1, 0, 6)
     assert repr(p) == "TorsionPoint(x=Fraction(1, 4), y=Fraction(1, 2))"
     assert str(p) == "(1/4, 1/2)"
@@ -285,7 +264,7 @@ def test_group_arithmetic_builds_no_fraction(monkeypatch):
 
     monkeypatch.setattr(torsion_module, "Fraction", NoFraction)
     for p in points:
-        for q in (p, c, ZERO_POINT, points[-1]):
+        for q in (p, c, ZERO, points[-1]):
             p + q, p - q, -p, 7 * p, p * -3, p == q, p != q, p < q, p >= q
         hash(p), point_order(p), stratify(p), p.is_zero
     sorted(points)
@@ -296,4 +275,4 @@ def test_group_arithmetic_builds_no_fraction(monkeypatch):
 def test_solve_division_budget():
     assert MAX_DIVISION_ORDER == 256  # scale workloads solve at m <= 24
     with pytest.raises(ValueError, match="budgeted"):
-        solve_division(ZERO_POINT, MAX_DIVISION_ORDER + 1)
+        solve_division(ZERO, MAX_DIVISION_ORDER + 1)
