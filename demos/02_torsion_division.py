@@ -9,7 +9,6 @@ from tangentia import (
     Stratum,
     TorsionPoint,
     parse_class_literal,
-    point_order,
     restriction_class,
     solve_division,
     stratify,
@@ -27,7 +26,7 @@ print()
 for coords in ((0, 0), ("1/3", "2/3"), ("1/2", "0"), ("1/12", "1/4"), ("1/9", "0")):
     p = TorsionPoint(*coords)
     s = stratify(p)
-    print(f"{p}  order {point_order(p):>2}  stratum {s.value if s else '-'}")
+    print(f"{p}  order {p.n:>2}  stratum {s.value if s else '-'}")
 print()
 
 # ---------------------------------------------------------------------------
@@ -38,13 +37,13 @@ print()
 # torsion point; for any class of tangency degree 4 it is 3-torsion
 cls = parse_class_literal("2H-E1-E2")
 c = restriction_class(cls)
-print(f"{cls} restricts to c = {c}, order {point_order(c)}")
+print(f"{cls} restricts to c = {c}, order {c.n}")
 
 # the 16 solutions of 4P = c, in lexicographic order
 solutions = solve_division(c, 4)
 print(f"{len(solutions)} solutions of 4P = c:")
 for p in solutions:
-    print(f"  {p}  order {point_order(p):>2}  stratum {stratify(p).value}")
+    print(f"  {p}  order {p.n:>2}  stratum {stratify(p).value}")
 
 # count them by stratum: always 1 flex, 3 in T2, 12 in T3
 split = {s: 0 for s in Stratum}
@@ -55,5 +54,5 @@ print()
 
 # the sixteen solutions are one base point plus the full 4-torsion, so the
 # same split is just the count of 4-torsion points of each order
-orders = sorted(point_order(t) for t in torsion_points(4))
+orders = sorted(t.n for t in torsion_points(4))
 print(f"orders of the 4-torsion points: {orders}")

@@ -58,7 +58,6 @@ from .rationals import binomial
 from .torsion import (
     Stratum,
     TorsionPoint,
-    point_order,
     restriction_class,
     solve_division,
     stratify,
@@ -70,7 +69,6 @@ from .trees import (
     WeightedCombType,
     enumerate_types,
     propagate_weights,
-    relabel_leaves,
 )
 from .verify import CheckResult, run_all_checks
 

@@ -160,7 +160,7 @@ def _emit(out: Output, fmt: str) -> int:
 
 
 def _point_payload(p: torsion.TorsionPoint) -> dict:
-    return {"x": str(p.x), "y": str(p.y), "order": torsion.point_order(p)}
+    return {"x": str(p.x), "y": str(p.y), "order": p.n}
 
 
 # ---------------------------------------------------------------------------
@@ -238,11 +238,11 @@ def cmd_torsion(args) -> Output:
     }
     lines = [
         f"class {lattice.class_literal(cls)} restricts to {c}, "
-        f"order {torsion.point_order(c)}",
+        f"order {c.n}",
         f"{len(annotated)} solutions of {args.m}*P = c:",
     ]
     lines += [
-        f"  {p}  order {torsion.point_order(p):>2}  stratum {s or '-'}"
+        f"  {p}  order {p.n:>2}  stratum {s or '-'}"
         for p, s in annotated
     ]
     return Output(payload, lines)

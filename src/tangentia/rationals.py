@@ -11,19 +11,14 @@ import math
 
 
 def binomial(n: int, k: int) -> int:
-    """Binomial coefficient C(n, k) for arbitrary integer n, k >= 0.
+    """Binomial coefficient C(n, k) for any integers n and k.
 
-    Defined through the falling factorial n(n-1)...(n-k+1)/k! so that
-    negative upper arguments are allowed, e.g. C(-1, 2) = 1.  Returns 0
-    for k < 0.
+    This is the falling factorial n(n-1)...(n-k+1)/k!, so negative upper
+    arguments are allowed, e.g. C(-1, 2) = 1, through the reflection
+    C(n, k) = (-1)^k C(k - n - 1, k).  Returns 0 for k < 0.
     """
     if k < 0:
         return 0
-    num = 1
-    for i in range(k):
-        num *= n - i
-    quot, rem = divmod(num, math.factorial(k))
-    # k! divides any product of k consecutive integers, so this is exact
-    if rem:
-        raise ArithmeticError(f"{k}! does not divide the falling factorial of {n}")
-    return quot
+    if n < 0:
+        return (-1) ** k * math.comb(k - n - 1, k)
+    return math.comb(n, k)

@@ -137,11 +137,6 @@ class TorsionPoint:
         return self.n == 1
 
 
-def point_order(p: TorsionPoint) -> int:
-    """Exact order: the stored denominator n."""
-    return p.n
-
-
 def torsion_points(n: int) -> list[TorsionPoint]:
     """The n^2 points killed by n, in lexicographic (x, y) order."""
     if n < 1:

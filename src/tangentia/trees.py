@@ -22,9 +22,12 @@ example three for (n, r) = (2, 3).
 The tree is the stored form.  Everything else is read off one map, built
 once per type on first use by a single bottom-up walk: each vertex's sorted
 bottom labels.  Grouped by layer, that map is the partition chain
-(:meth:`CombType.partition_chain`); summed against weights attached to the
-bottom labels (contact orders of the degenerate pieces), it is
-:func:`propagate_weights`, whose top vertex carries the total contact order.
+(:meth:`CombType.partition_chain`).  A weighted type
+(:func:`propagate_weights`) stores only the shape and the weights of the
+bottom labels (contact orders of the degenerate pieces); the weight of any
+other vertex, and the full ``weights`` table, is derived by summing those
+bottom weights over the map, so the top vertex carries the total contact
+order.
 """
 from __future__ import annotations
 
@@ -75,10 +78,11 @@ class CombType:
     whether the axioms hold is the business of :meth:`violations`, so that
     broken candidates can be built and diagnosed.
 
-    These fields are the whole type.  The partition chain and the weights
-    both come from one labels-below map (vertex -> sorted bottom labels),
-    derived lazily and cached on the instance; deriving it runs
-    :meth:`violations` once and raises ``ValueError`` for a broken type.
+    These fields are the whole type.  The partition chain and every vertex
+    weight of a :class:`WeightedCombType` (which stores only this shape and
+    its bottom weights) come from one labels-below map (vertex -> sorted
+    bottom labels), derived lazily and cached on the instance; deriving it
+    runs :meth:`violations` once and raises ``ValueError`` for a broken type.
     """
 
     n: int
@@ -222,49 +226,40 @@ def enumerate_types(n: int, r: int) -> list[CombType]:
     return [CombType.from_partition_chain(c) for c in chains]
 
 
-def relabel_leaves(ct: CombType, permutation: Mapping[int, int]) -> CombType:
-    """Apply a permutation of the bottom labels and recanonicalize."""
-    if sorted(permutation) != list(range(1, ct.r + 1)) or sorted(
-        permutation.values()
-    ) != list(range(1, ct.r + 1)):
-        raise ValueError(f"not a permutation of 1..{ct.r}")
-    chain = ct.partition_chain()
-    mapped = tuple(
-        _canon_partition(tuple(permutation[x] for x in block) for block in part)
-        for part in chain
-    )
-    return CombType.from_partition_chain(mapped)
-
-
 @dataclass(frozen=True)
 class WeightedCombType:
+    """A shape with a positive weight on each bottom label.
+
+    The stored form is the shape plus ``bottom``, where ``bottom[i]`` is the
+    weight of label i + 1.  Every other weight is derived: a vertex weighs
+    the sum of the bottom weights below it, read off the shape's
+    labels-below map, and :attr:`weights` lists all of them as
+    ``(vertex id, weight)`` pairs in sorted vertex order.
+    """
+
     shape: CombType
-    weights: tuple[tuple[str, int], ...]  # (vertex id, weight), sorted
+    bottom: tuple[int, ...]
 
     def weight(self, v: str) -> int:
-        # a tree has a few dozen vertices at most, so a scan beats building a map
-        for u, w in self.weights:
-            if u == v:
-                return w
-        raise KeyError(v)
+        return sum(self.bottom[x - 1] for x in self.shape._labels_below[v])
 
     @property
     def top_weight(self) -> int:
         return self.weight(self.shape.layers[0][0])
 
+    @property
+    def weights(self) -> tuple[tuple[str, int], ...]:
+        return tuple((v, self.weight(v)) for v in self.shape._labels_below)
+
 
 def propagate_weights(
     shape: CombType, root_weights: Sequence[int]
 ) -> WeightedCombType:
-    """Attach ``root_weights[i]`` to bottom label i + 1; every vertex gets
-    the total weight of the bottom labels below it."""
-    below = shape._labels_below
+    """Attach ``root_weights[i]`` to bottom label i + 1; every vertex then
+    weighs the total weight of the bottom labels below it."""
+    shape._labels_below  # validates the shape: a broken type raises ValueError
     if len(root_weights) != shape.r:
         raise ValueError(f"expected {shape.r} weights, got {len(root_weights)}")
-    if any(w < 1 for w in root_weights):
+    if min(root_weights) < 1:
         raise ValueError("weights must be positive integers")
-    mu = [int(w) for w in root_weights]
-    return WeightedCombType(
-        shape=shape,
-        weights=tuple((v, sum(mu[x - 1] for x in labels)) for v, labels in below.items()),
-    )
+    return WeightedCombType(shape=shape, bottom=tuple(map(int, root_weights)))

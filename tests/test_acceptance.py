@@ -26,7 +26,6 @@ from tangentia import (
     multiple_cover,
     pair_contribution,
     pairing,
-    point_order,
     propagate_weights,
     restriction_class,
     solve_division,
@@ -141,7 +140,7 @@ def test_criterion_05_torsion_strata_and_division():
                 # c is 3-torsion, hence its own quadrisection: 4c = c
                 assert c in solutions
                 assert set(solutions) == {c + t for t in four_torsion}
-                orders = sorted(point_order(p - c) for p in solutions)
+                orders = sorted((p - c).n for p in solutions)
                 assert orders == [1] + [2] * 3 + [4] * 12
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from tangentia import assembly, covers, lattice, torsion, verify
+from tangentia import assembly, covers, lattice, torsion, trees, verify
 from tangentia.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -317,6 +317,21 @@ def test_torsion_division_failure_names_the_class(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify-all")
     assert code == 2
     assert re.fullmatch(r"FAIL torsion-division: 2H-E\d-E\d: 15 solutions", out.splitlines()[0])
+
+
+def test_degeneration_trees_catches_a_dropped_label(capsys, monkeypatch):
+    def weight_without_last_label(self, v):
+        return sum(self.bottom[x - 1] for x in self.shape._labels_below[v][:-1])
+
+    monkeypatch.setattr(trees.WeightedCombType, "weight", weight_without_last_label)
+    with pytest.raises(verify.CheckFailure, match=r"^weight leak on CombType\(n=0, r=1, .*\) with \(1,\)$"):
+        verify.check_degeneration_trees()
+    monkeypatch.setattr(verify, "ALL_CHECKS", (
+        ("degeneration-trees", verify.check_degeneration_trees),
+    ))
+    code, out, _ = run(capsys, "verify-all")
+    assert code == 2
+    assert out.splitlines()[0].startswith("FAIL degeneration-trees: weight leak on CombType(")
 
 
 def test_verify_all_passes_without_asserts():

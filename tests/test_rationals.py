@@ -41,6 +41,23 @@ def test_binomial_exhaustive_integrality_box():
             assert binomial(n, k) == product
 
 
+def _falling_factorial_binomial(n, k):
+    """Reference: n(n-1)...(n-k+1) / k!, one factor at a time."""
+    if k < 0:
+        return 0
+    num = 1
+    for i in range(k):
+        num *= n - i
+    quot, rem = divmod(num, math.factorial(k))
+    assert rem == 0  # k! divides any product of k consecutive integers
+    return quot
+
+
+@given(st.integers(-10**6, 10**6), st.integers(-3, 60))
+def test_binomial_matches_falling_factorial(n, k):
+    assert binomial(n, k) == _falling_factorial_binomial(n, k)
+
+
 @given(st.integers(-200, 200), st.integers(0, 40))
 def test_binomial_pascal_rule(n, k):
     assert binomial(n, k) + binomial(n, k + 1) == binomial(n + 1, k + 1)

@@ -1,14 +1,15 @@
 import dataclasses
+import math
 import time
 from itertools import permutations, product
 
 import pytest
+from hypothesis import given, strategies as st
 
 from tangentia.trees import (
     CombType,
     enumerate_types,
     propagate_weights,
-    relabel_leaves,
 )
 
 # ---------------------------------------------------------------------------
@@ -68,6 +69,39 @@ def test_counts_against_oracle():
             assert len(enumerate_types(n, r)) == _oracle_count(n, r), (n, r)
 
 
+# ---------------------------------------------------------------------------
+# second counting oracle, with no partitions at all: the interval above a
+# partition with k blocks is isomorphic to the partition lattice of k
+# elements, so a chain's first step up from the discrete partition picks one
+# of S(r, k) partitions with k < r blocks and the rest is a chain for k
+# ---------------------------------------------------------------------------
+
+def _stirling2(r, k):
+    row = [1] + [0] * k  # S(0, j)
+    for _ in range(r):
+        row = [0] + [j * row[j] + row[j - 1] for j in range(1, k + 1)]
+    return row[k]
+
+
+def _chain_count(n, r):
+    if n == 0:
+        return 1 if r == 1 else 0
+    return sum(_stirling2(r, k) * _chain_count(n - 1, k) for k in range(1, r))
+
+
+def test_counts_against_stirling_recursion():
+    assert [_stirling2(4, k) for k in range(5)] == [0, 1, 7, 6, 1]
+    for n in range(0, 6):
+        for r in range(1, 7):
+            assert len(enumerate_types(n, r)) == _chain_count(n, r), (n, r)
+    # maximal chains merge two blocks per step: r! (r - 1)! / 2^(r - 1)
+    for r, expected in [(3, 3), (5, 180), (6, 2700)]:
+        assert _chain_count(r - 1, r) == expected
+        assert (
+            math.factorial(r) * math.factorial(r - 1) // 2 ** (r - 1) == expected
+        )
+
+
 def test_frozen_counts():
     assert len(enumerate_types(0, 1)) == 1
     assert all(len(enumerate_types(n, 1)) == 0 for n in (1, 2, 3, 4))
@@ -109,20 +143,24 @@ def test_trivial_type_shape():
     assert only.parents == ()
 
 
+def _relabel(shape, perm):
+    """Apply the label permutation ``i -> perm[i - 1]`` to every partition
+    of the chain and rebuild the canonical tree."""
+    chain = tuple(
+        tuple(sorted(tuple(sorted(perm[x - 1] for x in block)) for block in part))
+        for part in shape.partition_chain()
+    )
+    return CombType.from_partition_chain(chain)
+
+
 def test_leaf_permutation_closure():
     for n in range(0, 4):
         for r in range(1, 5):
             types = set(enumerate_types(n, r))
             for shape in types:
-                for perm in permutations(range(1, r + 1)):
-                    mapping = dict(zip(range(1, r + 1), perm))
-                    assert relabel_leaves(shape, mapping) in types
-
-
-def test_relabel_rejects_non_permutations():
-    shape = enumerate_types(2, 3)[0]
-    with pytest.raises(ValueError):
-        relabel_leaves(shape, {1: 1, 2: 2, 3: 5})
+                images = {_relabel(shape, perm) for perm in permutations(range(1, r + 1))}
+                assert images <= types
+                assert _relabel(shape, range(1, r + 1)) == shape
 
 
 def test_budget_guard():
@@ -221,8 +259,35 @@ def test_weight_matches_weights_and_is_read_only():
             assert weighted.top_weight == stored[shape.layers[0][0]]
             with pytest.raises(KeyError):
                 weighted.weight("9:9")
-            with pytest.raises(dataclasses.FrozenInstanceError):
-                weighted.weights = ()
+            for name in ("shape", "bottom", "weights", "weight", "top_weight"):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(weighted, name, None)
+
+
+_SMALL_SHAPES = [
+    shape for n in range(0, 4) for r in range(1, 5) for shape in enumerate_types(n, r)
+]
+
+
+@given(st.lists(st.integers(1, 10**12), min_size=4, max_size=4))
+def test_weights_view_matches_top_down_oracle(weights):
+    # top-down recursion over children_map: no labels-below map involved
+    for shape in _SMALL_SHAPES:
+        bottom = weights[: shape.r]
+        leaf = {v: i for i, v in enumerate(shape.leaf_order)}
+        children = shape.children_map
+
+        def oracle(v):
+            if v in leaf:
+                return bottom[leaf[v]]
+            return sum(oracle(c) for c in children[v])
+
+        weighted = propagate_weights(shape, bottom)
+        expected = tuple(sorted((v, oracle(v)) for layer in shape.layers for v in layer))
+        assert weighted.bottom == tuple(bottom)
+        assert weighted.weights == expected
+        assert all(weighted.weight(v) == w for v, w in expected)
+        assert weighted.top_weight == oracle(shape.layers[0][0]) == sum(bottom)
 
 
 def test_validate_axiom_one():
