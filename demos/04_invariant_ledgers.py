@@ -31,14 +31,16 @@ for degree in (1, 2, 3, 4):
 # ---------------------------------------------------------------------------
 
 # at a flex, a quartic can degenerate to the tangent line plus a nodal
-# cubic sharing the contact point; contact orders 3 and 9, counting min = 3
-print(f"pair_contribution(3, 9) = {pair_contribution(3, 9)}")
+# cubic sharing the contact point; contact orders 3 and 9, and the two
+# pieces meet there with (C1.C2)_P = 3, so the pair counts min = 3
+print(f"pair_contribution(3, 9, 3) = {pair_contribution(3, 9, 3)}")
 
-# the formula is only valid under explicit hypotheses; dropping one raises
+# the rule holds only when (C1.C2)_P = min(3, 9); a transversal meeting,
+# (C1.C2)_P = 1, is refused
 try:
-    pair_contribution(3, 9, immersed=False)
+    pair_contribution(3, 9, 1)
 except HypothesisViolation as exc:
-    print(f"without immersion the rule refuses: {exc}")
+    print(f"a transversal meeting is refused: {exc}")
 print()
 
 # ---------------------------------------------------------------------------

@@ -2,14 +2,16 @@
 
 Each degree-d invariant I_d is a weighted count over the strata of contact
 points: per point, immersed curves count 1, d-fold covers of a lower
-degree-b member count M_{3b}[d/b], and a reducible pair glued at the
-contact point counts the smaller of its two contact orders (valid when
-both pieces are immersed, meet the cubic only at that common point with
-minimal intersection there, and the pair (plane, cubic) is the log
-Calabi-Yau one).  The ledger produced by :func:`assemble_invariant` makes
-every line of that bookkeeping explicit and is checked against the
-tabulated reference values; :func:`instanton_census` applies the same
-per-point rule with instanton numbers in place of the cover terms.
+degree-b member count M_{3b}[d/b], and a reducible pair C1 + C2 glued at
+the contact point P counts the smaller of its two contact orders.  That
+pair rule holds when (C1.C2)_P equals the smaller order, which
+:func:`pair_contribution` checks against the number the census records;
+its other hypotheses hold by construction (the census pieces are immersed
+and meet the cubic only at P, and (plane, cubic) is log Calabi-Yau).  The
+ledger produced by :func:`assemble_invariant` makes every line of that
+bookkeeping explicit and is checked against the tabulated reference
+values; :func:`instanton_census` applies the same per-point rule with
+instanton numbers in place of the cover terms.
 """
 from __future__ import annotations
 
@@ -30,11 +32,7 @@ from .covers import instanton_numbers, multiple_cover
 
 
 class HypothesisViolation(ValueError):
-    """A pair contribution was requested with a failed hypothesis."""
-
-    def __init__(self, hypothesis: str) -> None:
-        self.hypothesis = hypothesis
-        super().__init__(f"pair contribution hypothesis not met: {hypothesis}")
+    """A pair contribution was requested where the pair rule does not hold."""
 
 
 class AssemblyMismatch(ValueError):
@@ -49,35 +47,23 @@ class AssemblyMismatch(ValueError):
         )
 
 
-def pair_contribution(
-    tangency_one: int,
-    tangency_two: int,
-    *,
-    immersed: bool = True,
-    same_point: bool = True,
-    log_cy: bool = True,
-    transversal_intersection_at_p: bool = True,
-) -> Fraction:
-    """Contribution min(w1, w2) of a two-component curve glued at the
-    contact point.
+def pair_contribution(tangency_one: int, tangency_two: int, meeting_at_p: int) -> Fraction:
+    """Contribution min(w1, w2) of a pair C1 + C2 glued at the contact
+    point P, where w1 = D.C1 and w2 = D.C2 are the contact orders.
 
-    The keyword flags attest the hypotheses under which that formula holds:
-    both components immersed, both meeting the divisor at the same single
-    point, the ambient pair log Calabi-Yau, and the two components meeting
-    each other at that point with the minimal possible local intersection.
-    A False flag raises :class:`HypothesisViolation` naming the culprit.
+    The rule holds when the pieces meet at P with (C1.C2)_P = min(w1, w2);
+    any other ``meeting_at_p`` raises :class:`HypothesisViolation`.  The
+    census supplies immersed pieces, and both pieces meet D only at P.
     """
-    for name, flag in (
-        ("immersed", immersed),
-        ("same_point", same_point),
-        ("log_cy", log_cy),
-        ("transversal_intersection_at_p", transversal_intersection_at_p),
-    ):
-        if not flag:
-            raise HypothesisViolation(name)
     if tangency_one < 1 or tangency_two < 1:
         raise ValueError("contact orders must be positive")
-    return Fraction(min(tangency_one, tangency_two))
+    smaller = min(tangency_one, tangency_two)
+    if meeting_at_p != smaller:
+        raise HypothesisViolation(
+            f"pair contribution hypothesis not met: (C1.C2)_P = {meeting_at_p}, "
+            f"but the rule needs min({tangency_one}, {tangency_two}) = {smaller}"
+        )
+    return Fraction(smaller)
 
 
 REFERENCE_INVARIANTS = {
@@ -175,7 +161,7 @@ def _per_point(comp: Component, cover: Callable[[int, int], Fraction]) -> Fracti
     if comp.kind == COVER:
         return comp.count * cover(3 * comp.base_degree, comp.multiplicity)
     if comp.kind == PAIR:
-        return comp.count * pair_contribution(*comp.tangencies)
+        return comp.count * pair_contribution(*comp.tangencies, comp.meeting_at_p)
     raise ValueError(
         "cannot assemble an invariant from a cuspidal member: "
         "the cover and pair rules require immersed curves"

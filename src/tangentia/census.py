@@ -17,6 +17,12 @@ special non-nodal fiber eats a known amount.  The per-class curve counts
 feed :func:`aggregate_N`, and dividing by three times the stratum size
 (a triple cover intervenes between the surface where classes live and the
 plane) gives the immersed quartic counts per point.
+
+Of the pair rule's hypotheses, one is a number: each pair records
+(C1.C2)_P, the local intersection of its two pieces at the contact point,
+and the rule checks it.  The others hold by construction: both pieces meet
+the cubic only at that point, and they are immersed, since the degree-4
+census is refused for the special cubic, whose pairs would carry a cusp.
 """
 from __future__ import annotations
 
@@ -133,7 +139,9 @@ class Component:
 
     ``count`` is how many such curves exist per point of the stratum.
     Covers carry the degree of the underlying curve and how many times it
-    is traversed; pairs carry the contact orders of their two pieces.
+    is traversed; pairs carry the contact orders of their two pieces and
+    ``meeting_at_p``, the local intersection (C1.C2)_P of the pieces at the
+    contact point.
     """
 
     kind: str
@@ -141,6 +149,7 @@ class Component:
     base_degree: Optional[int] = None
     multiplicity: Optional[int] = None
     tangencies: Optional[tuple[int, int]] = None
+    meeting_at_p: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.kind not in COMPONENT_KINDS:
@@ -151,8 +160,10 @@ class Component:
             self.base_degree is None or self.multiplicity is None
         ):
             raise ValueError("cover components need base_degree and multiplicity")
-        if self.kind == PAIR and self.tangencies is None:
-            raise ValueError("pair components need their two contact orders")
+        if self.kind == PAIR and (self.tangencies is None or self.meeting_at_p is None):
+            raise ValueError(
+                "pair components need their two contact orders and (C1.C2)_P"
+            )
 
     def degree(self, entry_degree: int) -> int:
         if self.kind == COVER:
@@ -182,17 +193,48 @@ class CensusEntry:
                 )
 
 
+# placeholder for the immersed quartics at a point, count_M4 of its stratum;
+# resolved on demand so that importing the census never builds the class table
+_IMMERSED_QUARTICS = object()
+
+_NODAL_CUBICS_AT_FLEX = euler_budget(CHI_SURFACE, CHI_TRIPLE_TANGENT_LINE)
+_TRIPLE_LINE_COVER = Component(COVER, 1, base_degree=1, multiplicity=3)
+
+# (degree, stratum label) -> components per point, in ledger order.  The
+# strata carrying each degree are read off the keys, in this order.  The pair
+# is the tangent line (contact 3) plus a nodal cubic (contact 9) at the flex,
+# meeting there with (C1.C2)_P = 3.
+_CENSUS = {
+    (1, "T1"): (Component(IMMERSED, 1),),
+    (2, "T1"): (Component(COVER, 1, base_degree=1, multiplicity=2),),
+    (2, "T2"): (Component(IMMERSED, 1),),
+    (3, "T1"): (_TRIPLE_LINE_COVER, Component(IMMERSED, _NODAL_CUBICS_AT_FLEX)),
+    (3, NONFLEX_NINE): (
+        Component(IMMERSED, euler_budget(CHI_SURFACE, CHI_CUBIC_NONFLEX_SPECIAL)),
+    ),
+    (4, "T1"): (
+        Component(COVER, 1, base_degree=1, multiplicity=4),
+        Component(PAIR, _NODAL_CUBICS_AT_FLEX, tangencies=(3, 9), meeting_at_p=3),
+        _IMMERSED_QUARTICS,
+    ),
+    (4, "T2"): (
+        Component(COVER, 1, base_degree=2, multiplicity=2),
+        _IMMERSED_QUARTICS,
+    ),
+    (4, "T3"): (_IMMERSED_QUARTICS,),
+}
+
+# on the special cubic the two nodal cubics at a flex degenerate to one
+# cuspidal cubic; every other entry it admits is unchanged
+_SPECIAL_CUBIC_CENSUS = {**_CENSUS, (3, "T1"): (_TRIPLE_LINE_COVER, Component(CUSPIDAL, 1))}
+
+
 def census_strata(degree: int) -> tuple[str, ...]:
     """Stratum labels that carry curves of the given degree."""
-    table = {
-        1: ("T1",),
-        2: ("T1", "T2"),
-        3: ("T1", NONFLEX_NINE),
-        4: ("T1", "T2", "T3"),
-    }
-    if degree not in table:
+    strata = tuple(label for d, label in _CENSUS if d == degree)
+    if not strata:
         raise ValueError(f"census covers degrees 1..4, got {degree}")
-    return table[degree]
+    return strata
 
 
 def stratum_point_count(label: str) -> int:
@@ -227,51 +269,16 @@ def boundary_census(
             "the degree-4 census is not available for the special cubic: "
             "its line-plus-cubic pairs involve a cuspidal member"
         )
-
-    nodal_cubics_at_flex = euler_budget(CHI_SURFACE, CHI_TRIPLE_TANGENT_LINE)
-    components: tuple[Component, ...]
-    if degree == 1:
-        components = (Component(IMMERSED, 1),)
-    elif degree == 2:
-        if label == "T1":
-            components = (Component(COVER, 1, base_degree=1, multiplicity=2),)
-        else:
-            components = (Component(IMMERSED, 1),)
-    elif degree == 3:
-        if label == "T1":
-            if special_cubic:
-                components = (
-                    Component(COVER, 1, base_degree=1, multiplicity=3),
-                    Component(CUSPIDAL, 1),
-                )
-            else:
-                components = (
-                    Component(COVER, 1, base_degree=1, multiplicity=3),
-                    Component(IMMERSED, nodal_cubics_at_flex),
-                )
-        else:
-            components = (
-                Component(
-                    IMMERSED, euler_budget(CHI_SURFACE, CHI_CUBIC_NONFLEX_SPECIAL)
-                ),
-            )
-    else:
-        immersed = Component(IMMERSED, count_M4(Stratum(label)))
-        if label == "T1":
-            components = (
-                Component(COVER, 1, base_degree=1, multiplicity=4),
-                Component(PAIR, nodal_cubics_at_flex, tangencies=(3, 9)),
-                immersed,
-            )
-        elif label == "T2":
-            components = (Component(COVER, 1, base_degree=2, multiplicity=2), immersed)
-        else:
-            components = (immersed,)
-
+    table = _SPECIAL_CUBIC_CENSUS if special_cubic else _CENSUS
     return CensusEntry(
         degree=degree,
         stratum=label,
         points=stratum_point_count(label),
-        components=components,
+        components=tuple(
+            Component(IMMERSED, count_M4(Stratum(label)))
+            if comp is _IMMERSED_QUARTICS
+            else comp
+            for comp in table[degree, label]
+        ),
         special_cubic=special_cubic,
     )

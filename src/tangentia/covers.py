@@ -33,15 +33,25 @@ from typing import Iterator
 
 from .rationals import binomial
 
-# work budgets, checked before any work: instanton_numbers makes O(d_max^2)
-# bigint steps, and integrality_report one such solve per w
+# work budgets, checked before any work: multiple_cover makes one binomial
+# of size d * w, instanton_numbers O(d_max^2) bigint steps, and
+# integrality_report one such solve per w
 MAX_INSTANTON_DEGREE = 1000
+MAX_CONTACT_ORDER = 4096
 MAX_INTEGRALITY_CELLS = 4096
 
 
 def multiple_cover(w: int, d: int) -> Fraction:
-    """Contribution M_w[d] of connected d-fold covers, contact order w."""
+    """Contribution M_w[d] of connected d-fold covers, contact order w.
+
+    Bounded to w <= MAX_CONTACT_ORDER and d <= MAX_INSTANTON_DEGREE.
+    """
     _require_positive(w=w, d=d)
+    if w > MAX_CONTACT_ORDER or d > MAX_INSTANTON_DEGREE:
+        raise ValueError(
+            f"multiple covers are budgeted to w <= {MAX_CONTACT_ORDER} and "
+            f"d <= {MAX_INSTANTON_DEGREE}, got w = {w}, d = {d}"
+        )
     return Fraction(binomial(d * (w - 1) - 1, d - 1), d * d)
 
 

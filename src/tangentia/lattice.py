@@ -62,15 +62,6 @@ def arithmetic_genus(c: DivisorClass) -> int:
     return g
 
 
-def adjunction_genus(c: DivisorClass) -> int:
-    """Same genus via adjunction, (c.c + c.K)/2 + 1; used as a cross-check."""
-    num = pairing(c, c) + pairing(c, CANONICAL)
-    quot, rem = divmod(num, 2)
-    if rem:
-        raise ArithmeticError(f"c.c + c.K is odd for {c}")
-    return quot + 1
-
-
 _TERM = re.compile(r"([+-]?)(\d*)(H|E([1-6]))")
 
 

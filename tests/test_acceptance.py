@@ -172,13 +172,13 @@ def test_criterion_07_invariant_assembly():
         for degree, value in expected.items():
             ledger = assemble_invariant(degree)
             assert ledger.total == value == ledger.reference
-        assert pair_contribution(3, 9) == 3
+        assert pair_contribution(3, 9, 3) == 3
         quartic = assemble_invariant(4)
         pair_lines = [
             line for line in quartic.lines if "pair" in line.provenance
         ]
         assert len(pair_lines) == 1
-        assert pair_lines[0].per_point == 2 * pair_contribution(3, 9)
+        assert pair_lines[0].per_point == 2 * pair_contribution(3, 9, 3)
         assert "36999/4" in (quartic.note or "")
         buffer = io.StringIO()
         with redirect_stdout(buffer):

@@ -19,21 +19,24 @@ from tangentia.torsion import Stratum
 
 
 def test_pair_contribution_is_min():
-    assert pair_contribution(3, 9) == 3
-    assert pair_contribution(9, 3) == 3
-    assert pair_contribution(5, 5) == 5
-    assert pair_contribution(1, 100) == 1
+    assert pair_contribution(3, 9, 3) == 3
+    assert pair_contribution(9, 3, 3) == 3
+    assert pair_contribution(5, 5, 5) == 5
+    assert pair_contribution(1, 100, 1) == 1
 
 
 def test_pair_contribution_names_violated_hypothesis():
-    flags = ("immersed", "same_point", "log_cy", "transversal_intersection_at_p")
-    for name in flags:
+    # a transversal meeting, and one past the smaller contact order
+    for meeting in (1, 4):
         with pytest.raises(HypothesisViolation) as excinfo:
-            pair_contribution(3, 9, **{name: False})
-        assert excinfo.value.hypothesis == name
-        assert name in str(excinfo.value)
-    with pytest.raises(ValueError):
-        pair_contribution(0, 9)
+            pair_contribution(3, 9, meeting)
+        message = str(excinfo.value)
+        assert f"(C1.C2)_P = {meeting}" in message
+        assert "min(3, 9) = 3" in message
+    with pytest.raises(ValueError, match="contact orders must be positive"):
+        pair_contribution(0, 9, 0)
+    with pytest.raises(ValueError, match="contact orders must be positive"):
+        pair_contribution(3, -9, 3)
 
 
 def test_reference_invariants():

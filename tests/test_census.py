@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from tangentia.census import (
@@ -122,6 +124,24 @@ def test_boundary_census_degree_four():
     assert _kinds(t2) == [(COVER, 1), (IMMERSED, 14)]
     assert t2.components[0].base_degree == 2
     assert _kinds(boundary_census(4, "T3")) == [(IMMERSED, 16)]
+
+
+def test_pairs_meet_at_p_as_the_pair_rule_needs():
+    entries = [
+        boundary_census(degree, label, special_cubic=special)
+        for degree in (1, 2, 3, 4)
+        for label in census_strata(degree)
+        for special in ((False,) if degree == 4 else (False, True))
+    ]
+    pairs = [c for entry in entries for c in entry.components if c.kind == PAIR]
+    assert [(c.tangencies, c.meeting_at_p) for c in pairs] == [((3, 9), 3)]
+    for pair in pairs:
+        t1, t2 = pair.tangencies
+        assert pair.meeting_at_p == min(t1, t2)
+        # Bezout: pieces of degrees t1/3 and t2/3 meet at most (t1/3)(t2/3) times
+        assert pair.meeting_at_p <= Fraction(t1, 3) * Fraction(t2, 3)
+    with pytest.raises(ValueError, match=r"\(C1.C2\)_P"):
+        Component(PAIR, 1, tangencies=(3, 9))
 
 
 def test_census_immersed_counts_match_aggregate():

@@ -486,6 +486,14 @@ def test_instantons_at_the_degree_budget(capsys):
     assert code == 0
     assert err == ""
     assert len(out.splitlines()) == 1000
+    # multiple_cover's budgets: the largest w an admitted integrality box reaches
+    assert covers.MAX_CONTACT_ORDER == 4096
+    code, out, err = run(capsys, "mcover", "--w", "4096", "--d", "1000")
+    assert code == 0
+    assert err == ""
+    assert out.startswith("M_4096[1000] = ")
+    code, out, err = run(capsys, "instantons", "--w", "4096", "--dmax", "1")
+    assert (code, out, err) == (0, "m_4096[1] = 1\n", "")
 
 
 def test_integrality_at_the_box_budget(capsys):
@@ -507,7 +515,13 @@ def _refuse(*args):
      "instanton numbers are budgeted to dmax <= 1000, got 1001"),
     (("integrality", "--wmax", "17", "--dmax", "241"), covers, "instanton_numbers",
      "the integrality box is budgeted to wmax * dmax <= 4096, got 17 * 241 = 4097"),
-], ids=["classes", "instantons", "integrality"])
+    (("mcover", "--w", "3", "--d", "1001"), covers, "binomial",
+     "multiple covers are budgeted to w <= 4096 and d <= 1000, got w = 3, d = 1001"),
+    (("mcover", "--w", "4097", "--d", "1"), covers, "binomial",
+     "multiple covers are budgeted to w <= 4096 and d <= 1000, got w = 4097, d = 1"),
+    (("instantons", "--w", "4097", "--dmax", "1"), covers, "binomial",
+     "multiple covers are budgeted to w <= 4096 and d <= 1000, got w = 4097, d = 1"),
+], ids=["classes", "instantons", "integrality", "mcover-d", "mcover-w", "instantons-w"])
 def test_past_the_work_budgets(capsys, monkeypatch, argv, module, heavy, message):
     monkeypatch.setattr(module, heavy, _refuse)
     code, out, err = run(capsys, *argv)
