@@ -33,13 +33,12 @@ Examples:
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import os
 import sys
-from typing import Any, NamedTuple, Optional
+from typing import TYPE_CHECKING, Any, NamedTuple, Optional
 
-from . import assembly, census, covers, lattice, torsion, trees, verify
+if TYPE_CHECKING:
+    from . import census, torsion, trees
 
 FORMATS = ("text", "json", "csv")
 CSV_COMMANDS = ("classes", "integrality")
@@ -47,6 +46,10 @@ CSV_COMMANDS = ("classes", "integrality")
 
 class UsageError(Exception):
     pass
+
+
+class VerificationFailure(Exception):
+    """A result that does not verify: the message goes to stderr, exit 2."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -151,8 +154,12 @@ class Output(NamedTuple):
 
 def _emit(out: Output, fmt: str) -> int:
     if fmt == "json":
+        import json
+
         print(json.dumps(out.payload, indent=2))
     elif fmt == "csv":
+        import csv
+
         csv.writer(sys.stdout, lineterminator="\n").writerows(out.table)
     else:
         print("\n".join(out.lines))
@@ -164,16 +171,21 @@ def _point_payload(p: torsion.TorsionPoint) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# handlers
+# handlers: each imports the layers it runs when it is called, so that
+# ``import tangentia.cli`` loads none of them
 # ---------------------------------------------------------------------------
 
 def cmd_mcover(args) -> Output:
+    from . import covers
+
     value = covers.multiple_cover(args.w, args.d)
     return Output({"w": args.w, "d": args.d, "value": str(value)},
                   [f"M_{args.w}[{args.d}] = {value}"])
 
 
 def cmd_instantons(args) -> Output:
+    from . import covers
+
     numbers = covers.instanton_numbers(args.w, args.dmax)
     degrees = range(1, args.dmax + 1)
     return Output(
@@ -183,6 +195,8 @@ def cmd_instantons(args) -> Output:
 
 
 def cmd_integrality(args) -> Output:
+    from . import covers
+
     report = covers.integrality_report(args.wmax, args.dmax)
     all_pass = all(r.passes for r in report)
     header = ["w", "d", "value", "integer", "positive", "extrapolated", "pass"]
@@ -214,6 +228,8 @@ _STRATUM_DESCRIPTIONS = {
 
 
 def cmd_torsion(args) -> Output:
+    from . import lattice, torsion
+
     if args.strata:
         sizes = torsion.stratum_sizes()
         payload = {s.value: sizes[s] for s in torsion.Stratum}
@@ -249,6 +265,8 @@ def cmd_torsion(args) -> Output:
 
 
 def cmd_classes(args) -> Output:
+    from . import lattice
+
     rows = lattice.enumerate_classes(args.degree)
     validated = args.degree == 4
     totals: dict[int, int] = {}
@@ -282,29 +300,28 @@ def cmd_classes(args) -> Output:
     return Output(payload, lines, table)
 
 
-def _component_payload(comp: census.Component) -> dict:
+def _component(comp: census.Component) -> tuple[dict, str]:
+    """A census component's json payload and its text line."""
+    from . import census
+
     payload: dict = {"kind": comp.kind, "count": comp.count}
     if comp.kind == census.COVER:
         payload["base_degree"] = comp.base_degree
         payload["multiplicity"] = comp.multiplicity
+        return payload, (f"{comp.count} x {comp.multiplicity}-fold cover of a "
+                         f"degree-{comp.base_degree} curve")
     if comp.kind == census.PAIR:
         payload["tangencies"] = list(comp.tangencies)
-    return payload
-
-
-def _component_text(comp: census.Component) -> str:
-    if comp.kind == census.COVER:
-        return (f"{comp.count} x {comp.multiplicity}-fold cover of a "
-                f"degree-{comp.base_degree} curve")
-    if comp.kind == census.PAIR:
-        return (f"{comp.count} x reducible pair with contact orders "
-                f"{comp.tangencies[0]} + {comp.tangencies[1]}")
+        return payload, (f"{comp.count} x reducible pair with contact orders "
+                         f"{comp.tangencies[0]} + {comp.tangencies[1]}")
     if comp.kind == census.CUSPIDAL:
-        return f"{comp.count} x cuspidal irreducible curve"
-    return f"{comp.count} x immersed irreducible curve"
+        return payload, f"{comp.count} x cuspidal irreducible curve"
+    return payload, f"{comp.count} x immersed irreducible curve"
 
 
 def cmd_census(args) -> Output:
+    from . import census, torsion
+
     if args.aggregate:
         totals = census.aggregate_N()
         per_point = {s: census.count_M4(s) for s in torsion.Stratum}
@@ -327,22 +344,31 @@ def cmd_census(args) -> Output:
         raise UsageError("census needs either --aggregate or --degree with --stratum")
     entry = census.boundary_census(args.degree, args.stratum,
                                    special_cubic=args.special_cubic)
+    parts = [_component(comp) for comp in entry.components]
     payload = {
         "degree": entry.degree,
         "stratum": entry.stratum,
         "points": entry.points,
         "special_cubic": entry.special_cubic,
-        "components": [_component_payload(c) for c in entry.components],
+        "components": [part for part, _ in parts],
     }
     variant = "; special cubic" if entry.special_cubic else ""
     lines = [f"degree {entry.degree} at {entry.stratum} "
              f"({entry.points} points{variant}):"]
-    lines += [f"  {_component_text(comp)}" for comp in entry.components]
+    lines += [f"  {text}" for _, text in parts]
     return Output(payload, lines)
 
 
 def cmd_check_gw(args) -> Output:
-    ledger = assembly.assemble_invariant(args.degree)
+    from . import assembly
+
+    try:
+        ledger = assembly.assemble_invariant(args.degree)
+    except assembly.AssemblyMismatch as exc:
+        raise VerificationFailure(
+            f"FAIL degree {exc.degree}: assembled {exc.computed}, "
+            f"reference {exc.reference}"
+        ) from exc
     payload = {
         "degree": ledger.degree,
         "lines": [
@@ -372,6 +398,8 @@ def cmd_check_gw(args) -> Output:
 
 
 def cmd_graphs(args) -> Output:
+    from . import trees
+
     shapes = trees.enumerate_types(args.n, args.r)
     weights = None
     if args.weights:
@@ -425,6 +453,8 @@ def _tree_lines(shape: trees.CombType, weighted) -> list[str]:
 
 
 def cmd_verify_all(args) -> Output:
+    from . import verify
+
     results = verify.run_all_checks()
     all_passed = all(r.passed for r in results)
     payload = {
@@ -450,9 +480,8 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except assembly.AssemblyMismatch as exc:
-        print(f"FAIL degree {exc.degree}: assembled {exc.computed}, "
-              f"reference {exc.reference}", file=sys.stderr)
+    except VerificationFailure as exc:
+        print(exc, file=sys.stderr)
         return 2
     except (ValueError, ArithmeticError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

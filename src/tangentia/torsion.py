@@ -184,6 +184,14 @@ def nonflex_nine_torsion_count() -> int:
     return sum(1 for p in torsion_points(9) if not (3 * p).is_zero)
 
 
+# a few kernels at most, so that m up to MAX_DIVISION_ORDER pins a bounded
+# number of points
+@functools.lru_cache(maxsize=4)
+def _kernel(m: int) -> tuple[TorsionPoint, ...]:
+    """The m-torsion subgroup, built once per m for :func:`solve_division`."""
+    return tuple(torsion_points(m))
+
+
 def solve_division(c: TorsionPoint, m: int) -> list[TorsionPoint]:
     """All m^2 solutions of m * P = c within the torsion, in lexicographic
     order: the particular solution (c.a, c.b) / (c.n * m) translated by the
@@ -194,7 +202,7 @@ def solve_division(c: TorsionPoint, m: int) -> list[TorsionPoint]:
     if m > MAX_DIVISION_ORDER:
         raise ValueError(f"division is budgeted to m <= {MAX_DIVISION_ORDER}, got {m}")
     base = TorsionPoint(c.a, c.b, c.n * m)
-    sols = sorted(base + t for t in torsion_points(m))
+    sols = sorted(base + t for t in _kernel(m))
     if any(m * p != c for p in sols):
         raise ArithmeticError(f"a solution of {m} * P = {c} does not multiply back")
     return sols

@@ -275,3 +275,27 @@ def test_solve_division_budget():
     assert MAX_DIVISION_ORDER == 256  # scale workloads solve at m <= 24
     with pytest.raises(ValueError, match="budgeted"):
         solve_division(ZERO, MAX_DIVISION_ORDER + 1)
+
+
+def _division_oracle(c, m):
+    # uncached and independent of the kernel: x = (c.x + i) / m, y = (c.y + j) / m
+    return sorted(P((c.x + i) / m, (c.y + j) / m) for i in range(m) for j in range(m))
+
+
+three_torsion = st.builds(P, st.integers(0, 2), st.integers(0, 2), st.just(3))
+
+
+@given(st.lists(st.tuples(three_torsion, st.integers(1, 24)), min_size=1, max_size=4))
+def test_cached_kernel_matches_uncached_oracle(calls):
+    # several calls per example, so kernels are reused and evicted in between
+    for c, m in calls:
+        assert solve_division(c, m) == _division_oracle(c, m)
+
+
+def test_division_and_torsion_points_return_fresh_lists():
+    c = P(Fraction(1, 3), 0)
+    for build in (lambda: solve_division(c, 4), lambda: torsion_points(4)):
+        first = build()
+        expected = list(first)
+        first.clear()
+        assert build() == expected
