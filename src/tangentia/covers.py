@@ -19,23 +19,29 @@ The instanton numbers m_w[d] are defined by the multiple cover formula
 
     M_w[d] = sum over factorizations d = d1 * d2 of M'_{d1 w}[d2] * m_w[d1],
 
-which is triangular in d and is solved by the recursion implemented in
-:func:`instanton_numbers`.  Empirically the m_w[d] are positive integers
-whenever w >= 3; w = 1, 2 never arise as the contact order of a plane curve
-with a cubic (that order is always 3 times the degree), and there the
-generalized formula yields zeros from d = 2 on.
+which is triangular in d.  Multiplied by d^2 it becomes an identity of
+integers: with n[d] = d^2 m_w[d],
+
+    C(d(w-1) - 1, d - 1) = sum over divisors d1 of d of
+                           (-1)^{d1 w (d/d1 - 1)} n[d1],
+
+so :func:`instanton_numbers` solves for n[d] in plain ints, in increasing d,
+and pushes each n[d1], once known, into every multiple of d1 (a divisor
+sieve).  Empirically the m_w[d] are positive integers whenever w >= 3;
+w = 1, 2 never arise as the contact order of a plane curve with a cubic
+(that order is always 3 times the degree), and there the generalized
+formula yields zeros from d = 2 on.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .rationals import binomial
 
 # work budgets, checked before any work: multiple_cover makes one binomial
-# of size d * w, instanton_numbers O(d_max^2) bigint steps, and
-# integrality_report one such solve per w
+# of size d * w, instanton_numbers d_max binomials plus O(d_max log d_max)
+# integer additions, and integrality_report one such solve per w
 MAX_INSTANTON_DEGREE = 1000
 MAX_CONTACT_ORDER = 4096
 MAX_INTEGRALITY_CELLS = 4096
@@ -47,11 +53,7 @@ def multiple_cover(w: int, d: int) -> Fraction:
     Bounded to w <= MAX_CONTACT_ORDER and d <= MAX_INSTANTON_DEGREE.
     """
     _require_positive(w=w, d=d)
-    if w > MAX_CONTACT_ORDER or d > MAX_INSTANTON_DEGREE:
-        raise ValueError(
-            f"multiple covers are budgeted to w <= {MAX_CONTACT_ORDER} and "
-            f"d <= {MAX_INSTANTON_DEGREE}, got w = {w}, d = {d}"
-        )
+    _require_cover_budget(w, d)
     return Fraction(binomial(d * (w - 1) - 1, d - 1), d * d)
 
 
@@ -74,29 +76,36 @@ def divisors(d: int) -> Iterator[int]:
 def instanton_numbers(w: int, d_max: int) -> dict[int, Fraction]:
     """Solve the multiple cover formula for m_w[1..d_max].
 
-    m_w[d] = M_w[d] - sum over proper divisors d1 of d of
-             M'_{d1 w}[d / d1] * m_w[d1].
+    Works with the integers n[d] = d^2 m_w[d]:
 
-    Bounded to d_max <= MAX_INSTANTON_DEGREE.
+        n[d] = C(d(w-1) - 1, d - 1) - sum over proper divisors d1 of d of
+               (-1)^{d1 w (d/d1 - 1)} n[d1].
+
+    Instead of finding the divisors of each d, every n[d1] is pushed, with
+    its sign, into a running sum at each multiple k * d1 <= d_max as soon as
+    it is known: d_max binomials plus O(d_max log d_max) integer additions,
+    and one Fraction n[d] / d^2 per degree.
+
+    Bounded to d_max <= MAX_INSTANTON_DEGREE and w <= MAX_CONTACT_ORDER.
     """
     _require_positive(w=w, d_max=d_max)
     if d_max > MAX_INSTANTON_DEGREE:
         raise ValueError(
             f"instanton numbers are budgeted to dmax <= {MAX_INSTANTON_DEGREE}, got {d_max}"
         )
+    _require_cover_budget(w, 1)
+    pushed = [0] * (d_max + 1)  # pushed[e]: the signed n[d1] summed over d1 | e, d1 < e
     m: dict[int, Fraction] = {}
     for d in range(1, d_max + 1):
-        value = multiple_cover(w, d)
-        for d1 in divisors(d):
-            if d1 == d:
-                continue
-            value -= local_cover(d1 * w, d // d1) * m[d1]
-        m[d] = value
+        n = binomial(d * (w - 1) - 1, d - 1) - pushed[d]
+        m[d] = Fraction(n, d * d)
+        odd = d * w % 2
+        for k in range(2, d_max // d + 1):
+            pushed[k * d] += -n if odd and k % 2 == 0 else n
     return m
 
 
-@dataclass(frozen=True)
-class IntegralityRow:
+class IntegralityRow(NamedTuple):
     """One (w, d) entry of an integrality report.
 
     ``extrapolated`` marks contact orders below 3, which cannot occur for a
@@ -145,6 +154,14 @@ def integrality_report(w_max: int, d_max: int) -> list[IntegralityRow]:
                 )
             )
     return rows
+
+
+def _require_cover_budget(w: int, d: int) -> None:
+    if w > MAX_CONTACT_ORDER or d > MAX_INSTANTON_DEGREE:
+        raise ValueError(
+            f"multiple covers are budgeted to w <= {MAX_CONTACT_ORDER} and "
+            f"d <= {MAX_INSTANTON_DEGREE}, got w = {w}, d = {d}"
+        )
 
 
 def _require_positive(**named: int) -> None:

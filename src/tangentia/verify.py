@@ -55,6 +55,14 @@ def check_multiple_cover_values() -> str:
 
 
 def check_instanton_inversion() -> str:
+    """Reference values of m_w[d], the round trip of the multiple cover
+    formula, and an all-pass 8 x 8 integrality box.
+
+    The round trip is in Fractions, over ``divisors``, with
+    ``multiple_cover`` and ``local_cover``.  ``instanton_numbers`` uses none
+    of them: it solves for d^2 m_w[d] in integers with a divisor sieve, so
+    the round trip is independent of the kernel it checks.
+    """
     m3 = covers.instanton_numbers(3, 6)
     _expect(
         [m3[d] for d in range(1, 7)] == [1, 1, 1, 2, 5, 13],

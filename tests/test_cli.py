@@ -511,7 +511,7 @@ def _refuse(*args):
 @pytest.mark.parametrize("argv, module, heavy, message", [
     (("classes", "--degree", "21"), lattice, "combinations_with_replacement",
      "class search is budgeted to degree <= 20, got 21"),
-    (("instantons", "--w", "3", "--dmax", "1001"), covers, "multiple_cover",
+    (("instantons", "--w", "3", "--dmax", "1001"), covers, "binomial",
      "instanton numbers are budgeted to dmax <= 1000, got 1001"),
     (("integrality", "--wmax", "17", "--dmax", "241"), covers, "instanton_numbers",
      "the integrality box is budgeted to wmax * dmax <= 4096, got 17 * 241 = 4097"),

@@ -83,6 +83,25 @@ def test_a_subcommand_loads_only_its_layers(argv):
     assert set(loaded) == SUBCOMMAND_LAYERS[argv] | {"cli"}
 
 
+@pytest.mark.parametrize("argv", ["mcover --w 3 --d 4", "instantons --w 3 --dmax 4",
+                                  "integrality --wmax 3 --dmax 3"])
+def test_covers_subcommands_load_no_dataclasses(argv):
+    # dataclasses pulls in inspect, ast and dis; covers' only record type is
+    # a NamedTuple, so its subcommands never pay for them
+    code = (
+        "import io, json, sys, contextlib\n"
+        "from tangentia.cli import main\n"
+        "before = set(sys.modules)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = main({argv.split()!r})\n"
+        "print(json.dumps([code, sorted(set(sys.modules) - before)]))"
+    )
+    exit_code, added = _python(code)
+    assert exit_code == 0
+    assert "tangentia.covers" in added
+    assert "dataclasses" not in added
+
+
 def test_every_export_is_its_modules_object():
     names = _python(
         "import importlib, json, tangentia\n"

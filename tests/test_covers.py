@@ -1,7 +1,9 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
+from tangentia import covers
 from tangentia.covers import (
     divisors,
     instanton_numbers,
@@ -81,6 +83,51 @@ def test_instanton_round_trip():
             assert total == multiple_cover(w, d)
 
 
+def _fraction_recursion(w, d_max):
+    """The oracle: M_w[d] minus M'_{d1 w}[d / d1] * m_w[d1] over the proper
+    divisors d1 of d, in Fractions, divisors found by trial division."""
+    m = {}
+    for d in range(1, d_max + 1):
+        value = multiple_cover(w, d)
+        for d1 in divisors(d):
+            if d1 < d:
+                value -= local_cover(d1 * w, d // d1) * m[d1]
+        m[d] = value
+    return m
+
+
+@given(st.integers(1, 60), st.integers(1, 150))
+def test_instantons_match_the_fraction_recursion(w, d_max):
+    assert instanton_numbers(w, d_max) == _fraction_recursion(w, d_max)
+
+
+@given(st.integers(1, 60), st.integers(1, 150), st.integers(1, 150))
+def test_instantons_are_prefix_stable(w, d_max, other):
+    small, large = sorted((d_max, other))
+    prefix = instanton_numbers(w, small)
+    full = instanton_numbers(w, large)
+    assert {d: full[d] for d in prefix} == prefix
+
+
+@given(st.integers(3, 60), st.integers(1, 150))
+def test_geometric_instantons_are_positive_integers(w, d_max):
+    m = instanton_numbers(w, d_max)
+    assert all(v.denominator == 1 and v > 0 for v in m.values())
+
+
+def _refuse(*args):
+    raise AssertionError("instanton_numbers called a per-degree helper")
+
+
+def test_instantons_use_no_cover_helpers(monkeypatch):
+    # the solve runs in integers with a sieve; it neither re-enters the
+    # Fraction contributions nor searches for divisors
+    for name in ("multiple_cover", "local_cover", "divisors"):
+        monkeypatch.setattr(covers, name, _refuse)
+    m3 = instanton_numbers(3, 6)
+    assert [m3[d] for d in range(1, 7)] == [1, 1, 1, 2, 5, 13]
+
+
 def test_instantons_below_geometric_range_vanish():
     # contact orders 1 and 2 cannot occur against a cubic; there the
     # generalized formula inverts to zero beyond degree 1
@@ -91,8 +138,9 @@ def test_instantons_below_geometric_range_vanish():
 
 
 def test_integrality_report_box_all_pass():
-    report = integrality_report(8, 8)
-    assert len(report) == 64
+    # larger than verify's 8 x 8 box, within MAX_INTEGRALITY_CELLS
+    report = integrality_report(12, 40)
+    assert len(report) == 480
     assert all(row.passes for row in report)
     geometric = [row for row in report if not row.extrapolated]
     assert all(row.is_positive and row.is_integer for row in geometric)
