@@ -139,7 +139,7 @@ def _provenance(degree: int, stratum: str, comp: Component) -> str:
         )
     if comp.kind == PAIR:
         return (
-            f"{comp.count} line-plus-cubic pairs glued at the flex, "
+            f"{comp.count} line-plus-cubic pairs glued at the {where}, "
             f"each counting min{comp.tangencies}"
         )
     if degree == 1:

@@ -32,7 +32,7 @@ from types import MappingProxyType
 from typing import Mapping, Optional, Union
 
 from .lattice import enumerate_classes
-from .torsion import Stratum, nonflex_nine_torsion_count, stratify, stratum_sizes, torsion_points
+from .torsion import Stratum, stratify, stratum_sizes, torsion_points
 
 # census-only stratum label for the 72 points of exact order 9 (degree 3)
 NONFLEX_NINE = "NF9"
@@ -238,13 +238,10 @@ def census_strata(degree: int) -> tuple[str, ...]:
 
 
 def stratum_point_count(label: str) -> int:
+    """Points of the cubic in a stratum; NF9 is the points of exact order 9."""
     if label == NONFLEX_NINE:
-        return nonflex_nine_torsion_count()
+        return sum(1 for p in torsion_points(9) if p.n == 9)
     return stratum_sizes()[Stratum(label)]
-
-
-def _as_label(stratum: CensusStratum) -> str:
-    return stratum.value if isinstance(stratum, Stratum) else str(stratum)
 
 
 def boundary_census(
@@ -257,7 +254,7 @@ def boundary_census(
     cubics); it only alters degree 3 at T1, and degree 4 is refused under
     the flag because its line-plus-cubic pairs inherit the cusp.
     """
-    label = _as_label(stratum)
+    label = stratum.value if isinstance(stratum, Stratum) else str(stratum)
     valid = census_strata(degree)
     if label not in valid:
         raise ValueError(

@@ -228,7 +228,7 @@ _STRATUM_DESCRIPTIONS = {
 
 
 def cmd_torsion(args) -> Output:
-    from . import lattice, torsion
+    from . import torsion
 
     if args.strata:
         sizes = torsion.stratum_sizes()
@@ -240,6 +240,8 @@ def cmd_torsion(args) -> Output:
 
     if not args.class_literal:
         raise UsageError("--solve requires --class")
+    from . import lattice
+
     cls = lattice.parse_class_literal(args.class_literal)
     c = torsion.restriction_class(cls)
     annotated = []
@@ -365,10 +367,7 @@ def cmd_check_gw(args) -> Output:
     try:
         ledger = assembly.assemble_invariant(args.degree)
     except assembly.AssemblyMismatch as exc:
-        raise VerificationFailure(
-            f"FAIL degree {exc.degree}: assembled {exc.computed}, "
-            f"reference {exc.reference}"
-        ) from exc
+        raise VerificationFailure(f"FAIL {exc}") from exc
     payload = {
         "degree": ledger.degree,
         "lines": [
@@ -489,7 +488,14 @@ def main(argv=None) -> int:
 
 
 def console_main() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left: stdout goes to devnull so the shutdown flush cannot raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -24,7 +24,7 @@ from typing import Iterator, Sequence
 NUM_POINTS = 6
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class DivisorClass:
     e: int
     a: tuple[int, int, int, int, int, int]

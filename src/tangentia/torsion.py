@@ -15,8 +15,8 @@ Geometry dictionary, under a marking theta of the relevant points:
 * T2 is the 27 points of order exactly 6 or 2 (6-torsion, not 3-torsion),
   where the conic with sixfold contact lives;
 * T3 is the 108 points of order exactly 12 or 4, the generic quartic case;
-* for cubics the relevant non-flex points have order dividing 9 (72 of
-  them), handled by the census module.
+* for cubics the relevant non-flex points are the 72 of exact order 9;
+  only the census module counts them, under its label ``"NF9"``.
 
 The standard marking puts the six blown-up base points P1..P6 at the
 3-torsion values fixed in :data:`BASE_POINTS` (their theta-values sum to
@@ -30,9 +30,10 @@ import functools
 import math
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Mapping, Optional
+from typing import TYPE_CHECKING, Mapping, Optional
 
-from .lattice import DivisorClass
+if TYPE_CHECKING:
+    from .lattice import DivisorClass
 
 # solve_division allocates m^2 points; larger m is refused up front
 MAX_DIVISION_ORDER = 256
@@ -177,11 +178,6 @@ def stratum_sizes() -> Mapping[Stratum, int]:
             raise ArithmeticError(f"12-torsion point {p} lies in no stratum")
         sizes[s] += 1
     return MappingProxyType(sizes)
-
-
-def nonflex_nine_torsion_count() -> int:
-    """Number of 9-torsion points that are not flexes (81 - 9 = 72)."""
-    return sum(1 for p in torsion_points(9) if not (3 * p).is_zero)
 
 
 # a few kernels at most, so that m up to MAX_DIVISION_ORDER pins a bounded

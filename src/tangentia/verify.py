@@ -140,7 +140,7 @@ def check_torsion_division() -> str:
         == (9, 27, 108),
         f"stratum sizes {sizes}",
     )
-    _expect(torsion.nonflex_nine_torsion_count() == 72, "order-9 non-flex count")
+    _expect(census.stratum_point_count(census.NONFLEX_NINE) == 72, "order-9 non-flex count")
     for e, multiset, _p_a, _count in EXPECTED_TABLE:
         for ordering in set(permutations(multiset)):
             cls = lattice.DivisorClass(e, ordering)

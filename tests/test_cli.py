@@ -346,6 +346,28 @@ def test_verify_all_passes_without_asserts():
     assert proc.stdout.splitlines()[-1] == "10/10 checks passed"
 
 
+@pytest.mark.parametrize("argv", [
+    "graphs --n 4 --r 6",  # about 1 MB: print itself hits the closed pipe
+    "mcover --w 3 --d 4",  # one line: only the final flush hits it
+])
+def test_a_closed_stdout_pipe_exits_one_quietly(argv):
+    # the reader of stdout is gone before the process writes anything; stdout
+    # stays block-buffered, so the short output reaches the pipe only on flush
+    env = {k: v for k, v in os.environ.items()
+           if not k.startswith("TANGENTIA_") and k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "tangentia.cli", *argv.split()],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, b"")
+
+
 # ---------------------------------------------------------------------------
 # format resolution
 # ---------------------------------------------------------------------------

@@ -58,7 +58,7 @@ SUBCOMMAND_LAYERS = {
     "instantons --w 3 --dmax 4": {"covers", "rationals"},
     "integrality --wmax 3 --dmax 3": {"covers", "rationals"},
     "classes --degree 4": {"lattice"},
-    "torsion --strata": {"lattice", "torsion"},
+    "torsion --strata": {"torsion"},
     "torsion --solve --class 2H-E1-E2": {"lattice", "torsion"},
     "census --aggregate": {"census", "lattice", "torsion"},
     "census --degree 4 --stratum T1 --json": {"census", "lattice", "torsion"},
@@ -99,6 +99,25 @@ def test_covers_subcommands_load_no_dataclasses(argv):
     exit_code, added = _python(code)
     assert exit_code == 0
     assert "tangentia.covers" in added
+    assert "dataclasses" not in added
+
+
+@pytest.mark.parametrize("statement, loaded", [
+    ("import tangentia.torsion", ["tangentia.torsion"]),
+    ("from tangentia.cli import main; main(['torsion', '--strata'])",
+     ["tangentia.cli", "tangentia.torsion"]),
+])
+def test_torsion_loads_no_other_layer_and_no_dataclasses(statement, loaded):
+    # torsion imports DivisorClass for its annotations only
+    code = (
+        "import io, json, sys, contextlib\n"
+        "before = set(sys.modules)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    {statement}\n"
+        "print(json.dumps(sorted(set(sys.modules) - before)))"
+    )
+    added = _python(code)
+    assert [m for m in added if m.startswith("tangentia.")] == loaded
     assert "dataclasses" not in added
 
 

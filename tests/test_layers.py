@@ -1,0 +1,120 @@
+"""The layer graph: the tangentia modules each module imports when it is
+loaded, pinned to a DAG, so that a new edge fails the suite.
+
+Imports under ``if TYPE_CHECKING:`` serve annotations only and load nothing
+at run time.  Imports inside functions (the CLI handlers, the package's
+lazily resolved names) are covered by ``tests/test_cold_start.py``.
+"""
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "tangentia"
+SOURCES = sorted(PACKAGE.glob("*.py"))
+
+# module -> the modules it imports when it is loaded
+LAYERS = {
+    "rationals": set(),
+    "lattice": set(),
+    "torsion": set(),
+    "trees": set(),
+    "covers": {"rationals"},
+    "census": {"lattice", "torsion"},
+    "assembly": {"census", "covers"},
+    "verify": {"assembly", "census", "covers", "lattice", "torsion", "trees"},
+    "cli": set(),
+    "__init__": set(),
+}
+
+# the bottom layers import no other module, not even inside a function
+LEAVES = ("rationals", "lattice", "torsion", "trees")
+
+
+def _named_modules(node):
+    """The tangentia modules named by one import statement."""
+    if isinstance(node, ast.Import):
+        return {a.name.split(".")[1] for a in node.names if a.name.startswith("tangentia.")}
+    if node.level:
+        base = node.module
+    elif node.module == "tangentia" or (node.module or "").startswith("tangentia."):
+        base = node.module[len("tangentia."):] or None
+    else:
+        return set()
+    return {base.split(".")[0]} if base else {a.name for a in node.names}
+
+
+def _is_type_checking(node):
+    test = node.test
+    return getattr(test, "id", getattr(test, "attr", None)) == "TYPE_CHECKING"
+
+
+def imports(nodes, into_functions=False):
+    """Tangentia modules imported under ``nodes``, skipping ``if TYPE_CHECKING:``
+    bodies and, unless ``into_functions``, function bodies."""
+    found = set()
+    for node in nodes:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            found |= _named_modules(node)
+        elif isinstance(node, ast.If) and _is_type_checking(node):
+            found |= imports(node.orelse, into_functions)
+        elif into_functions or not isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+        ):
+            found |= imports(ast.iter_child_nodes(node), into_functions)
+    return found
+
+
+def _body(name):
+    path = PACKAGE / f"{name}.py"
+    return ast.parse(path.read_text(), filename=str(path)).body
+
+
+def test_every_module_is_in_the_graph():
+    assert {p.stem for p in SOURCES} == set(LAYERS)
+
+
+def test_the_graph_is_acyclic():
+    remaining = dict(LAYERS)
+    while remaining:
+        ready = [m for m, deps in remaining.items() if not deps & set(remaining)]
+        assert ready, f"cycle among {sorted(remaining)}"
+        for m in ready:
+            del remaining[m]
+
+
+@pytest.mark.parametrize("name", list(LAYERS))
+def test_load_time_imports_match_the_graph(name):
+    assert imports(_body(name)) == LAYERS[name]
+
+
+@pytest.mark.parametrize("name", LEAVES)
+def test_leaf_layers_import_nothing_even_lazily(name):
+    assert imports(_body(name), into_functions=True) == set()
+
+
+def test_the_scan_sees_through_blocks_but_not_type_checking_or_functions():
+    source = (
+        "from typing import TYPE_CHECKING\n"
+        "import json, tangentia.trees\n"
+        "from . import covers, rationals\n"
+        "from .census import Component\n"
+        "from tangentia.lattice import DivisorClass\n"
+        "try:\n"
+        "    from tangentia import torsion\n"
+        "except ImportError:\n"
+        "    pass\n"
+        "if TYPE_CHECKING:\n"
+        "    from . import verify\n"
+        "else:\n"
+        "    from . import cli\n"
+        "class Record:\n"
+        "    from . import assembly\n"
+        "def handler():\n"
+        "    from . import sneaky\n"
+    )
+    body = ast.parse(source).body
+    assert imports(body) == {
+        "trees", "covers", "rationals", "census", "lattice", "torsion", "cli", "assembly",
+    }
+    assert imports(body, into_functions=True) == imports(body) | {"sneaky"}

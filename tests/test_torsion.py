@@ -1,6 +1,7 @@
 import copy
 import math
 import pickle
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tangentia import torsion as torsion_module
+from tangentia.census import stratum_point_count
 from tangentia.lattice import DivisorClass, parse_class_literal
 from tangentia.torsion import (
     BASE_POINTS,
@@ -15,7 +17,6 @@ from tangentia.torsion import (
     O_PRIME,
     Stratum,
     TorsionPoint,
-    nonflex_nine_torsion_count,
     restriction_class,
     solve_division,
     stratify,
@@ -104,7 +105,32 @@ def test_stratum_sizes_against_direct_count():
     assert sizes[Stratum.T1] == 9
     assert sizes[Stratum.T2] == 36 - 9
     assert sizes[Stratum.T3] == 144 - 36
-    assert nonflex_nine_torsion_count() == 81 - 9
+
+
+def jordan_totient_2(k):
+    """J_2(k) = k^2 * prod over primes p | k of (1 - p^-2): the number of
+    points of exact order k in (Q/Z)^2."""
+    total, rest, p = k * k, k, 2
+    while rest > 1:
+        if rest % p == 0:
+            total = total // (p * p) * (p * p - 1)
+            while rest % p == 0:
+                rest //= p
+        p += 1
+    return total
+
+
+@pytest.mark.parametrize("label, orders", [
+    ("T1", (1, 3)), ("T2", (2, 6)), ("T3", (4, 12)), ("NF9", (9,)),
+])
+def test_stratum_point_count_against_jordan_totient(label, orders):
+    assert stratum_point_count(label) == sum(jordan_totient_2(k) for k in orders)
+
+
+@given(st.integers(1, 36))
+def test_torsion_points_by_order_match_jordan_totient(m):
+    orders = Counter(p.n for p in torsion_points(m))
+    assert orders == {k: jordan_totient_2(k) for k in range(1, m + 1) if m % k == 0}
 
 
 def test_solve_division_trivial_case():
