@@ -15,9 +15,8 @@ instanton numbers in place of the cover terms.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .census import (
     COVER,
@@ -36,14 +35,14 @@ class HypothesisViolation(ValueError):
 
 
 class AssemblyMismatch(ValueError):
-    """A ledger total disagrees with the tabulated reference value."""
+    """A ledger total disagrees with the tabulated reference value; the
+    ledger that does not balance is kept as ``ledger``."""
 
-    def __init__(self, degree: int, computed: Fraction, reference: Fraction) -> None:
-        self.degree = degree
-        self.computed = computed
-        self.reference = reference
+    def __init__(self, ledger: GwLedger) -> None:
+        self.ledger = ledger
         super().__init__(
-            f"degree {degree}: assembled {computed}, reference {reference}"
+            f"degree {ledger.degree}: assembled {ledger.total}, "
+            f"reference {ledger.reference}"
         )
 
 
@@ -87,32 +86,22 @@ def reference_invariant(degree: int) -> Fraction:
     return REFERENCE_INVARIANTS[degree]
 
 
-@dataclass(frozen=True)
-class LedgerLine:
+class LedgerLine(NamedTuple):
     stratum: str
     points: int  # number of contact points in the stratum
     per_point: Fraction  # contribution of one point
     provenance: str
-
-    def __post_init__(self) -> None:
-        if not self.provenance:
-            raise ValueError("every ledger line must state its provenance")
 
     @property
     def subtotal(self) -> Fraction:
         return self.points * self.per_point
 
 
-@dataclass(frozen=True)
-class GwLedger:
+class GwLedger(NamedTuple):
     degree: int
     lines: tuple[LedgerLine, ...]
     reference: Fraction
     note: Optional[str] = None
-
-    def __post_init__(self) -> None:
-        if self.total != self.reference:
-            raise AssemblyMismatch(self.degree, self.total, self.reference)
 
     @property
     def total(self) -> Fraction:
@@ -173,7 +162,8 @@ def assemble_invariant(degree: int) -> GwLedger:
     census component priced by the per-component rule with M_w[d] for the
     covers, and check its total against the reference invariant.
 
-    Raises :class:`AssemblyMismatch` if the total disagrees.
+    Raises :class:`AssemblyMismatch`, carrying the ledger, if the total
+    disagrees.
     """
     lines = []
     for label in census_strata(degree):
@@ -181,19 +171,17 @@ def assemble_invariant(degree: int) -> GwLedger:
         for comp in entry.components:
             lines.append(
                 LedgerLine(
-                    stratum=label,
-                    points=entry.points,
-                    per_point=_per_point(comp, multiple_cover),
-                    provenance=_provenance(degree, label, comp),
+                    label,
+                    entry.points,
+                    _per_point(comp, multiple_cover),
+                    _provenance(degree, label, comp),
                 )
             )
     note = DEGREE_4_MISPRINT_NOTE if degree == 4 else None
-    return GwLedger(
-        degree=degree,
-        lines=tuple(lines),
-        reference=reference_invariant(degree),
-        note=note,
-    )
+    ledger = GwLedger(degree, tuple(lines), reference_invariant(degree), note)
+    if ledger.total != ledger.reference:
+        raise AssemblyMismatch(ledger)
+    return ledger
 
 
 def local_invariant(degree: int) -> Fraction:

@@ -29,7 +29,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Mapping, Optional, Union
+from typing import Mapping, NamedTuple, Optional, Union
 
 from .lattice import enumerate_classes
 from .torsion import Stratum, stratify, stratum_sizes, torsion_points
@@ -165,32 +165,13 @@ class Component:
                 "pair components need their two contact orders and (C1.C2)_P"
             )
 
-    def degree(self, entry_degree: int) -> int:
-        if self.kind == COVER:
-            return self.base_degree * self.multiplicity
-        return entry_degree
 
-
-@dataclass(frozen=True)
-class CensusEntry:
+class CensusEntry(NamedTuple):
     degree: int
     stratum: str  # "T1" | "T2" | "T3" | "NF9"
     points: int  # how many points of the cubic lie in this stratum
     components: tuple[Component, ...]
     special_cubic: bool = False
-
-    def __post_init__(self) -> None:
-        for comp in self.components:
-            if comp.kind == COVER and comp.degree(self.degree) != self.degree:
-                raise ValueError(
-                    f"cover {comp} has degree {comp.degree(self.degree)}, "
-                    f"entry wants {self.degree}"
-                )
-            if comp.kind == PAIR and sum(comp.tangencies) != 3 * self.degree:
-                raise ValueError(
-                    f"pair contact orders {comp.tangencies} do not add up to "
-                    f"{3 * self.degree}"
-                )
 
 
 # placeholder for the immersed quartics at a point, count_M4 of its stratum;
@@ -267,15 +248,23 @@ def boundary_census(
             "its line-plus-cubic pairs involve a cuspidal member"
         )
     table = _SPECIAL_CUBIC_CENSUS if special_cubic else _CENSUS
+    components = tuple(
+        Component(IMMERSED, count_M4(Stratum(label)))
+        if comp is _IMMERSED_QUARTICS
+        else comp
+        for comp in table[degree, label]
+    )
+    # every shape must have the entry's degree: b*k for a cover, contact 3d for a pair
+    for comp in components:
+        if comp.kind == COVER and comp.base_degree * comp.multiplicity != degree:
+            raise ValueError(
+                f"cover {comp} has degree {comp.base_degree * comp.multiplicity}, "
+                f"entry wants {degree}"
+            )
+        if comp.kind == PAIR and sum(comp.tangencies) != 3 * degree:
+            raise ValueError(
+                f"pair contact orders {comp.tangencies} do not add up to {3 * degree}"
+            )
     return CensusEntry(
-        degree=degree,
-        stratum=label,
-        points=stratum_point_count(label),
-        components=tuple(
-            Component(IMMERSED, count_M4(Stratum(label)))
-            if comp is _IMMERSED_QUARTICS
-            else comp
-            for comp in table[degree, label]
-        ),
-        special_cubic=special_cubic,
+        degree, label, stratum_point_count(label), components, special_cubic
     )

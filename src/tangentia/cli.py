@@ -83,7 +83,7 @@ def build_parser() -> _Parser:
                       help="solve m*P = restriction of --class")
     p.add_argument("--class", dest="class_literal", metavar="CLASS",
                    help='divisor class literal, e.g. "2H-E1-E2"')
-    p.add_argument("--m", type=int, default=4, help="division order (default 4)")
+    p.add_argument("--m", type=int, help="division order (default 4)")
     p.set_defaults(handler=cmd_torsion)
 
     p = sub.add_parser("classes", help="class table for a tangency degree")
@@ -228,6 +228,10 @@ _STRATUM_DESCRIPTIONS = {
 
 
 def cmd_torsion(args) -> Output:
+    if args.strata and (args.class_literal is not None or args.m is not None):
+        raise UsageError("--class and --m apply only to --solve")
+    if args.solve and not args.class_literal:
+        raise UsageError("--solve requires --class")
     from . import torsion
 
     if args.strata:
@@ -238,26 +242,25 @@ def cmd_torsion(args) -> Output:
             for label, size in payload.items()
         ])
 
-    if not args.class_literal:
-        raise UsageError("--solve requires --class")
     from . import lattice
 
+    m = 4 if args.m is None else args.m
     cls = lattice.parse_class_literal(args.class_literal)
     c = torsion.restriction_class(cls)
     annotated = []
-    for p in torsion.solve_division(c, args.m):
+    for p in torsion.solve_division(c, m):
         stratum = torsion.stratify(p)
         annotated.append((p, stratum.value if stratum else None))
     payload = {
         "class": lattice.class_literal(cls),
         "restriction": _point_payload(c),
-        "m": args.m,
+        "m": m,
         "solutions": [dict(_point_payload(p), stratum=s) for p, s in annotated],
     }
     lines = [
         f"class {lattice.class_literal(cls)} restricts to {c}, "
         f"order {c.n}",
-        f"{len(annotated)} solutions of {args.m}*P = c:",
+        f"{len(annotated)} solutions of {m}*P = c:",
     ]
     lines += [
         f"  {p}  order {p.n:>2}  stratum {s or '-'}"
@@ -322,6 +325,12 @@ def _component(comp: census.Component) -> tuple[dict, str]:
 
 
 def cmd_census(args) -> Output:
+    if args.aggregate and (
+        args.degree is not None or args.stratum is not None or args.special_cubic
+    ):
+        raise UsageError("--aggregate takes no --degree, --stratum or --special-cubic")
+    if not args.aggregate and (args.degree is None or args.stratum is None):
+        raise UsageError("census needs either --aggregate or --degree with --stratum")
     from . import census, torsion
 
     if args.aggregate:
@@ -342,8 +351,6 @@ def cmd_census(args) -> Output:
         lines.append(f"cross-check: sum of per-point counts over all points = {cross}")
         return Output(payload, lines)
 
-    if args.degree is None or args.stratum is None:
-        raise UsageError("census needs either --aggregate or --degree with --stratum")
     entry = census.boundary_census(args.degree, args.stratum,
                                    special_cubic=args.special_cubic)
     parts = [_component(comp) for comp in entry.components]
@@ -397,17 +404,17 @@ def cmd_check_gw(args) -> Output:
 
 
 def cmd_graphs(args) -> Output:
-    from . import trees
-
-    shapes = trees.enumerate_types(args.n, args.r)
     weights = None
-    if args.weights:
+    if args.weights is not None:
         try:
             weights = [int(x) for x in args.weights.split(",")]
         except ValueError:
             raise UsageError(f"cannot parse weights {args.weights!r}")
         if len(weights) != args.r:
             raise UsageError(f"expected {args.r} weights, got {len(weights)}")
+    from . import trees
+
+    shapes = trees.enumerate_types(args.n, args.r)
     weighted = [
         trees.propagate_weights(s, weights) if weights else None for s in shapes
     ]

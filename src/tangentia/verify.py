@@ -11,16 +11,14 @@ facts.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import assembly, census, covers, lattice, torsion, trees
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str
@@ -275,10 +273,10 @@ def run_all_checks() -> list[CheckResult]:
     for name, fn in ALL_CHECKS:
         try:
             detail = fn()
-            results.append(CheckResult(name=name, passed=True, detail=detail))
+            results.append(CheckResult(name, True, detail))
         except CheckFailure as exc:
-            results.append(CheckResult(name=name, passed=False, detail=str(exc)))
+            results.append(CheckResult(name, False, str(exc)))
         except Exception as exc:  # a crashing check fails; the rest still run
             detail = f"{type(exc).__name__}: {exc}"
-            results.append(CheckResult(name=name, passed=False, detail=detail))
+            results.append(CheckResult(name, False, detail))
     return results

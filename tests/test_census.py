@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from tangentia import census
 from tangentia.census import (
     CHI_CUBIC_NONFLEX_SPECIAL,
     CHI_QUARTIC_ORDER2_SPECIAL,
@@ -184,3 +185,14 @@ def test_component_validation():
         Component(PAIR, 1)  # missing tangencies
     with pytest.raises(ValueError):
         Component(IMMERSED, 0)
+
+
+@pytest.mark.parametrize("key, component, message", [
+    ((2, "T1"), Component(COVER, 1, base_degree=1, multiplicity=3), "has degree 3, entry wants 2"),
+    ((4, "T3"), Component(PAIR, 1, tangencies=(3, 6), meeting_at_p=3),
+     r"pair contact orders \(3, 6\) do not add up to 12"),
+], ids=["cover", "pair"])
+def test_boundary_census_checks_each_shapes_degree(monkeypatch, key, component, message):
+    monkeypatch.setitem(census._CENSUS, key, (component,))
+    with pytest.raises(ValueError, match=message):
+        boundary_census(*key)

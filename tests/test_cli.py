@@ -217,7 +217,7 @@ def test_check_gw_text(capsys):
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_check_gw_mismatch_exits_two(capsys, monkeypatch, fmt):
-    monkeypatch.setitem(assembly.REFERENCE_INVARIANTS, 4, Fraction(36999, 4))
+    monkeypatch.setattr(assembly, "reference_invariant", lambda degree: Fraction(36999, 4))
     code, out, err = run(capsys, "check-gw", "--degree", "4", "--format", fmt)
     assert (code, out) == (2, "")
     assert err == "FAIL degree 4: assembled 36999/16, reference 36999/4\n"
@@ -467,6 +467,24 @@ def test_graphs_weight_arity(capsys):
     assert code == 1
     assert "usage error:" in err
     assert "expected 3 weights" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("census", "--aggregate", "--degree", "4"),
+     "--aggregate takes no --degree, --stratum or --special-cubic"),
+    (("census", "--aggregate", "--stratum", "T1"),
+     "--aggregate takes no --degree, --stratum or --special-cubic"),
+    (("census", "--aggregate", "--special-cubic"),
+     "--aggregate takes no --degree, --stratum or --special-cubic"),
+    (("torsion", "--strata", "--class", "2H-E1-E2"), "--class and --m apply only to --solve"),
+    (("torsion", "--strata", "--m", "4"), "--class and --m apply only to --solve"),
+    (("graphs", "--n", "2", "--r", "3", "--weights", ""), "cannot parse weights ''"),
+], ids=["aggregate-degree", "aggregate-stratum", "aggregate-special-cubic",
+        "strata-class", "strata-m", "empty-weights"])
+def test_an_option_the_mode_ignores_is_refused(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == f"usage error: {message}\n"
 
 
 def test_graphs_over_budget(capsys):

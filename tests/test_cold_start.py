@@ -69,18 +69,35 @@ SUBCOMMAND_LAYERS = {
 }
 
 
-@pytest.mark.parametrize("argv", list(SUBCOMMAND_LAYERS))
-def test_a_subcommand_loads_only_its_layers(argv):
+def _main_loads(argv):
+    """Exit code of ``main(argv)`` in a fresh interpreter, and the modules it loaded."""
     code = _LOADED + (
         "import io, contextlib\n"
         "from tangentia.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
-        f"    code = main({argv.split()!r})\n"
+        f"    code = main({argv!r})\n"
         "print(json.dumps([code, loaded()]))"
     )
-    exit_code, loaded = _python(code)
+    return _python(code)
+
+
+@pytest.mark.parametrize("argv", list(SUBCOMMAND_LAYERS))
+def test_a_subcommand_loads_only_its_layers(argv):
+    exit_code, loaded = _main_loads(argv.split())
     assert exit_code == (1 if "--w x" in argv else 0)
     assert set(loaded) == SUBCOMMAND_LAYERS[argv] | {"cli"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["census", "--aggregate", "--special-cubic"],
+    ["census", "--degree", "2"],
+    ["torsion", "--strata", "--m", "4"],
+    ["torsion", "--solve"],
+    ["graphs", "--n", "2", "--r", "3", "--weights", ""],
+], ids=["aggregate-special-cubic", "census-no-stratum", "strata-m", "solve-no-class",
+        "empty-weights"])
+def test_a_usage_error_loads_no_layer(argv):
+    assert _main_loads(argv) == [1, ["cli"]]
 
 
 @pytest.mark.parametrize("argv", ["mcover --w 3 --d 4", "instantons --w 3 --dmax 4",

@@ -159,6 +159,46 @@ def test_enumerate_classes_against_e_loop_oracle(degree):
     )
 
 
+W_E6_ORDER = 51840
+
+
+def _w_e6_orbit(e, a):
+    """Orbit of the class eH - sum a_i E_i under the Weyl group W(E6), walked
+    with its generators: the five adjacent transpositions of the E_i and the
+    quadratic Cremona map at E1, E2, E3 (e -> 2e - a1 - a2 - a3 and
+    a_i -> e - a_j - a_k).  Uses neither the box search nor adjunction."""
+    start = (e, tuple(a))
+    orbit, frontier = {start}, [start]
+    while frontier:
+        e, a = frontier.pop()
+        images = [(e, a[:i] + (a[i + 1], a[i]) + a[i + 2:]) for i in range(5)]
+        a1, a2, a3 = a[:3]
+        images.append((2 * e - a1 - a2 - a3, (e - a2 - a3, e - a1 - a3, e - a1 - a2) + a[3:]))
+        for image in images:
+            if image not in orbit:
+                orbit.add(image)
+                frontier.append(image)
+    return orbit
+
+
+@pytest.mark.parametrize("start, genus, size, stabiliser", [
+    ((2, (1, 1, 0, 0, 0, 0)), 0, 216, 240),
+    ((3, (1, 1, 1, 1, 1, 0)), 1, 27, 1920),
+], ids=["conic", "cubic"])
+def test_class_table_is_two_w_e6_orbits(start, genus, size, stabiliser):
+    orbit = _w_e6_orbit(*start)
+    table = {
+        (row.e, ordering)
+        for row in enumerate_classes(4) if row.p_a == genus
+        for ordering in set(permutations(row.a_multiset))
+    }
+    assert orbit == table
+    assert len(orbit) == size
+    assert all(e >= 0 and min(a) >= 0 for e, a in orbit)
+    # orbit-stabiliser: 240 and 1920 elements fix the conic and cubic class
+    assert size * stabiliser == W_E6_ORDER
+
+
 def test_cremona_examples():
     path = list(cremona_steps(DivisorClass(4, (1, 1, 1, 1, 1, 3))))
     assert [(c.e, c.a) for c in path] == [

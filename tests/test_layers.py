@@ -93,6 +93,23 @@ def test_leaf_layers_import_nothing_even_lazily(name):
     assert imports(_body(name), into_functions=True) == set()
 
 
+# dataclasses pulls in inspect, ast and dis at load; this set may only shrink
+DATACLASS_MODULES = {"lattice", "census", "trees"}
+
+
+def _imports_dataclasses(name):
+    for node in ast.walk(ast.Module(body=_body(name), type_ignores=[])):
+        if isinstance(node, ast.Import) and any(a.name == "dataclasses" for a in node.names):
+            return True
+        if isinstance(node, ast.ImportFrom) and node.module == "dataclasses":
+            return True
+    return False
+
+
+def test_only_the_pinned_modules_import_dataclasses():
+    assert {name for name in LAYERS if _imports_dataclasses(name)} == DATACLASS_MODULES
+
+
 def test_the_scan_sees_through_blocks_but_not_type_checking_or_functions():
     source = (
         "from typing import TYPE_CHECKING\n"
