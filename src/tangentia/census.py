@@ -27,7 +27,6 @@ census is refused for the special cubic, whose pairs would carry a cusp.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Optional, Union
 
@@ -133,17 +132,7 @@ CUSPIDAL = "cuspidal"  # only behind the special-cubic flag
 COMPONENT_KINDS = (IMMERSED, COVER, PAIR, CUSPIDAL)
 
 
-@dataclass(frozen=True)
-class Component:
-    """One shape of curve in a census entry.
-
-    ``count`` is how many such curves exist per point of the stratum.
-    Covers carry the degree of the underlying curve and how many times it
-    is traversed; pairs carry the contact orders of their two pieces and
-    ``meeting_at_p``, the local intersection (C1.C2)_P of the pieces at the
-    contact point.
-    """
-
+class _ComponentFields(NamedTuple):
     kind: str
     count: int
     base_degree: Optional[int] = None
@@ -151,7 +140,22 @@ class Component:
     tangencies: Optional[tuple[int, int]] = None
     meeting_at_p: Optional[int] = None
 
-    def __post_init__(self) -> None:
+
+class Component(_ComponentFields):
+    """One shape of curve in a census entry.
+
+    ``count`` is how many such curves exist per point of the stratum.
+    Covers carry the degree of the underlying curve and how many times it
+    is traversed; pairs carry the contact orders of their two pieces and
+    ``meeting_at_p``, the local intersection (C1.C2)_P of the pieces at the
+    contact point.  Every construction path (``_make`` and ``_replace``
+    included) validates.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> Component:
+        self = super().__new__(cls, *args, **kwargs)
         if self.kind not in COMPONENT_KINDS:
             raise ValueError(f"unknown component kind {self.kind!r}")
         if self.count < 1:
@@ -164,6 +168,11 @@ class Component:
             raise ValueError(
                 "pair components need their two contact orders and (C1.C2)_P"
             )
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> Component:
+        return cls(*iterable)
 
 
 class CensusEntry(NamedTuple):

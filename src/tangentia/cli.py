@@ -412,6 +412,9 @@ def cmd_graphs(args) -> Output:
             raise UsageError(f"cannot parse weights {args.weights!r}")
         if len(weights) != args.r:
             raise UsageError(f"expected {args.r} weights, got {len(weights)}")
+        # checked before loading trees: with no shapes, propagate_weights never runs
+        if min(weights) < 1:
+            raise ValueError("weights must be positive integers")
     from . import trees
 
     shapes = trees.enumerate_types(args.n, args.r)

@@ -17,23 +17,39 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from itertools import combinations_with_replacement
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 NUM_POINTS = 6
 
 
-@dataclass(frozen=True)
-class DivisorClass:
+class _DivisorFields(NamedTuple):
     e: int
     a: tuple[int, int, int, int, int, int]
 
-    def __post_init__(self) -> None:
-        a = tuple(int(x) for x in self.a)
+
+class DivisorClass(_DivisorFields):
+    """The class e*H - a1*E1 - ... - a6*E6, with ``a`` stored as six ints on
+    every construction path (``_make`` and ``_replace`` included).  A class
+    is a lattice vector, not a sequence: it has no order, and ``+`` and
+    ``*`` do not concatenate."""
+
+    __slots__ = ()
+
+    def __new__(cls, e: int, a: Iterable[int]) -> DivisorClass:
+        a = tuple(map(int, a))
         if len(a) != NUM_POINTS:
             raise ValueError(f"expected {NUM_POINTS} multiplicities, got {len(a)}")
-        object.__setattr__(self, "a", a)
+        return tuple.__new__(cls, (e, a))
+
+    @classmethod
+    def _make(cls, iterable) -> DivisorClass:
+        return cls(*iterable)
+
+    def _not_a_sequence(self, other):
+        return NotImplemented
+
+    __lt__ = __le__ = __gt__ = __ge__ = __add__ = __mul__ = __rmul__ = _not_a_sequence
 
     def __str__(self) -> str:
         return class_literal(self)
@@ -117,8 +133,7 @@ def ordered_count(multiset: Sequence[int]) -> int:
     return count
 
 
-@dataclass(frozen=True)
-class ClassTableRow:
+class ClassTableRow(NamedTuple):
     """One unordered class of the census: multiplicities sorted ascending."""
 
     e: int

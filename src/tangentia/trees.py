@@ -19,22 +19,22 @@ and it makes the counting facts transparent: there are no types at all once
 n exceeds r - 1, exactly one for (n, r) = (0, 1) or (1, r >= 2), and for
 example three for (n, r) = (2, 3).
 
-The tree is the stored form.  Everything else is read off one map, built
-once per type on first use by a single bottom-up walk: each vertex's sorted
-bottom labels.  Grouped by layer, that map is the partition chain
-(:meth:`CombType.partition_chain`).  A weighted type
-(:func:`propagate_weights`) stores only the shape and the weights of the
-bottom labels (contact orders of the degenerate pieces); the weight of any
-other vertex, and the full ``weights`` table, is derived by summing those
-bottom weights over the map, so the top vertex carries the total contact
-order.
+The tree is the stored form: a :class:`CombType` is a read-only named tuple
+of its five fields.  Everything else is read off one map, built once per
+type on first use by a single bottom-up walk and kept by the type: each
+vertex's sorted bottom labels.  Grouped by layer, that map is the partition
+chain (:meth:`CombType.partition_chain`).  A weighted type
+(:func:`propagate_weights`) is a named tuple of only the shape and the
+weights of the bottom labels (contact orders of the degenerate pieces); the
+weight of any other vertex, and the full ``weights`` table, is derived by
+summing those bottom weights over the map, so the top vertex carries the
+total contact order.
 """
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 MAX_LAYERS = 6
 MAX_LABELS = 6
@@ -68,30 +68,35 @@ def _strict_coarsenings(partition: Partition) -> Iterator[Partition]:
         yield _canon_partition([x for g in group for x in blocks[g]] for group in grouping)
 
 
-@dataclass(frozen=True)
-class CombType:
-    """A layered tree; see the module docstring for the axioms.
-
-    ``layers[j - 1]`` holds the vertex ids of layer j, ``parents`` maps each
-    non-top vertex to its parent, and ``leaf_order[i]`` is the bottom vertex
-    labeled i + 1.  Construction only checks that the ids are coherent;
-    whether the axioms hold is the business of :meth:`violations`, so that
-    broken candidates can be built and diagnosed.
-
-    These fields are the whole type.  The partition chain and every vertex
-    weight of a :class:`WeightedCombType` (which stores only this shape and
-    its bottom weights) come from one labels-below map (vertex -> sorted
-    bottom labels), derived lazily and cached on the instance; deriving it
-    runs :meth:`violations` once and raises ``ValueError`` for a broken type.
-    """
-
+class _CombFields(NamedTuple):
     n: int
     r: int
     layers: tuple[tuple[str, ...], ...]
     parents: tuple[tuple[str, str], ...]
     leaf_order: tuple[str, ...]
 
-    def __post_init__(self) -> None:
+
+class CombType(_CombFields):
+    """A layered tree; see the module docstring for the axioms.
+
+    ``layers[j - 1]`` holds the vertex ids of layer j, ``parents`` maps each
+    non-top vertex to its parent, and ``leaf_order[i]`` is the bottom vertex
+    labeled i + 1.  Construction, on every path (``_make`` and ``_replace``
+    included), only checks that the ids are coherent; whether the axioms
+    hold is the business of :meth:`violations`, so that broken candidates
+    can be built and diagnosed.
+
+    These fields are the whole type.  The partition chain and every vertex
+    weight of a :class:`WeightedCombType` (which stores only this shape and
+    its bottom weights) come from one labels-below map (vertex -> sorted
+    bottom labels), derived on first use and kept by the instance for its
+    lifetime; deriving it runs :meth:`violations` once and raises
+    ``ValueError`` for a broken type.  Nothing can be assigned to an
+    instance, neither a field nor a derived map.
+    """
+
+    def __new__(cls, *args, **kwargs) -> CombType:
+        self = super().__new__(cls, *args, **kwargs)
         if self.n < 0 or self.r < 1:
             raise ValueError("need n >= 0 and r >= 1")
         if len(self.layers) != self.n + 1:
@@ -108,6 +113,18 @@ class CombType:
         for v in self.leaf_order:
             if v not in seen:
                 raise ValueError("leaf order mentions an unknown vertex")
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> CombType:
+        return cls(*iterable)
+
+    # the derived maps live in the instance __dict__, which only
+    # functools.cached_property writes to
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"cannot set or delete {name!r}: CombType is read-only")
+
+    __delattr__ = __setattr__
 
     # -- structure helpers ------------------------------------------------
 
@@ -226,8 +243,7 @@ def enumerate_types(n: int, r: int) -> list[CombType]:
     return [CombType.from_partition_chain(c) for c in chains]
 
 
-@dataclass(frozen=True)
-class WeightedCombType:
+class WeightedCombType(NamedTuple):
     """A shape with a positive weight on each bottom label.
 
     The stored form is the shape plus ``bottom``, where ``bottom[i]`` is the
@@ -262,4 +278,4 @@ def propagate_weights(
         raise ValueError(f"expected {shape.r} weights, got {len(root_weights)}")
     if min(root_weights) < 1:
         raise ValueError("weights must be positive integers")
-    return WeightedCombType(shape=shape, bottom=tuple(map(int, root_weights)))
+    return WeightedCombType(shape, tuple(map(int, root_weights)))

@@ -185,10 +185,22 @@ def test_component_validation():
         Component(PAIR, 1)  # missing tangencies
     with pytest.raises(ValueError):
         Component(IMMERSED, 0)
+    # _make and _replace validate too
+    cover = Component(COVER, 1, base_degree=1, multiplicity=3)
+    assert Component._make(cover) == cover._replace() == cover
+    with pytest.raises(ValueError):
+        cover._replace(multiplicity=None)
+    with pytest.raises(ValueError):
+        Component._make((IMMERSED, 0))
+    for name in Component._fields + ("new_attribute",):
+        with pytest.raises(AttributeError):
+            setattr(cover, name, 1)
 
 
 @pytest.mark.parametrize("key, component, message", [
-    ((2, "T1"), Component(COVER, 1, base_degree=1, multiplicity=3), "has degree 3, entry wants 2"),
+    ((2, "T1"), Component(COVER, 1, base_degree=1, multiplicity=3),
+     r"^cover Component\(kind='cover', count=1, base_degree=1, multiplicity=3, tangencies=None, "
+     r"meeting_at_p=None\) has degree 3, entry wants 2$"),
     ((4, "T3"), Component(PAIR, 1, tangencies=(3, 6), meeting_at_p=3),
      r"pair contact orders \(3, 6\) do not add up to 12"),
 ], ids=["cover", "pair"])

@@ -469,6 +469,12 @@ def test_graphs_weight_arity(capsys):
     assert "expected 3 weights" in err
 
 
+@pytest.mark.parametrize("n", ["0", "2"], ids=["no-types", "three-types"])
+def test_graphs_refuses_non_positive_weights_whatever_the_type_count(capsys, n):
+    code, out, err = run(capsys, "graphs", "--n", n, "--r", "3", "--weights", "0,-1,5")
+    assert (code, out, err) == (1, "", "error: weights must be positive integers\n")
+
+
 @pytest.mark.parametrize("argv, message", [
     (("census", "--aggregate", "--degree", "4"),
      "--aggregate takes no --degree, --stratum or --special-cubic"),

@@ -52,7 +52,8 @@ def test_importing_the_cli_loads_no_layer():
     assert _python(_LOADED + "import tangentia.cli\nprint(json.dumps(loaded()))") == ["cli"]
 
 
-# the layers each subcommand loads; a usage error loads none
+# the layers each subcommand loads; a usage error loads none.  No subcommand
+# loads dataclasses or inspect, which pull in ast and dis at load
 SUBCOMMAND_LAYERS = {
     "mcover --w 3 --d 4": {"covers", "rationals"},
     "instantons --w 3 --dmax 4": {"covers", "rationals"},
@@ -70,22 +71,26 @@ SUBCOMMAND_LAYERS = {
 
 
 def _main_loads(argv):
-    """Exit code of ``main(argv)`` in a fresh interpreter, and the modules it loaded."""
+    """Exit code of ``main(argv)`` in a fresh interpreter, the tangentia
+    modules it loaded, and which of dataclasses and inspect it loaded."""
     code = _LOADED + (
         "import io, contextlib\n"
+        "before = set(sys.modules)\n"
         "from tangentia.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
         f"    code = main({argv!r})\n"
-        "print(json.dumps([code, loaded()]))"
+        "heavy = sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before))\n"
+        "print(json.dumps([code, loaded(), heavy]))"
     )
     return _python(code)
 
 
 @pytest.mark.parametrize("argv", list(SUBCOMMAND_LAYERS))
 def test_a_subcommand_loads_only_its_layers(argv):
-    exit_code, loaded = _main_loads(argv.split())
+    exit_code, loaded, heavy = _main_loads(argv.split())
     assert exit_code == (1 if "--w x" in argv else 0)
     assert set(loaded) == SUBCOMMAND_LAYERS[argv] | {"cli"}
+    assert heavy == []
 
 
 @pytest.mark.parametrize("argv", [
@@ -94,29 +99,11 @@ def test_a_subcommand_loads_only_its_layers(argv):
     ["torsion", "--strata", "--m", "4"],
     ["torsion", "--solve"],
     ["graphs", "--n", "2", "--r", "3", "--weights", ""],
+    ["graphs", "--n", "0", "--r", "3", "--weights", "0,-1,5"],
 ], ids=["aggregate-special-cubic", "census-no-stratum", "strata-m", "solve-no-class",
-        "empty-weights"])
+        "empty-weights", "non-positive-weights-no-types"])
 def test_a_usage_error_loads_no_layer(argv):
-    assert _main_loads(argv) == [1, ["cli"]]
-
-
-@pytest.mark.parametrize("argv", ["mcover --w 3 --d 4", "instantons --w 3 --dmax 4",
-                                  "integrality --wmax 3 --dmax 3"])
-def test_covers_subcommands_load_no_dataclasses(argv):
-    # dataclasses pulls in inspect, ast and dis; covers' only record type is
-    # a NamedTuple, so its subcommands never pay for them
-    code = (
-        "import io, json, sys, contextlib\n"
-        "from tangentia.cli import main\n"
-        "before = set(sys.modules)\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    code = main({argv.split()!r})\n"
-        "print(json.dumps([code, sorted(set(sys.modules) - before)]))"
-    )
-    exit_code, added = _python(code)
-    assert exit_code == 0
-    assert "tangentia.covers" in added
-    assert "dataclasses" not in added
+    assert _main_loads(argv) == [1, ["cli"], []]
 
 
 @pytest.mark.parametrize("statement, loaded", [

@@ -1,3 +1,4 @@
+import operator
 from itertools import combinations_with_replacement, permutations
 
 import pytest
@@ -98,6 +99,41 @@ def test_divisor_class_needs_six_multiplicities():
     # any iterable of integers is normalised to a tuple
     assert DivisorClass(2, iter([1, 1, 0, 0, 0, 0])) == CONIC
     assert DivisorClass(2, [1, 1, 0, 0, 0, 0]).a == (1, 1, 0, 0, 0, 0)
+    # every construction path stores six ints
+    for c in (DivisorClass(2, (1.0, True, 0, 0, 0, 0)),
+              DivisorClass._make((2, iter([1, 1, 0, 0, 0, 0]))),
+              CUBIC._replace(e=2, a=[1, 1.0, 0, 0, 0, 0])):
+        assert c == CONIC and all(type(x) is int for x in c.a)
+    with pytest.raises(ValueError):
+        DivisorClass._make((1, (0, 0, 0)))
+    with pytest.raises(ValueError):
+        CONIC._replace(a=(1,))
+
+
+def test_divisor_class_has_no_order_and_no_tuple_arithmetic():
+    for op in (operator.lt, operator.le, operator.gt, operator.ge, operator.add):
+        with pytest.raises(TypeError):
+            op(CONIC, CUBIC)
+    with pytest.raises(TypeError):
+        CONIC * 2
+    with pytest.raises(TypeError):
+        2 * CONIC
+    with pytest.raises(TypeError):
+        sorted([CUBIC, CONIC])
+    assert CONIC == DivisorClass(2, (1, 1, 0, 0, 0, 0)) != CUBIC
+    assert hash(CONIC) == hash(DivisorClass(2, [1, 1, 0, 0, 0, 0]))
+
+
+def test_records_are_read_only_and_print_as_before():
+    row = enumerate_classes(4)[0]
+    assert repr(CONIC) == "DivisorClass(e=2, a=(1, 1, 0, 0, 0, 0))"
+    assert str(CONIC) == "2H-E1-E2"
+    assert repr(row) == "ClassTableRow(e=2, a_multiset=(0, 0, 0, 0, 1, 1), p_a=0, ordered_count=15)"
+    for record, names in ((CONIC, ("e", "a", "new_attribute")),
+                          (row, ("e", "a_multiset", "p_a", "ordered_count", "representative"))):
+        for name in names:
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
 
 
 def test_ordered_count_against_permutation_oracle():

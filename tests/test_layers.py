@@ -93,8 +93,8 @@ def test_leaf_layers_import_nothing_even_lazily(name):
     assert imports(_body(name), into_functions=True) == set()
 
 
-# dataclasses pulls in inspect, ast and dis at load; this set may only shrink
-DATACLASS_MODULES = {"lattice", "census", "trees"}
+# dataclasses pulls in inspect, ast and dis at load; no module may import it
+DATACLASS_MODULES = set()
 
 
 def _imports_dataclasses(name):

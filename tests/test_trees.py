@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import time
 from itertools import permutations, product
@@ -232,10 +231,13 @@ def test_type_is_validated_once_and_lazily(monkeypatch):
     monkeypatch.setattr(CombType, "violations", counting)
     shape = enumerate_types(2, 3)[0]
     assert calls == []  # building a type derives nothing
-    for weights in product(range(1, 4), repeat=3):
-        propagate_weights(shape, weights)
+    maps = []
+    for k in range(1, 51):
+        assert propagate_weights(shape, (k, 1, 2)).top_weight == k + 3
+        maps.append(shape._labels_below)
     shape.partition_chain()
     assert calls == [shape]
+    assert all(m is maps[0] for m in maps)  # one labels-below map, not one per call
 
 
 def test_children_map_is_cached_and_read_only():
@@ -260,7 +262,7 @@ def test_weight_matches_weights_and_is_read_only():
             with pytest.raises(KeyError):
                 weighted.weight("9:9")
             for name in ("shape", "bottom", "weights", "weight", "top_weight"):
-                with pytest.raises(dataclasses.FrozenInstanceError):
+                with pytest.raises(AttributeError):
                     setattr(weighted, name, None)
 
 
@@ -345,6 +347,39 @@ def test_validate_passes_on_hand_built_type():
     )
     assert shape.violations() == []
     assert shape in enumerate_types(1, 2)
+
+
+def test_a_type_is_read_only_before_and_after_its_maps_are_derived():
+    shape = enumerate_types(2, 3)[0]
+    names = ("n", "r", "layers", "parents", "leaf_order", "children_map", "_labels_below",
+             "violations", "new_attribute", "__dict__")
+    for derived in (False, True):
+        if derived:
+            propagate_weights(shape, (1, 2, 3))
+        for name in names:
+            with pytest.raises(AttributeError):
+                setattr(shape, name, None)
+        with pytest.raises(AttributeError):
+            del shape.children_map
+    assert shape == enumerate_types(2, 3)[0]
+    assert propagate_weights(shape, (1, 2, 3)).top_weight == 6
+
+
+def test_reprs_are_unchanged():
+    shape = enumerate_types(0, 1)[0]
+    assert repr(shape) == str(shape) == (
+        "CombType(n=0, r=1, layers=(('1:0',),), parents=(), leaf_order=('1:0',))"
+    )
+    assert repr(propagate_weights(shape, [7])) == f"WeightedCombType(shape={shape!r}, bottom=(7,))"
+
+
+def test_make_and_replace_validate():
+    shape = enumerate_types(1, 2)[0]
+    assert CombType._make(shape) == shape._replace() == shape
+    with pytest.raises(ValueError, match="expected 3 layers"):
+        shape._replace(n=2)
+    with pytest.raises(ValueError, match="duplicate vertex id"):
+        CombType._make((1, 2, (("v",), ("v", "w")), (), ("v", "w")))
 
 
 def test_constructor_rejects_malformed_structures():
