@@ -106,6 +106,25 @@ def test_a_usage_error_loads_no_layer(argv):
     assert _main_loads(argv) == [1, ["cli"], []]
 
 
+@pytest.mark.parametrize("argv", ["mcover --w 3 --d 4", "instantons --w 3 --dmax 4",
+                                  "integrality --wmax 3 --dmax 3"])
+def test_covers_subcommands_load_no_dataclasses(argv):
+    # dataclasses pulls in inspect, ast and dis; covers' only record type is
+    # a NamedTuple, so its subcommands never pay for them
+    code = (
+        "import io, json, sys, contextlib\n"
+        "from tangentia.cli import main\n"
+        "before = set(sys.modules)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = main({argv.split()!r})\n"
+        "print(json.dumps([code, sorted(set(sys.modules) - before)]))"
+    )
+    exit_code, added = _python(code)
+    assert exit_code == 0
+    assert "tangentia.covers" in added
+    assert "dataclasses" not in added
+
+
 @pytest.mark.parametrize("statement, loaded", [
     ("import tangentia.torsion", ["tangentia.torsion"]),
     ("from tangentia.cli import main; main(['torsion', '--strata'])",
