@@ -14,10 +14,10 @@ are arranged in layers 1 (top) through n+1 (bottom), subject to:
 Identifying each vertex with the set of bottom labels below it shows that
 such trees are exactly the chains of set partitions of {1, ..., r} from the
 discrete partition (bottom) to the one-block partition (top) that coarsen
-strictly at every step.  That is how :func:`enumerate_types` produces them,
-and it makes the counting facts transparent: there are no types at all once
-n exceeds r - 1, exactly one for (n, r) = (0, 1) or (1, r >= 2), and for
-example three for (n, r) = (2, 3).
+strictly at every step.  :func:`enumerate_types` lists those chains and
+builds each tree top down by label lookup: a block's parent is the vertex
+owning its labels one layer up.  The chains count the types: none once
+n > r - 1, one for (n, r) = (0, 1) or (1, r >= 2), and three for (2, 3).
 
 The tree is the stored form: a :class:`CombType` is a read-only named tuple
 of its five fields.  Everything else is read off one map, built once per
@@ -189,31 +189,29 @@ class CombType(_CombFields):
 
     @classmethod
     def from_partition_chain(cls, chain: Sequence[Partition]) -> "CombType":
-        """Build the canonical tree for a chain (top partition first,
-        discrete partition last); vertex ids are ``"layer:index"`` with
-        blocks sorted by their label sets."""
-        n = len(chain) - 1
-        r = sum(len(b) for b in chain[-1])
-        layers = []
-        ids: list[dict[tuple[int, ...], str]] = []
+        """The tree of a chain (top partition first, discrete partition of 1..r
+        last), built top down: layer j's blocks are the vertices ``"j:i"`` in the
+        given order, and a block's parent is the vertex owning its labels one layer
+        up.  A chain that does not nest or end discrete raises ``ValueError``."""
+        if not chain:
+            raise ValueError("a partition chain needs at least one layer")
+        layers, parents = [], []
         for j, part in enumerate(chain, start=1):
-            names = {block: f"{j}:{i}" for i, block in enumerate(part)}
-            ids.append(names)
-            layers.append(tuple(names[b] for b in part))
-        parents = []
-        for j in range(1, n + 1):  # layers j+1 -> j
-            above = chain[j - 1]
-            for block, name in ids[j].items():
-                owner = next(b for b in above if set(block) <= set(b))
-                parents.append((name, ids[j - 1][owner]))
-        leaf_order = tuple(ids[-1][(label,)] for label in range(1, r + 1))
-        return cls(
-            n=n,
-            r=r,
-            layers=tuple(layers),
-            parents=tuple(sorted(parents)),
-            leaf_order=leaf_order,
-        )
+            layers.append(tuple(f"{j}:{i}" for i in range(len(part))))
+            owner = {x: name for name, block in zip(layers[-1], part) for x in block}
+            if sum(map(len, part)) != len(owner):
+                raise ValueError(f"layer {j} {part} puts a label in two blocks")
+            if j > 1:
+                links = {(owner[x], above.get(x)) for x in owner}
+                if owner.keys() != above.keys() or len(links) != len(part):
+                    raise ValueError(f"layer {j} {part} does not refine layer {j - 1} {chain[j - 2]}")
+                parents += links
+            above = owner  # label -> vertex, for the next layer's parents
+        r = len(above)
+        if sorted(chain[-1]) != [(x,) for x in range(1, r + 1)]:
+            raise ValueError(f"bottom layer {chain[-1]} is not the discrete partition of 1..{r}")
+        return cls(n=len(chain) - 1, r=r, layers=tuple(layers), parents=tuple(sorted(parents)),
+                   leaf_order=tuple(above[x] for x in range(1, r + 1)))
 
     def partition_chain(self) -> tuple[Partition, ...]:
         """Inverse view: the chain of bottom-label partitions, top first."""

@@ -176,8 +176,9 @@ def check_invariant_ledgers() -> str:
     expected = {
         1: Fraction(9), 2: Fraction(135, 4), 3: Fraction(244), 4: Fraction(36999, 16)
     }
+    ledgers = {}
     for degree, value in expected.items():
-        ledger = assembly.assemble_invariant(degree)
+        ledger = ledgers[degree] = assembly.assemble_invariant(degree)
         _expect(ledger.total == value, f"I_{degree} = {ledger.total}")
         recomputed = sum((l.points * l.per_point for l in ledger.lines), Fraction(0))
         _expect(recomputed == value, f"ledger lines of degree {degree} do not re-sum")
@@ -186,13 +187,12 @@ def check_invariant_ledgers() -> str:
             f"degree {degree} has a line without provenance",
         )
     _expect(assembly.pair_contribution(3, 9, 3) == 3, "pair rule min(3, 9)")
-    d4 = assembly.assemble_invariant(4)
     _expect(
-        any("pair" in line.provenance for line in d4.lines),
+        any("pair" in line.provenance for line in ledgers[4].lines),
         "degree 4 ledger has no pair line",
     )
     _expect(
-        d4.note is not None and "36999/4" in d4.note,
+        ledgers[4].note is not None and "36999/4" in ledgers[4].note,
         "degree 4 misprint note missing",
     )
     return "I_1..I_4 = 9, 135/4, 244, 36999/16 assembled line by line; misprint 36999/4 flagged"

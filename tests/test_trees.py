@@ -1,4 +1,5 @@
 import math
+import re
 import time
 from itertools import permutations, product
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tangentia.trees import (
+    MAX_LAYERS,
     CombType,
     enumerate_types,
     propagate_weights,
@@ -150,6 +152,62 @@ def _relabel(shape, perm):
         for part in shape.partition_chain()
     )
     return CombType.from_partition_chain(chain)
+
+
+def _owner_search_tree(chain):
+    """Independent construction: each block's parent is the first block of
+    the layer above that contains it as a set, and leaves are looked up by
+    their one-label blocks."""
+    n = len(chain) - 1
+    r = sum(len(b) for b in chain[-1])
+    ids = [{block: f"{j}:{i}" for i, block in enumerate(part)} for j, part in enumerate(chain, 1)]
+    parents = []
+    for j in range(1, n + 1):
+        for block, name in ids[j].items():
+            owner = next(b for b in chain[j - 1] if set(block) <= set(b))
+            parents.append((name, ids[j - 1][owner]))
+    return CombType(
+        n=n,
+        r=r,
+        layers=tuple(tuple(names[b] for b in part) for names, part in zip(ids, chain)),
+        parents=tuple(sorted(parents)),
+        leaf_order=tuple(ids[-1][(label,)] for label in range(1, r + 1)),
+    )
+
+
+def test_label_lookup_matches_owner_search_oracle():
+    for r in range(1, 6):
+        for n in range(0, MAX_LAYERS + 1):
+            for shape in enumerate_types(n, r):
+                chain = shape.partition_chain()
+                # label x -> x mod r + 1, blocks listed in reverse: no part of
+                # the relabelled chain is in canonical order
+                relabelled = tuple(
+                    tuple(tuple(x % r + 1 for x in block) for block in reversed(part))
+                    for part in chain
+                )
+                for candidate in (chain, relabelled):
+                    built = CombType.from_partition_chain(candidate)
+                    assert built == _owner_search_tree(candidate), candidate
+                assert CombType.from_partition_chain(chain) == shape
+
+
+@pytest.mark.parametrize("chain, message", [
+    ((((1, 2, 3),), ((1, 2), (3,)), ((1, 3), (2,)), ((1,), (2,), (3,))),
+     "layer 3 ((1, 3), (2,)) does not refine layer 2 ((1, 2), (3,))"),
+    ((((1, 2),), ((1,), (2, 3)), ((1,), (2,), (3,))),
+     "layer 2 ((1,), (2, 3)) does not refine layer 1 ((1, 2),)"),
+    ((((1, 2, 3),), ((1,), (2,))), "layer 2 ((1,), (2,)) does not refine layer 1 ((1, 2, 3),)"),
+    ((((1, 2), (2, 3)), ((1,), (2,), (3,))), "layer 1 ((1, 2), (2, 3)) puts a label in two blocks"),
+    ((), "a partition chain needs at least one layer"),
+    ((((1, 2),),), "bottom layer ((1, 2),) is not the discrete partition of 1..2"),
+    ((((1, 2, 3),), ((2,), (3,), (4,))), "layer 2 ((2,), (3,), (4,)) does not refine layer 1"),
+    ((((2, 3),), ((2,), (3,))), "bottom layer ((2,), (3,)) is not the discrete partition of 1..2"),
+], ids=["blocks-cross", "label-missing-above", "label-dropped", "label-repeated", "empty",
+        "bottom-not-discrete", "labels-shifted", "labels-not-from-one"])
+def test_a_chain_that_does_not_nest_raises_value_error(chain, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        CombType.from_partition_chain(chain)
 
 
 def test_leaf_permutation_closure():
