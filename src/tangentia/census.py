@@ -18,6 +18,12 @@ feed :func:`aggregate_N`, and dividing by three times the stratum size
 (a triple cover intervenes between the surface where classes live and the
 plane) gives the immersed quartic counts per point.
 
+The census tables only what it cannot derive: the immersed curves of
+degrees 1 to 3 and the degree-4 pair.  Two rules give the rest: each
+entry of degree d starts with a k-fold cover of every immersed curve of
+degree d/k at the same point, and each degree-4 entry ends with the
+immersed quartics, :func:`count_M4` of its stratum.
+
 Of the pair rule's hypotheses, one is a number: each pair records
 (C1.C2)_P, the local intersection of its two pieces at the contact point,
 and the rule checks it.  The others hold by construction: both pieces meet
@@ -183,40 +189,32 @@ class CensusEntry(NamedTuple):
     special_cubic: bool = False
 
 
-# placeholder for the immersed quartics at a point, count_M4 of its stratum;
-# resolved on demand so that importing the census never builds the class table
-_IMMERSED_QUARTICS = object()
-
 _NODAL_CUBICS_AT_FLEX = euler_budget(CHI_SURFACE, CHI_TRIPLE_TANGENT_LINE)
-_TRIPLE_LINE_COVER = Component(COVER, 1, base_degree=1, multiplicity=3)
 
-# (degree, stratum label) -> components per point, in ledger order.  The
-# strata carrying each degree are read off the keys, in this order.  The pair
-# is the tangent line (contact 3) plus a nodal cubic (contact 9) at the flex,
-# meeting there with (C1.C2)_P = 3.
+# (degree, stratum label) -> the components per point that no rule derives.
+# boundary_census puts a k-fold cover of each tabled immersed curve of degree
+# d/k first and, in degree 4, the count_M4 immersed quartics last; an entry of
+# derived curves only is empty, so the strata are still read off the keys.
+# The pair is the tangent line (contact 3) plus a nodal cubic (contact 9) at
+# the flex, meeting there with (C1.C2)_P = 3.
 _CENSUS = {
     (1, "T1"): (Component(IMMERSED, 1),),
-    (2, "T1"): (Component(COVER, 1, base_degree=1, multiplicity=2),),
+    (2, "T1"): (),
     (2, "T2"): (Component(IMMERSED, 1),),
-    (3, "T1"): (_TRIPLE_LINE_COVER, Component(IMMERSED, _NODAL_CUBICS_AT_FLEX)),
+    (3, "T1"): (Component(IMMERSED, _NODAL_CUBICS_AT_FLEX),),
     (3, NONFLEX_NINE): (
         Component(IMMERSED, euler_budget(CHI_SURFACE, CHI_CUBIC_NONFLEX_SPECIAL)),
     ),
     (4, "T1"): (
-        Component(COVER, 1, base_degree=1, multiplicity=4),
         Component(PAIR, _NODAL_CUBICS_AT_FLEX, tangencies=(3, 9), meeting_at_p=3),
-        _IMMERSED_QUARTICS,
     ),
-    (4, "T2"): (
-        Component(COVER, 1, base_degree=2, multiplicity=2),
-        _IMMERSED_QUARTICS,
-    ),
-    (4, "T3"): (_IMMERSED_QUARTICS,),
+    (4, "T2"): (),
+    (4, "T3"): (),
 }
 
 # on the special cubic the two nodal cubics at a flex degenerate to one
 # cuspidal cubic; every other entry it admits is unchanged
-_SPECIAL_CUBIC_CENSUS = {**_CENSUS, (3, "T1"): (_TRIPLE_LINE_COVER, Component(CUSPIDAL, 1))}
+_SPECIAL_CUBIC_CENSUS = {**_CENSUS, (3, "T1"): (Component(CUSPIDAL, 1),)}
 
 
 def census_strata(degree: int) -> tuple[str, ...]:
@@ -257,19 +255,18 @@ def boundary_census(
             "its line-plus-cubic pairs involve a cuspidal member"
         )
     table = _SPECIAL_CUBIC_CENSUS if special_cubic else _CENSUS
-    components = tuple(
-        Component(IMMERSED, count_M4(Stratum(label)))
-        if comp is _IMMERSED_QUARTICS
-        else comp
-        for comp in table[degree, label]
+    # a cover has degree k * (d/k) = d by construction; only degree 4 reaches
+    # the class table
+    covers = tuple(
+        Component(COVER, base.count, base_degree=degree // k, multiplicity=k)
+        for k in range(degree, 1, -1)
+        if degree % k == 0
+        for base in table.get((degree // k, label), ())
+        if base.kind == IMMERSED
     )
-    # every shape must have the entry's degree: b*k for a cover, contact 3d for a pair
+    quartics = (Component(IMMERSED, count_M4(Stratum(label))),) if degree == 4 else ()
+    components = covers + table[degree, label] + quartics
     for comp in components:
-        if comp.kind == COVER and comp.base_degree * comp.multiplicity != degree:
-            raise ValueError(
-                f"cover {comp} has degree {comp.base_degree * comp.multiplicity}, "
-                f"entry wants {degree}"
-            )
         if comp.kind == PAIR and sum(comp.tangencies) != 3 * degree:
             raise ValueError(
                 f"pair contact orders {comp.tangencies} do not add up to {3 * degree}"

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import re
 from itertools import combinations_with_replacement
+from operator import index
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 NUM_POINTS = 6
@@ -29,15 +30,25 @@ class _DivisorFields(NamedTuple):
 
 
 class DivisorClass(_DivisorFields):
-    """The class e*H - a1*E1 - ... - a6*E6, with ``a`` stored as six ints on
-    every construction path (``_make`` and ``_replace`` included).  A class
-    is a lattice vector, not a sequence: it has no order, and ``+`` and
-    ``*`` do not concatenate."""
+    """The class e*H - a1*E1 - ... - a6*E6, with ``e`` stored as an int and
+    ``a`` as six ints on every construction path (``_make`` and ``_replace``
+    included); a value that is not integral raises ValueError, while 1.0
+    and True are stored as 1.  A class is a lattice vector, not a sequence:
+    it has no order, and ``+`` and ``*`` do not concatenate."""
 
     __slots__ = ()
 
     def __new__(cls, e: int, a: Iterable[int]) -> DivisorClass:
-        a = tuple(map(int, a))
+        a = tuple(a)
+        try:
+            e, a = index(e), tuple(map(index, a))
+        except TypeError:
+            ints = int(e), tuple(map(int, a))
+            if ints != (e, a):
+                raise ValueError(
+                    f"class coefficients must be integers, got {e!r}, {a!r}"
+                ) from None
+            e, a = ints
         if len(a) != NUM_POINTS:
             raise ValueError(f"expected {NUM_POINTS} multiplicities, got {len(a)}")
         return tuple.__new__(cls, (e, a))

@@ -33,6 +33,7 @@ total contact order.
 from __future__ import annotations
 
 import functools
+from operator import index
 from types import MappingProxyType
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
@@ -270,10 +271,17 @@ def propagate_weights(
     shape: CombType, root_weights: Sequence[int]
 ) -> WeightedCombType:
     """Attach ``root_weights[i]`` to bottom label i + 1; every vertex then
-    weighs the total weight of the bottom labels below it."""
+    weighs the total weight of the bottom labels below it.  The weights are
+    stored as ints; one that is not integral raises ValueError."""
     shape._labels_below  # validates the shape: a broken type raises ValueError
     if len(root_weights) != shape.r:
         raise ValueError(f"expected {shape.r} weights, got {len(root_weights)}")
     if min(root_weights) < 1:
         raise ValueError("weights must be positive integers")
-    return WeightedCombType(shape, tuple(map(int, root_weights)))
+    try:
+        bottom = tuple(map(index, root_weights))
+    except TypeError:
+        bottom = tuple(map(int, root_weights))
+        if bottom != tuple(root_weights):
+            raise ValueError(f"weights must be integers, got {root_weights!r}") from None
+    return WeightedCombType(shape, bottom)

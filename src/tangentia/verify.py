@@ -214,22 +214,17 @@ def check_local_invariants() -> str:
 
 
 def check_degeneration_trees() -> str:
+    # |G_(n,r)| for every cell of the sweep, r-major
     expected_counts = {
-        (0, 1): 1,
-        (1, 1): 0,
-        (2, 1): 0,
-        (3, 1): 0,
-        (0, 2): 0,
-        (1, 2): 1,
-        (2, 2): 0,
-        (3, 2): 0,
-        (2, 3): 3,
+        (0, 1): 1, (1, 1): 0, (2, 1): 0, (3, 1): 0,
+        (0, 2): 0, (1, 2): 1, (2, 2): 0, (3, 2): 0,
+        (0, 3): 0, (1, 3): 1, (2, 3): 3, (3, 3): 0,
+        (0, 4): 0, (1, 4): 1, (2, 4): 13, (3, 4): 18,
     }
-    # every frozen count lies in the sweep, so each cell is enumerated once
     for n in range(0, 4):
         for r in range(1, 5):
             shapes = trees.enumerate_types(n, r)
-            count = expected_counts.get((n, r), len(shapes))
+            count = expected_counts[n, r]
             _expect(len(shapes) == count, f"|G_({n},{r})| = {len(shapes)}, expected {count}")
             for shape in shapes:
                 _expect(shape.violations() == [], f"enumerated type invalid: {shape}")

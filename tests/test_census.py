@@ -198,13 +198,47 @@ def test_component_validation():
 
 
 @pytest.mark.parametrize("key, component, message", [
-    ((2, "T1"), Component(COVER, 1, base_degree=1, multiplicity=3),
-     r"^cover Component\(kind='cover', count=1, base_degree=1, multiplicity=3, tangencies=None, "
-     r"meeting_at_p=None\) has degree 3, entry wants 2$"),
     ((4, "T3"), Component(PAIR, 1, tangencies=(3, 6), meeting_at_p=3),
      r"pair contact orders \(3, 6\) do not add up to 12"),
-], ids=["cover", "pair"])
+], ids=["pair"])
 def test_boundary_census_checks_each_shapes_degree(monkeypatch, key, component, message):
     monkeypatch.setitem(census._CENSUS, key, (component,))
     with pytest.raises(ValueError, match=message):
         boundary_census(*key)
+
+
+# every component of every entry, field by field: (kind, count, base_degree,
+# multiplicity, tangencies, meeting_at_p)
+_N = None
+FROZEN_CENSUS = {
+    (1, "T1"): [(IMMERSED, 1, _N, _N, _N, _N)],
+    (2, "T1"): [(COVER, 1, 1, 2, _N, _N)],
+    (2, "T2"): [(IMMERSED, 1, _N, _N, _N, _N)],
+    (3, "T1"): [(COVER, 1, 1, 3, _N, _N), (IMMERSED, 2, _N, _N, _N, _N)],
+    (3, NONFLEX_NINE): [(IMMERSED, 3, _N, _N, _N, _N)],
+    (4, "T1"): [
+        (COVER, 1, 1, 4, _N, _N), (PAIR, 2, _N, _N, (3, 9), 3), (IMMERSED, 8, _N, _N, _N, _N),
+    ],
+    (4, "T2"): [(COVER, 1, 2, 2, _N, _N), (IMMERSED, 14, _N, _N, _N, _N)],
+    (4, "T3"): [(IMMERSED, 16, _N, _N, _N, _N)],
+}
+# the special cubic swaps the two nodal cubics at a flex for one cuspidal one
+FROZEN_SPECIAL_CENSUS = {
+    **{key: rows for key, rows in FROZEN_CENSUS.items() if key[0] < 4},
+    (3, "T1"): [(COVER, 1, 1, 3, _N, _N), (CUSPIDAL, 1, _N, _N, _N, _N)],
+}
+
+
+@pytest.mark.parametrize("special", [False, True], ids=["plain", "special-cubic"])
+def test_every_component_of_every_entry_is_pinned(special):
+    frozen = FROZEN_SPECIAL_CENSUS if special else FROZEN_CENSUS
+    got = {}
+    for degree in (1, 2, 3, 4):
+        for label in census_strata(degree):
+            if special and degree == 4:
+                continue
+            entry = boundary_census(degree, label, special_cubic=special)
+            assert (entry.degree, entry.stratum, entry.special_cubic) == (degree, label, special)
+            assert entry.points == stratum_point_count(label)
+            got[degree, label] = [tuple(c) for c in entry.components]
+    assert got == frozen

@@ -334,6 +334,16 @@ def test_degeneration_trees_catches_a_dropped_label(capsys, monkeypatch):
     assert out.splitlines()[0].startswith("FAIL degeneration-trees: weight leak on CombType(")
 
 
+def test_degeneration_trees_catches_a_dropped_type(monkeypatch):
+    real = trees.enumerate_types
+    monkeypatch.setattr(
+        trees, "enumerate_types",
+        lambda n, r: real(n, r)[1:] if (n, r) == (2, 4) else real(n, r),
+    )
+    with pytest.raises(verify.CheckFailure, match=r"^\|G_\(2,4\)\| = 12, expected 13$"):
+        verify.check_degeneration_trees()
+
+
 def test_verify_all_passes_without_asserts():
     # under -O every assert is stripped, so no check may rely on one
     env = {k: v for k, v in os.environ.items() if not k.startswith("TANGENTIA_")}

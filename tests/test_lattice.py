@@ -110,6 +110,24 @@ def test_divisor_class_needs_six_multiplicities():
         CONIC._replace(a=(1,))
 
 
+@pytest.mark.parametrize("e, a", [
+    (2, (1.5, 1, 0, 0, 0, 0)),
+    (2.5, (1, 1, 0, 0, 0, 0)),
+    (2, ("1", "1", 0, 0, 0, 0)),
+], ids=["fractional-a", "fractional-e", "string-a"])
+def test_divisor_class_refuses_values_that_are_not_integers(e, a):
+    with pytest.raises(ValueError, match=r"^class coefficients must be integers, got "):
+        DivisorClass(e, a)
+    with pytest.raises(ValueError, match=r"^class coefficients must be integers, got "):
+        CONIC._replace(e=e, a=a)
+
+
+def test_divisor_class_stores_an_integral_e_as_an_int():
+    c = DivisorClass(2.0, (1, 1, 0, 0, 0, 0))
+    assert c == CONIC and type(c.e) is int and str(c) == "2H-E1-E2"
+    assert type(CONIC._replace(e=True).e) is int
+
+
 def test_divisor_class_has_no_order_and_no_tuple_arithmetic():
     for op in (operator.lt, operator.le, operator.gt, operator.ge, operator.add):
         with pytest.raises(TypeError):

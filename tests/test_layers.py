@@ -1,5 +1,6 @@
 """The layer graph: the tangentia modules each module imports when it is
-loaded, pinned to a DAG, so that a new edge fails the suite.
+loaded, pinned to a DAG, so that a new edge fails the suite.  Every name a
+module imports at module level must also be read somewhere in it.
 
 Imports under ``if TYPE_CHECKING:`` serve annotations only and load nothing
 at run time.  Imports inside functions (the CLI handlers, the package's
@@ -135,3 +136,48 @@ def test_the_scan_sees_through_blocks_but_not_type_checking_or_functions():
         "trees", "covers", "rationals", "census", "lattice", "torsion", "cli", "assembly",
     }
     assert imports(body, into_functions=True) == imports(body) | {"sneaky"}
+
+
+def module_level_import_names(nodes):
+    """Names bound by the imports under ``nodes`` outside function and class
+    bodies, ``if TYPE_CHECKING:`` included; ``from __future__`` binds none."""
+    found = set()
+    for node in nodes:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            found |= {a.asname or a.name.split(".")[0] for a in node.names}
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found |= module_level_import_names(ast.iter_child_nodes(node))
+    return found
+
+
+def unused_imports(body):
+    """Module-level import names that no expression in the module reads,
+    annotations included."""
+    module = ast.Module(body=body, type_ignores=[])
+    read = {node.id for node in ast.walk(module) if isinstance(node, ast.Name)}
+    return module_level_import_names(body) - read
+
+
+@pytest.mark.parametrize("name", [m for m in LAYERS if m != "__init__"])
+def test_every_module_level_import_is_used(name):
+    assert unused_imports(_body(name)) == set()
+
+
+def test_the_unused_import_scan_sees_annotations_and_type_checking_blocks():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path, json as js\n"
+        "from typing import TYPE_CHECKING, Mapping, Optional\n"
+        "if TYPE_CHECKING:\n"
+        "    from . import census, trees\n"
+        "try:\n"
+        "    import zlib\n"
+        "except ImportError:\n"
+        "    pass\n"
+        "def f(x: Mapping[str, census.Component]) -> int:\n"
+        "    import re\n"
+        "    return os.sep\n"
+    )
+    assert unused_imports(ast.parse(source).body) == {"js", "Optional", "trees", "zlib"}

@@ -260,6 +260,11 @@ def test_weight_propagation_input_checks():
         propagate_weights(shape, [1, 2])  # wrong arity
     with pytest.raises(ValueError):
         propagate_weights(shape, [1, 2, 0])  # weights must be positive
+    with pytest.raises(ValueError, match=r"^weights must be integers, got \[1\.9, 2, 3\]$"):
+        propagate_weights(shape, [1.9, 2, 3])
+    # integral values are stored as ints
+    bottom = propagate_weights(shape, [1.0, True, 3]).bottom
+    assert bottom == (1, 1, 3) and all(type(w) is int for w in bottom)
 
 
 def test_invalid_type_is_refused_on_every_call():
