@@ -33,6 +33,7 @@ census is refused for the special cubic, whose pairs would carry a cusp.
 from __future__ import annotations
 
 import functools
+from operator import index
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Optional, Union
 
@@ -113,9 +114,11 @@ def aggregate_N() -> Mapping[Stratum, int]:
     return MappingProxyType(totals)
 
 
-def count_M4(stratum: Stratum) -> int:
-    """Immersed quartics with full tangency at one point of the stratum:
-    N_i / (3 * #T_i).  The division is exact; anything else is a bug."""
+def count_M4(stratum: Union[Stratum, str]) -> int:
+    """Immersed quartics with full tangency at one point of the stratum (a
+    :class:`Stratum` or its label): N_i / (3 * #T_i).  The division is
+    exact; anything else is a bug."""
+    stratum = Stratum(stratum)
     n = aggregate_N()[stratum]
     denom = 3 * stratum_sizes()[stratum]
     quot, rem = divmod(n, denom)
@@ -138,6 +141,15 @@ CUSPIDAL = "cuspidal"  # only behind the special-cubic flag
 COMPONENT_KINDS = (IMMERSED, COVER, PAIR, CUSPIDAL)
 
 
+def _check_at_least(name: str, value, least: int) -> None:
+    try:
+        if index(value) >= least:
+            return
+    except TypeError:
+        pass
+    raise ValueError(f"component {name} must be an integer >= {least}, got {value!r}")
+
+
 class _ComponentFields(NamedTuple):
     kind: str
     count: int
@@ -155,7 +167,9 @@ class Component(_ComponentFields):
     is traversed; pairs carry the contact orders of their two pieces and
     ``meeting_at_p``, the local intersection (C1.C2)_P of the pieces at the
     contact point.  Every construction path (``_make`` and ``_replace``
-    included) validates.
+    included) validates: the count, degrees, contact orders and (C1.C2)_P
+    are positive integers, a multiplicity is at least 2, and a field the
+    kind does not carry is None.
     """
 
     __slots__ = ()
@@ -164,16 +178,30 @@ class Component(_ComponentFields):
         self = super().__new__(cls, *args, **kwargs)
         if self.kind not in COMPONENT_KINDS:
             raise ValueError(f"unknown component kind {self.kind!r}")
-        if self.count < 1:
-            raise ValueError("component count must be positive")
-        if self.kind == COVER and (
-            self.base_degree is None or self.multiplicity is None
-        ):
-            raise ValueError("cover components need base_degree and multiplicity")
-        if self.kind == PAIR and (self.tangencies is None or self.meeting_at_p is None):
-            raise ValueError(
-                "pair components need their two contact orders and (C1.C2)_P"
-            )
+        _check_at_least("count", self.count, 1)
+        carried: tuple[str, ...] = ()
+        if self.kind == COVER:
+            if self.base_degree is None or self.multiplicity is None:
+                raise ValueError("cover components need base_degree and multiplicity")
+            _check_at_least("base_degree", self.base_degree, 1)
+            _check_at_least("multiplicity", self.multiplicity, 2)
+            carried = ("base_degree", "multiplicity")
+        elif self.kind == PAIR:
+            if self.tangencies is None or self.meeting_at_p is None:
+                raise ValueError(
+                    "pair components need their two contact orders and (C1.C2)_P"
+                )
+            if not isinstance(self.tangencies, tuple) or len(self.tangencies) != 2:
+                raise ValueError(
+                    f"component tangencies must be two contact orders, got {self.tangencies!r}"
+                )
+            for order in self.tangencies:
+                _check_at_least("tangencies", order, 1)
+            _check_at_least("meeting_at_p", self.meeting_at_p, 1)
+            carried = ("tangencies", "meeting_at_p")
+        for name in self._fields[2:]:
+            if name not in carried and getattr(self, name) is not None:
+                raise ValueError(f"{self.kind} components carry no {name}")
         return self
 
     @classmethod
@@ -264,7 +292,7 @@ def boundary_census(
         for base in table.get((degree // k, label), ())
         if base.kind == IMMERSED
     )
-    quartics = (Component(IMMERSED, count_M4(Stratum(label))),) if degree == 4 else ()
+    quartics = (Component(IMMERSED, count_M4(label)),) if degree == 4 else ()
     components = covers + table[degree, label] + quartics
     for comp in components:
         if comp.kind == PAIR and sum(comp.tangencies) != 3 * degree:

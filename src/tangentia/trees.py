@@ -14,10 +14,12 @@ are arranged in layers 1 (top) through n+1 (bottom), subject to:
 Identifying each vertex with the set of bottom labels below it shows that
 such trees are exactly the chains of set partitions of {1, ..., r} from the
 discrete partition (bottom) to the one-block partition (top) that coarsen
-strictly at every step.  :func:`enumerate_types` lists those chains and
-builds each tree top down by label lookup: a block's parent is the vertex
-owning its labels one layer up.  The chains count the types: none once
-n > r - 1, one for (n, r) = (0, 1) or (1, r >= 2), and three for (2, 3).
+strictly at every step.  :func:`enumerate_types` lists those chains by a
+recursion from the discrete partition that keeps only the chains reaching
+one block in exactly n steps, and builds each tree top down by label
+lookup: a block's parent is the vertex owning its labels one layer up.  The
+chains count the types: none once n > r - 1, one for (n, r) = (0, 1) or
+(1, r >= 2), and three for (2, 3).
 
 The tree is the stored form: a :class:`CombType` is a read-only named tuple
 of its five fields.  Everything else is read off one map, built once per
@@ -47,7 +49,7 @@ def _canon_partition(blocks) -> Partition:
     return tuple(sorted(tuple(sorted(b)) for b in blocks))
 
 
-def _set_partitions(items: Sequence[int]) -> Iterator[list[list[int]]]:
+def _set_partitions(items: Sequence) -> Iterator[list[list]]:
     """All set partitions of ``items``, by recursive insertion."""
     items = list(items)
     if not items:
@@ -62,11 +64,9 @@ def _set_partitions(items: Sequence[int]) -> Iterator[list[list[int]]]:
 
 def _strict_coarsenings(partition: Partition) -> Iterator[Partition]:
     """Partitions obtained by merging at least two blocks of ``partition``."""
-    blocks = list(partition)
-    for grouping in _set_partitions(range(len(blocks))):
-        if len(grouping) == len(blocks):
-            continue  # nothing merged
-        yield _canon_partition([x for g in group for x in blocks[g]] for group in grouping)
+    for grouping in _set_partitions(partition):
+        if len(grouping) < len(partition):  # something merged
+            yield _canon_partition(sum(group, ()) for group in grouping)
 
 
 class _CombFields(NamedTuple):
@@ -222,24 +222,23 @@ class CombType(_CombFields):
 
 def enumerate_types(n: int, r: int) -> list[CombType]:
     """All combinatorial types with n + 1 layers and r labeled bottom
-    vertices, canonically ordered.  Bounded to n <= 6 and r <= 6."""
+    vertices, canonically ordered.  Bounded to n <= 6 and r <= 6.  The
+    chains come from a recursion up from the discrete partition that keeps
+    only those reaching one block in exactly n steps, top first."""
     if n < 0 or r < 1:
         raise ValueError("need n >= 0 and r >= 1")
     if n > MAX_LAYERS or r > MAX_LABELS:
         raise ValueError(
             f"enumeration is budgeted to n <= {MAX_LAYERS}, r <= {MAX_LABELS}"
         )
-    discrete = _canon_partition([(i,) for i in range(1, r + 1)])
-    chains_up: list[list[Partition]] = [[discrete]]
-    for _ in range(n):
-        chains_up = [
-            chain + [coarser]
-            for chain in chains_up
-            for coarser in _strict_coarsenings(chain[-1])
-        ]
-    total = _canon_partition([tuple(range(1, r + 1))])
-    chains = sorted(tuple(reversed(c)) for c in chains_up if c[-1] == total)
-    return [CombType.from_partition_chain(c) for c in chains]
+
+    def chains(p: Partition, steps: int) -> list[tuple[Partition, ...]]:
+        if steps == 0:
+            return [(p,)] if len(p) == 1 else []
+        return [c + (p,) for q in _strict_coarsenings(p) for c in chains(q, steps - 1)]
+
+    discrete = tuple((i,) for i in range(1, r + 1))
+    return [CombType.from_partition_chain(c) for c in sorted(chains(discrete, n))]
 
 
 class WeightedCombType(NamedTuple):

@@ -71,6 +71,13 @@ def test_count_M4():
     assert [count_M4(s) for s in Stratum] == [8, 14, 16]
 
 
+def test_count_M4_takes_a_stratum_label():
+    assert [count_M4(s.value) for s in Stratum] == [count_M4(s) for s in Stratum]
+    assert count_M4("T1") == count_M4(Stratum.T1) == 8
+    with pytest.raises(ValueError, match="'NF9' is not a valid Stratum"):
+        count_M4(NONFLEX_NINE)
+
+
 def test_count_cross_check():
     total = sum(aggregate_N().values())
     weighted = 9 * count_M4(Stratum.T1) + 27 * count_M4(Stratum.T2) \
@@ -195,6 +202,38 @@ def test_component_validation():
     for name in Component._fields + ("new_attribute",):
         with pytest.raises(AttributeError):
             setattr(cover, name, 1)
+
+
+@pytest.mark.parametrize("args, fields, message", [
+    ((IMMERSED, 1.5), {}, r"component count must be an integer >= 1, got 1\.5"),
+    ((CUSPIDAL, "2"), {}, r"component count must be an integer >= 1, got '2'"),
+    ((COVER, 1), dict(base_degree=0, multiplicity=-2), r"base_degree .* got 0"),
+    ((COVER, 1), dict(base_degree=1.0, multiplicity=2), r"base_degree .* got 1\.0"),
+    ((COVER, 1), dict(base_degree=1, multiplicity=1), r"multiplicity must be an integer >= 2, got 1"),
+    ((PAIR, 1), dict(tangencies=(3,), meeting_at_p=2.5), r"tangencies must be two contact orders"),
+    ((PAIR, 1), dict(tangencies=(3, 0), meeting_at_p=3), r"tangencies must be .* got 0"),
+    ((PAIR, 1), dict(tangencies=(3, 9), meeting_at_p=2.5), r"meeting_at_p .* got 2\.5"),
+    ((IMMERSED, 2), dict(tangencies=(3, 9)), r"immersed components carry no tangencies"),
+    ((CUSPIDAL, 1), dict(base_degree=1), r"cuspidal components carry no base_degree"),
+    ((COVER, 1), dict(base_degree=1, multiplicity=2, meeting_at_p=3),
+     r"cover components carry no meeting_at_p"),
+    ((PAIR, 1), dict(tangencies=(3, 9), meeting_at_p=3, multiplicity=2),
+     r"pair components carry no multiplicity"),
+], ids=["count-float", "count-str", "base-degree-zero", "base-degree-float", "one-fold-cover",
+        "one-tangency", "tangency-zero", "meeting-float", "immersed-tangencies",
+        "cuspidal-base-degree", "cover-meeting", "pair-multiplicity"])
+def test_component_refuses_bad_field_values(args, fields, message):
+    with pytest.raises(ValueError, match=message):
+        Component(*args, **fields)
+    # the same values through _replace of a valid component of the kind
+    valid = {
+        IMMERSED: Component(IMMERSED, 1),
+        CUSPIDAL: Component(CUSPIDAL, 1),
+        COVER: Component(COVER, 1, base_degree=1, multiplicity=2),
+        PAIR: Component(PAIR, 1, tangencies=(3, 9), meeting_at_p=3),
+    }[args[0]]
+    with pytest.raises(ValueError, match=message):
+        valid._replace(count=args[1], **fields)
 
 
 @pytest.mark.parametrize("key, component, message", [

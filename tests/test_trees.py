@@ -9,6 +9,9 @@ from hypothesis import given, strategies as st
 from tangentia.trees import (
     MAX_LAYERS,
     CombType,
+    _canon_partition,
+    _set_partitions,
+    _strict_coarsenings,
     enumerate_types,
     propagate_weights,
 )
@@ -101,6 +104,58 @@ def test_counts_against_stirling_recursion():
         assert (
             math.factorial(r) * math.factorial(r - 1) // 2 ** (r - 1) == expected
         )
+
+
+def _canonical(part):
+    return tuple(sorted(tuple(sorted(block)) for block in part))
+
+
+def test_strict_coarsenings_against_refinement_oracle():
+    for r in range(1, 6):
+        partitions = _rgs_partitions(r)
+        for fine in partitions:
+            got = list(_strict_coarsenings(_canonical(fine)))
+            assert all(q == _canonical(q) for q in got), fine
+            assert len(set(got)) == len(got), fine
+            expected = {_canonical(q) for q in partitions if _strictly_refines(fine, q)}
+            assert set(got) == expected, fine
+
+
+# ---------------------------------------------------------------------------
+# enumeration oracle: the earlier enumerator, which grows every chain up from
+# the discrete partition for n steps, dead ones included, then keeps those
+# that reach one block and reverses them; its coarsenings merge blocks looked
+# up by index
+# ---------------------------------------------------------------------------
+
+def _indexed_coarsenings(partition):
+    blocks = list(partition)
+    for grouping in _set_partitions(range(len(blocks))):
+        if len(grouping) == len(blocks):
+            continue  # nothing merged
+        yield _canon_partition([x for g in group for x in blocks[g]] for group in grouping)
+
+
+def _grow_then_filter_chains(n, r):
+    discrete = _canon_partition([(i,) for i in range(1, r + 1)])
+    chains_up = [[discrete]]
+    for _ in range(n):
+        chains_up = [
+            chain + [coarser]
+            for chain in chains_up
+            for coarser in _indexed_coarsenings(chain[-1])
+        ]
+    total = _canon_partition([tuple(range(1, r + 1))])
+    return sorted(tuple(reversed(c)) for c in chains_up if c[-1] == total)
+
+
+@pytest.mark.parametrize(
+    "n, r",
+    [(n, r) for n in range(MAX_LAYERS + 1) for r in range(1, 6)] + [(n, 6) for n in range(3)],
+)
+def test_enumeration_matches_grow_then_filter_oracle(n, r):
+    expected = [CombType.from_partition_chain(c) for c in _grow_then_filter_chains(n, r)]
+    assert [tuple(t) for t in enumerate_types(n, r)] == [tuple(t) for t in expected]
 
 
 def test_frozen_counts():
