@@ -14,12 +14,15 @@ are arranged in layers 1 (top) through n+1 (bottom), subject to:
 Identifying each vertex with the set of bottom labels below it shows that
 such trees are exactly the chains of set partitions of {1, ..., r} from the
 discrete partition (bottom) to the one-block partition (top) that coarsen
-strictly at every step.  :func:`enumerate_types` lists those chains by a
-recursion from the discrete partition that keeps only the chains reaching
-one block in exactly n steps, and builds each tree top down by label
-lookup: a block's parent is the vertex owning its labels one layer up.  The
-chains count the types: none once n > r - 1, one for (n, r) = (0, 1) or
-(1, r >= 2), and three for (2, 3).
+strictly at every step.  :func:`enumerate_types` lists those chains by one
+memoised recursion up from the discrete partition, over (partition, steps
+left), that keeps only the chains reaching one block in exactly n steps and
+builds each tree as it goes: a partition's vertex ids are fixed by its
+layer, and a block's parent is the vertex owning its labels one layer up,
+so each memo entry carries its chains' layers and parent links.  A
+partition with k blocks reaches one block in at most k - 1 steps, so a
+branch with more steps left ends at once.  The chains count the types: none
+once n > r - 1, one for (n, r) = (0, 1) or (1, r >= 2), and three for (2, 3).
 
 The tree is the stored form: a :class:`CombType` is a read-only named tuple
 of its five fields.  Everything else is read off one map, built once per
@@ -43,6 +46,8 @@ MAX_LAYERS = 6
 MAX_LABELS = 6
 
 Partition = tuple[tuple[int, ...], ...]
+# a partition chain (top first), its layers' vertex ids and its parent links
+_Chain = tuple[tuple[Partition, ...], tuple[tuple[str, ...], ...], tuple[tuple[str, str], ...]]
 
 
 def _canon_partition(blocks) -> Partition:
@@ -222,9 +227,15 @@ class CombType(_CombFields):
 
 def enumerate_types(n: int, r: int) -> list[CombType]:
     """All combinatorial types with n + 1 layers and r labeled bottom
-    vertices, canonically ordered.  Bounded to n <= 6 and r <= 6.  The
-    chains come from a recursion up from the discrete partition that keeps
-    only those reaching one block in exactly n steps, top first."""
+    vertices, in the order of their partition chains (top first).  Bounded
+    to n <= 6 and r <= 6.
+
+    The trees are built inside one recursion over (partition, steps left),
+    memoised for this call only: a partition's vertex ids are computed once
+    per memo entry, and its parent links once per coarsening.  A branch
+    whose steps left reach its block count ends at once, so a cell with
+    n > r - 1 is empty without a lattice walk.  Every type still passes the
+    :class:`CombType` constructor's checks."""
     if n < 0 or r < 1:
         raise ValueError("need n >= 0 and r >= 1")
     if n > MAX_LAYERS or r > MAX_LABELS:
@@ -232,13 +243,31 @@ def enumerate_types(n: int, r: int) -> list[CombType]:
             f"enumeration is budgeted to n <= {MAX_LAYERS}, r <= {MAX_LABELS}"
         )
 
-    def chains(p: Partition, steps: int) -> list[tuple[Partition, ...]]:
+    @functools.cache  # one memo per call: it dies with this frame
+    def chains(p: Partition, steps: int) -> tuple[_Chain, ...]:
+        """Every chain from one block down to p in ``steps`` strict
+        refinements, top first, with its layers' ids and its parent links;
+        p is layer ``steps + 1``."""
+        if steps >= len(p):
+            return ()  # k blocks reach one block in at most k - 1 steps
+        ids = tuple(f"{steps + 1}:{i}" for i in range(len(p)))
         if steps == 0:
-            return [(p,)] if len(p) == 1 else []
-        return [c + (p,) for q in _strict_coarsenings(p) for c in chains(q, steps - 1)]
+            return (((p,), (ids,), ()),) if len(p) == 1 else ()
+        out: list[_Chain] = []
+        for q in _strict_coarsenings(p):
+            above = chains(q, steps - 1)
+            if above:
+                owner = {x: f"{steps}:{i}" for i, block in enumerate(q) for x in block}
+                links = tuple((v, owner[block[0]]) for v, block in zip(ids, p))
+                out += [(c + (p,), layers + (ids,), up + links) for c, layers, up in above]
+        return tuple(out)
 
     discrete = tuple((i,) for i in range(1, r + 1))
-    return [CombType.from_partition_chain(c) for c in sorted(chains(discrete, n))]
+    leaf_order = tuple(f"{n + 1}:{i}" for i in range(r))
+    return [
+        CombType(n, r, layers, tuple(sorted(links)), leaf_order)
+        for _, layers, links in sorted(chains(discrete, n))
+    ]
 
 
 class WeightedCombType(NamedTuple):

@@ -253,6 +253,12 @@ def test_graphs_text_labels(capsys):
     assert "(weight 6)" in out
 
 
+@pytest.mark.parametrize("n, r", [("6", "6"), ("5", "3")])
+def test_graphs_cell_with_no_types(capsys, n, r):
+    code, out, err = run(capsys, "graphs", "--n", n, "--r", r)
+    assert (code, out, err) == (0, f"0 types for n={n}, r={r}\n", "")
+
+
 def test_verify_all(capsys):
     code, out, _ = run(capsys, "verify-all")
     assert code == 0

@@ -6,7 +6,9 @@ from itertools import permutations, product
 import pytest
 from hypothesis import given, strategies as st
 
+from tangentia import trees
 from tangentia.trees import (
+    MAX_LABELS,
     MAX_LAYERS,
     CombType,
     _canon_partition,
@@ -158,6 +160,50 @@ def test_enumeration_matches_grow_then_filter_oracle(n, r):
     assert [tuple(t) for t in enumerate_types(n, r)] == [tuple(t) for t in expected]
 
 
+# ---------------------------------------------------------------------------
+# build oracle: the earlier enumerator, which recurses over (partition, steps
+# left) with no memo and no bound, then builds each type afterwards from its
+# chain with from_partition_chain; enumerate_types builds the trees inside
+# its memoised recursion instead
+# ---------------------------------------------------------------------------
+
+def _recursive_chains(p, steps):
+    if steps == 0:
+        return [(p,)] if len(p) == 1 else []
+    return [c + (p,) for q in _strict_coarsenings(p) for c in _recursive_chains(q, steps - 1)]
+
+
+_ALL_CELLS = [(n, r) for n in range(MAX_LAYERS + 1) for r in range(1, MAX_LABELS + 1)]
+
+
+@pytest.mark.parametrize("n, r", _ALL_CELLS)
+def test_enumeration_matches_chain_then_build_oracle(n, r):
+    discrete = tuple((i,) for i in range(1, r + 1))
+    expected = [CombType.from_partition_chain(c) for c in sorted(_recursive_chains(discrete, n))]
+    assert [tuple(t) for t in enumerate_types(n, r)] == [tuple(t) for t in expected]
+
+
+def test_cells_past_the_last_step_walk_no_lattice(monkeypatch):
+    # r blocks reach one block in at most r - 1 steps: every cell with
+    # n > r - 1 is empty, and is known to be so before any coarsening
+    def refuse(partition):
+        raise AssertionError(f"walked the lattice from {partition}")
+
+    monkeypatch.setattr(trees, "_strict_coarsenings", refuse)
+    empty = [(n, r) for n, r in _ALL_CELLS if n > r - 1]
+    assert {(6, 6), (5, 3), (1, 1)} <= set(empty)
+    for n, r in empty:
+        assert enumerate_types(n, r) == [], (n, r)
+
+
+def test_each_call_has_its_own_memo():
+    first, second = enumerate_types(4, 5), enumerate_types(4, 5)
+    assert first == second and first is not second
+    first.clear()
+    assert len(second) == 180 and second == enumerate_types(4, 5)
+    assert not [name for name in dir(trees) if hasattr(getattr(trees, name), "cache_info")]
+
+
 def test_frozen_counts():
     assert len(enumerate_types(0, 1)) == 1
     assert all(len(enumerate_types(n, 1)) == 0 for n in (1, 2, 3, 4))
@@ -181,14 +227,14 @@ def test_two_three_matches_middle_partition_count():
 
 
 def test_enumerated_types_are_valid_and_canonical():
-    for n in range(0, 4):
-        for r in range(1, 5):
-            types = enumerate_types(n, r)
-            assert len(set(types)) == len(types)
-            for shape in types:
-                assert shape.violations() == []
-                rebuilt = CombType.from_partition_chain(shape.partition_chain())
-                assert rebuilt == shape
+    # the types are not built by from_partition_chain, so the round trip is
+    # a cross-check of the two builds
+    for n, r in [(n, r) for n in range(MAX_LAYERS + 1) for r in range(1, 6)] + [(3, 6)]:
+        types = enumerate_types(n, r)
+        assert len(set(types)) == len(types)
+        for shape in types:
+            assert shape.violations() == []
+            assert CombType.from_partition_chain(shape.partition_chain()) == shape, (n, r)
     assert enumerate_types(2, 3) == enumerate_types(2, 3)  # deterministic
 
 
