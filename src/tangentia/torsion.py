@@ -7,7 +7,9 @@ depends on the group structure of the torsion, so a torsion point
 and a line section, conic section, and so on become statements about
 multiples of points.  The group law, equality, ordering and the order of a
 point are integer arithmetic; ``Fraction`` appears only in the ``x`` and
-``y`` views and in parsing.
+``y`` views and in parsing.  Over N = c.n * m, the solutions of m * P = c
+are (c.a + i*c.n, c.b + j*c.n) / N; c is reduced, so no numerator reaches
+N, and (i, j) order is already sorted order.
 
 Geometry dictionary, under a marking theta of the relevant points:
 
@@ -29,6 +31,7 @@ import enum
 import functools
 import math
 from fractions import Fraction
+from operator import index
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Mapping, Optional
 
@@ -46,41 +49,29 @@ class TorsionPoint:
     triple is canonical.  ``x`` and ``y`` are read-only ``Fraction`` views in
     [0, 1); points compare lexicographically by (x, y).
 
-    ``TorsionPoint(x, y)`` takes any rationals (or strings such as
-    ``"1/3"``) and reduces them mod 1;
-    ``TorsionPoint(a, b, n)`` is the point (a/n, b/n).
+    ``TorsionPoint(x, y)`` takes ints, ``Fraction``s or strings such as
+    ``"1/3"`` mod 1, but no float (inexact); ``TorsionPoint(a, b, n)`` is
+    (a/n, b/n).  Only an integer k makes a group multiple k * P.
     """
 
     __slots__ = ("a", "b", "n")
 
-    def __init__(self, x, y, n: int = 1) -> None:
+    def __new__(cls, x, y, n: int = 1) -> TorsionPoint:
         if n < 1:
             raise ValueError(f"n must be positive, got {n}")
-        if type(x) is not int or type(y) is not int:
-            if not isinstance(x, (int, Fraction)):
-                x = Fraction(x)
-            if not isinstance(y, (int, Fraction)):
-                y = Fraction(y)
-            d = math.lcm(x.denominator, y.denominator)
-            x = x.numerator * (d // x.denominator)
-            y = y.numerator * (d // y.denominator)
-            n *= d
-        x %= n
-        y %= n
-        g = math.gcd(x, y, n)
-        if g != 1:
-            x //= g
-            y //= g
-            n //= g
-        object.__setattr__(self, "a", x)
-        object.__setattr__(self, "b", y)
-        object.__setattr__(self, "n", n)
+        if isinstance(x, float) or isinstance(y, float):  # rarely the rational meant
+            raise ValueError(f"torsion coordinates must be exact, not floats: got {x!r}, {y!r}")
+        x, y = Fraction(x), Fraction(y)
+        d = math.lcm(x.denominator, y.denominator)
+        return _point(x.numerator * (d // x.denominator), y.numerator * (d // y.denominator), n * d)
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"TorsionPoint is immutable; cannot set {name!r}")
+    def __init__(self, x, y, n: int = 1) -> None:
+        """Nothing: ``__new__`` builds the point.  Kept for profilers that wrap it."""
 
-    def __delattr__(self, name):
-        raise AttributeError(f"TorsionPoint is immutable; cannot delete {name!r}")
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"TorsionPoint is immutable; cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
 
     def __reduce__(self):
         return TorsionPoint, (self.a, self.b, self.n)
@@ -94,19 +85,27 @@ class TorsionPoint:
         return Fraction(self.b, self.n)
 
     def __add__(self, other: "TorsionPoint") -> "TorsionPoint":
-        # over the common denominator n*m; __init__ reduces to the exact order
+        # over the common denominator n*m; _point reduces to the exact order
+        if other.__class__ is not TorsionPoint:
+            return NotImplemented
         n, m = self.n, other.n
-        return TorsionPoint(self.a * m + other.a * n, self.b * m + other.b * n, n * m)
+        return _point(self.a * m + other.a * n, self.b * m + other.b * n, n * m)
 
     def __sub__(self, other: "TorsionPoint") -> "TorsionPoint":
+        if other.__class__ is not TorsionPoint:
+            return NotImplemented
         n, m = self.n, other.n
-        return TorsionPoint(self.a * m - other.a * n, self.b * m - other.b * n, n * m)
+        return _point(self.a * m - other.a * n, self.b * m - other.b * n, n * m)
 
     def __neg__(self) -> "TorsionPoint":
-        return TorsionPoint(-self.a, -self.b, self.n)
+        return _point(-self.a, -self.b, self.n)
 
     def __mul__(self, k: int) -> "TorsionPoint":
-        return TorsionPoint(k * self.a, k * self.b, self.n)
+        try:
+            k = index(k)
+        except TypeError:
+            return NotImplemented
+        return _point(k * self.a, k * self.b, self.n)
 
     __rmul__ = __mul__
 
@@ -138,11 +137,25 @@ class TorsionPoint:
         return self.n == 1
 
 
+_set_a, _set_b, _set_n = TorsionPoint.a.__set__, TorsionPoint.b.__set__, TorsionPoint.n.__set__
+
+
+def _point(a: int, b: int, n: int) -> TorsionPoint:
+    """The reduced point (a/n, b/n) for ints with n >= 1; every point is built here."""
+    g = math.gcd(a, b, n)  # = gcd(a % n, b % n, n)
+    n //= g
+    p = object.__new__(TorsionPoint)
+    _set_a(p, a // g % n)
+    _set_b(p, b // g % n)
+    _set_n(p, n)
+    return p
+
+
 def torsion_points(n: int) -> list[TorsionPoint]:
     """The n^2 points killed by n, in lexicographic (x, y) order."""
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    return [TorsionPoint(i, j, n) for i in range(n) for j in range(n)]
+    return [_point(i, j, n) for i in range(n) for j in range(n)]
 
 
 class Stratum(enum.Enum):
@@ -180,39 +193,25 @@ def stratum_sizes() -> Mapping[Stratum, int]:
     return MappingProxyType(sizes)
 
 
-# a few kernels at most, so that m up to MAX_DIVISION_ORDER pins a bounded
-# number of points
-@functools.lru_cache(maxsize=4)
-def _kernel(m: int) -> tuple[TorsionPoint, ...]:
-    """The m-torsion subgroup, built once per m for :func:`solve_division`."""
-    return tuple(torsion_points(m))
-
-
 def solve_division(c: TorsionPoint, m: int) -> list[TorsionPoint]:
     """All m^2 solutions of m * P = c within the torsion, in lexicographic
-    order: the particular solution (c.a, c.b) / (c.n * m) translated by the
-    m-torsion subgroup.  Bounded to m <= MAX_DIVISION_ORDER, checked before
-    any point is built."""
+    order: ((c.a + i*c.n) / N, (c.b + j*c.n) / N) for N = c.n * m in (i, j)
+    order, sorted already as 0 <= c.a, c.b < c.n puts every numerator in
+    [0, N).  Bounded to m <= MAX_DIVISION_ORDER, checked before any point."""
     if m < 1:
         raise ValueError(f"m must be positive, got {m}")
     if m > MAX_DIVISION_ORDER:
         raise ValueError(f"division is budgeted to m <= {MAX_DIVISION_ORDER}, got {m}")
-    base = TorsionPoint(c.a, c.b, c.n * m)
-    sols = sorted(base + t for t in _kernel(m))
+    n = c.n * m
+    sols = [_point(x, y, n) for x in range(c.a, n, c.n) for y in range(c.b, n, c.n)]
     if any(m * p != c for p in sols):
         raise ArithmeticError(f"a solution of {m} * P = {c} does not multiply back")
     return sols
 
 
-# the standard marking theta of P1..P6 and of O' (see the module docstring)
-BASE_POINTS = (
-    TorsionPoint(0, 0),
-    TorsionPoint(1, 0, 3),
-    TorsionPoint(2, 0, 3),
-    TorsionPoint(0, 1, 3),
-    TorsionPoint(1, 1, 3),
-    TorsionPoint(2, 1, 3),
-)
+# the standard marking theta of P1..P6, (i/3, j/3) for j = 0, 1 and
+# i = 0, 1, 2, and of O' (see the module docstring)
+BASE_POINTS = tuple(TorsionPoint(i, j, 3) for j in range(2) for i in range(3))
 O_PRIME = TorsionPoint(1, 0, 9)
 
 

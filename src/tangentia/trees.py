@@ -228,7 +228,7 @@ class CombType(_CombFields):
 def enumerate_types(n: int, r: int) -> list[CombType]:
     """All combinatorial types with n + 1 layers and r labeled bottom
     vertices, in the order of their partition chains (top first).  Bounded
-    to n <= 6 and r <= 6.
+    to n <= 6 and r <= 6; as in ``DivisorClass``, 2.0 reads as 2, 2.5 fails.
 
     The trees are built inside one recursion over (partition, steps left),
     memoised for this call only: a partition's vertex ids are computed once
@@ -236,6 +236,9 @@ def enumerate_types(n: int, r: int) -> list[CombType]:
     whose steps left reach its block count ends at once, so a cell with
     n > r - 1 is empty without a lattice walk.  Every type still passes the
     :class:`CombType` constructor's checks."""
+    if (int(n), int(r)) != (n, r):
+        raise ValueError(f"n and r must be integers, got {n!r}, {r!r}")
+    n, r = int(n), int(r)
     if n < 0 or r < 1:
         raise ValueError("need n >= 0 and r >= 1")
     if n > MAX_LAYERS or r > MAX_LABELS:
@@ -284,7 +287,10 @@ class WeightedCombType(NamedTuple):
     bottom: tuple[int, ...]
 
     def weight(self, v: str) -> int:
-        return sum(self.bottom[x - 1] for x in self.shape._labels_below[v])
+        total, bottom = 0, self.bottom
+        for x in self.shape._labels_below[v]:  # a plain loop: no per-call comprehension frame
+            total += bottom[x - 1]
+        return total
 
     @property
     def top_weight(self) -> int:
@@ -312,4 +318,4 @@ def propagate_weights(
         bottom = tuple(map(int, root_weights))
         if bottom != tuple(root_weights):
             raise ValueError(f"weights must be integers, got {root_weights!r}") from None
-    return WeightedCombType(shape, bottom)
+    return tuple.__new__(WeightedCombType, (shape, bottom))  # a plain record: no checks skipped

@@ -1,6 +1,7 @@
 import copy
 import math
 import pickle
+import re
 from collections import Counter
 from fractions import Fraction
 from itertools import permutations
@@ -275,8 +276,76 @@ def test_points_are_immutable():
             setattr(p, name, 0)
     with pytest.raises(AttributeError):
         del p.a
-    assert copy.deepcopy(p) == p
-    assert pickle.loads(pickle.dumps(p)) == p
+
+
+def test_pickle_and_copy_round_trips():
+    # TorsionPoint builds in __new__, so unpickling goes through __reduce__
+    for p in torsion_points(6) + [P(Fraction(7, 9), Fraction(-1, 5)), O_PRIME]:
+        clones = [copy.copy(p), copy.deepcopy(p)]
+        clones += [pickle.loads(pickle.dumps(p, proto)) for proto in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for q in clones:
+            assert type(q) is TorsionPoint and (q.a, q.b, q.n) == (p.a, p.b, p.n)
+            assert q == p and hash(q) == hash(p)
+            with pytest.raises(AttributeError):
+                q.a = 0
+    assert copy.deepcopy(BASE_POINTS) == BASE_POINTS
+
+
+def test_a_wrapped_init_sees_each_public_construction(monkeypatch):
+    # __new__ builds every point; __init__ takes the same arguments and does
+    # nothing, so a profiler may wrap it, and it sees only TorsionPoint(...)
+    calls = []
+    init = TorsionPoint.__init__
+
+    def wrapped(self, *args):
+        calls.append(args)
+        return init(self, *args)
+
+    monkeypatch.setattr(TorsionPoint, "__init__", wrapped)
+    c = P(Fraction(1, 3), 0)
+    assert pickle.loads(pickle.dumps(c)) == c  # unpickling calls TorsionPoint(a, b, n)
+    assert calls == [(Fraction(1, 3), 0), (1, 0, 3)]
+    assert len(solve_division(c, 4)) == 16 and len(torsion_points(4)) == 16
+    assert c + c - c == c and -c == 2 * c
+    assert len(calls) == 2  # group operations and solving build no point by TorsionPoint(...)
+
+
+def test_floats_and_non_points_are_refused():
+    p = P(1, 0, 3)
+    for x, y, got in ((0.1, 0, "0.1, 0"), (0, 0.5, "0, 0.5"), (Fraction(1, 3), 1.0, "Fraction(1, 3), 1.0")):
+        with pytest.raises(ValueError, match=re.escape(f"must be exact, not floats: got {got}")):
+            P(x, y)
+    # strings and Fractions still parse exactly
+    assert P("0.1", "1/2") == P(Fraction(1, 10), Fraction(1, 2)) == P(1, 5, 10)
+    for k in (1.5, 2.0, Fraction(3, 2), Fraction(2), "2", None):
+        assert p.__mul__(k) is NotImplemented
+        with pytest.raises(TypeError):
+            p * k
+        with pytest.raises(TypeError):
+            k * p
+    assert True * p == p and p * False == ZERO  # bool is an integer
+    for other in (1, 0, Fraction(1, 3), (1, 0), "x"):
+        assert p.__add__(other) is NotImplemented and p.__sub__(other) is NotImplemented
+        for op in (lambda: p + other, lambda: other + p, lambda: p - other, lambda: other - p):
+            with pytest.raises(TypeError):
+                op()
+
+
+triples = st.tuples(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6), st.integers(1, 10**4))
+
+
+@given(triples, triples, st.integers(-10**3, 10**3))
+def test_group_operations_match_fraction_mod_one(t, u, k):
+    # integer triples (a, b, n) of any size and sign, against Fractions mod 1
+    p, q = P(*t), P(*u)
+    op, oq = (_oracle(Fraction(a, n), Fraction(b, n)) for a, b, n in (t, u))
+    for point, oracle in ((p, op), (q, oq), (p + q, _oracle_add(op, oq)),
+                          (p - q, _oracle(op[0] - oq[0], op[1] - oq[1])),
+                          (-p, _oracle(-op[0], -op[1])),
+                          (k * p, _oracle(k * op[0], k * op[1])), (p * k, _oracle(k * op[0], k * op[1]))):
+        order = _oracle_order(oracle)
+        assert (point.a, point.b, point.n) == (oracle[0] * order, oracle[1] * order, order)
+        assert _agrees(point, oracle)
 
 
 def test_group_arithmetic_builds_no_fraction(monkeypatch):
@@ -304,18 +373,27 @@ def test_solve_division_budget():
 
 
 def _division_oracle(c, m):
-    # uncached and independent of the kernel: x = (c.x + i) / m, y = (c.y + j) / m
+    # in Fractions, then sorted: x = (c.x + i) / m, y = (c.y + j) / m
     return sorted(P((c.x + i) / m, (c.y + j) / m) for i in range(m) for j in range(m))
 
 
-three_torsion = st.builds(P, st.integers(0, 2), st.integers(0, 2), st.just(3))
+# points of 12-torsion, drawn so that c takes every order dividing 12
+twelve_torsion = st.builds(P, st.integers(0, 11), st.integers(0, 11), st.sampled_from([1, 2, 3, 4, 6, 12]))
 
 
-@given(st.lists(st.tuples(three_torsion, st.integers(1, 24)), min_size=1, max_size=4))
-def test_cached_kernel_matches_uncached_oracle(calls):
-    # several calls per example, so kernels are reused and evicted in between
-    for c, m in calls:
-        assert solve_division(c, m) == _division_oracle(c, m)
+@given(twelve_torsion, st.integers(1, 24))
+def test_division_matches_fraction_oracle(c, m):
+    # solve_division does not sort: its (i, j) order must already be sorted
+    assert solve_division(c, m) == _division_oracle(c, m)
+
+
+def test_solve_division_keeps_no_cache():
+    # two calls share no point, and stratum_sizes is the module's only cache
+    c = P(Fraction(1, 3), Fraction(2, 3))
+    first, second = solve_division(c, 8), solve_division(c, 8)
+    assert first == second and not {id(p) for p in first} & {id(p) for p in second}
+    cached = [name for name in dir(torsion_module) if hasattr(getattr(torsion_module, name), "cache_info")]
+    assert cached == ["stratum_sizes"]
 
 
 def test_division_and_torsion_points_return_fresh_lists():

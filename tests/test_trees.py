@@ -1,6 +1,7 @@
 import math
 import re
 import time
+from fractions import Fraction
 from itertools import permutations, product
 
 import pytest
@@ -330,6 +331,17 @@ def test_budget_guard():
         enumerate_types(-1, 2)
     with pytest.raises(ValueError):
         enumerate_types(1, 0)
+
+
+def test_arguments_are_read_as_integers():
+    # the DivisorClass rule: an integral value is stored as an int
+    assert enumerate_types(2.0, 3) == enumerate_types(2, 3) == enumerate_types(2, 3.0)
+    assert enumerate_types(True, 3) == enumerate_types(1, 3)
+    assert enumerate_types(Fraction(3), 4) == enumerate_types(3, 4)
+    assert all(type(t.n) is type(t.r) is int for t in enumerate_types(2.0, 3.0))
+    for n, r in ((2.5, 3), (2, 3.5), (Fraction(1, 2), 3), ("2", 3)):
+        with pytest.raises(ValueError, match="n and r must be integers"):
+            enumerate_types(n, r)
 
 
 def test_large_enumeration_is_quick():
