@@ -15,14 +15,17 @@ Identifying each vertex with the set of bottom labels below it shows that
 such trees are exactly the chains of set partitions of {1, ..., r} from the
 discrete partition (bottom) to the one-block partition (top) that coarsen
 strictly at every step.  :func:`enumerate_types` lists those chains by one
-memoised recursion up from the discrete partition, over (partition, steps
-left), that keeps only the chains reaching one block in exactly n steps and
-builds each tree as it goes: a partition's vertex ids are fixed by its
+memoised recursion down from the one-block partition, over (partition,
+steps left), that walks each partition's strict refinements in sorted order
+and builds each tree as it goes: a partition's vertex ids are fixed by its
 layer, and a block's parent is the vertex owning its labels one layer up,
-so each memo entry carries its chains' layers and parent links.  A
-partition with k blocks reaches one block in at most k - 1 steps, so a
-branch with more steps left ends at once.  The chains count the types: none
-once n > r - 1, one for (n, r) = (0, 1) or (1, r >= 2), and three for (2, 3).
+so each memo entry carries its chains' layers and parent links.  The chains
+come out in sorted order (top first) and each one's links sorted by child,
+so nothing is sorted afterwards.  Every refinement adds a block, so a
+partition with k blocks reaches the discrete one in at most r - k steps,
+and a branch with more steps left ends before any refinement is made.  The
+chains count the types: none once n > r - 1, one for (n, r) = (0, 1) or
+(1, r >= 2), and three for (2, 3).
 
 The tree is the stored form: a :class:`CombType` is a read-only named tuple
 of its five fields.  Everything else is read off one map, built once per
@@ -38,6 +41,7 @@ total contact order.
 from __future__ import annotations
 
 import functools
+from itertools import product
 from operator import index
 from types import MappingProxyType
 from typing import Iterator, Mapping, NamedTuple, Sequence
@@ -46,8 +50,8 @@ MAX_LAYERS = 6
 MAX_LABELS = 6
 
 Partition = tuple[tuple[int, ...], ...]
-# a partition chain (top first), its layers' vertex ids and its parent links
-_Chain = tuple[tuple[Partition, ...], tuple[tuple[str, ...], ...], tuple[tuple[str, str], ...]]
+# the layers' vertex ids and the parent links of a chain, top first
+_Chain = tuple[tuple[tuple[str, ...], ...], tuple[tuple[str, str], ...]]
 
 
 def _canon_partition(blocks) -> Partition:
@@ -67,11 +71,15 @@ def _set_partitions(items: Sequence) -> Iterator[list[list]]:
         yield [[first]] + smaller
 
 
-def _strict_coarsenings(partition: Partition) -> Iterator[Partition]:
-    """Partitions obtained by merging at least two blocks of ``partition``."""
-    for grouping in _set_partitions(partition):
-        if len(grouping) < len(partition):  # something merged
-            yield _canon_partition(sum(group, ()) for group in grouping)
+def _strict_refinements(partition: Partition) -> tuple[Partition, ...]:
+    """Partitions obtained by splitting at least one block of ``partition``,
+    canonical and in sorted order."""
+    out = []
+    for split in product(*map(_set_partitions, partition)):
+        blocks = [block for parts in split for block in parts]
+        if len(blocks) > len(partition):  # something split
+            out.append(_canon_partition(blocks))
+    return tuple(sorted(out))
 
 
 class _CombFields(NamedTuple):
@@ -228,49 +236,55 @@ class CombType(_CombFields):
 def enumerate_types(n: int, r: int) -> list[CombType]:
     """All combinatorial types with n + 1 layers and r labeled bottom
     vertices, in the order of their partition chains (top first).  Bounded
-    to n <= 6 and r <= 6; as in ``DivisorClass``, 2.0 reads as 2, 2.5 fails.
+    to n <= 6 and r <= 6; as in ``DivisorClass``, 2.0 reads as 2, and 2.5,
+    inf or nan raises ``ValueError``.
 
-    The trees are built inside one recursion over (partition, steps left),
-    memoised for this call only: a partition's vertex ids are computed once
-    per memo entry, and its parent links once per coarsening.  A branch
-    whose steps left reach its block count ends at once, so a cell with
-    n > r - 1 is empty without a lattice walk.  Every type still passes the
-    :class:`CombType` constructor's checks."""
-    if (int(n), int(r)) != (n, r):
+    The trees are built inside one recursion down from the one-block
+    partition over (partition, steps left), memoised for this call only like
+    the refinements it walks; walked in sorted order, they yield the chains
+    sorted.  A partition more than its steps left short of r blocks ends at
+    once, so a cell with n > r - 1 is empty without a lattice walk.  Every
+    type still passes the :class:`CombType` constructor's checks."""
+    try:
+        ints = int(n), int(r)
+    except (ValueError, OverflowError):  # nan, inf, or a string that is no number
+        ints = None
+    if ints != (n, r):
         raise ValueError(f"n and r must be integers, got {n!r}, {r!r}")
-    n, r = int(n), int(r)
+    n, r = ints
     if n < 0 or r < 1:
         raise ValueError("need n >= 0 and r >= 1")
     if n > MAX_LAYERS or r > MAX_LABELS:
         raise ValueError(
             f"enumeration is budgeted to n <= {MAX_LAYERS}, r <= {MAX_LABELS}"
         )
+    # the vertex ids of each layer; "j:i" has one digit each under the budget,
+    # so string order is (j, i) order and links built by layer come out sorted
+    names = [tuple(f"{j}:{i}" for i in range(r)) for j in range(1, n + 2)]
+    refinements = functools.cache(_strict_refinements)  # one memo per call, like down's
 
     @functools.cache  # one memo per call: it dies with this frame
-    def chains(p: Partition, steps: int) -> tuple[_Chain, ...]:
-        """Every chain from one block down to p in ``steps`` strict
-        refinements, top first, with its layers' ids and its parent links;
-        p is layer ``steps + 1``."""
-        if steps >= len(p):
-            return ()  # k blocks reach one block in at most k - 1 steps
-        ids = tuple(f"{steps + 1}:{i}" for i in range(len(p)))
+    def down(q: Partition, steps: int) -> tuple[_Chain, ...]:
+        """Every chain from q down to the discrete partition in ``steps``
+        strict refinements, as its layers' ids and its parent links sorted
+        by child; q is layer ``n + 1 - steps``."""
+        if r - len(q) < steps:
+            return ()  # each refinement adds a block: q cannot reach r blocks
+        ids = names[n - steps][: len(q)]
         if steps == 0:
-            return (((p,), (ids,), ()),) if len(p) == 1 else ()
+            return (((ids,), ()),) if len(q) == r else ()
+        owner = {x: v for v, block in zip(ids, q) for x in block}
+        below_ids = names[n + 1 - steps]
         out: list[_Chain] = []
-        for q in _strict_coarsenings(p):
-            above = chains(q, steps - 1)
-            if above:
-                owner = {x: f"{steps}:{i}" for i, block in enumerate(q) for x in block}
-                links = tuple((v, owner[block[0]]) for v, block in zip(ids, p))
-                out += [(c + (p,), layers + (ids,), up + links) for c, layers, up in above]
+        for p in refinements(q):
+            below = down(p, steps - 1)
+            if below:
+                links = tuple((v, owner[block[0]]) for v, block in zip(below_ids, p))
+                out += [((ids,) + layers, links + up) for layers, up in below]
         return tuple(out)
 
-    discrete = tuple((i,) for i in range(1, r + 1))
-    leaf_order = tuple(f"{n + 1}:{i}" for i in range(r))
-    return [
-        CombType(n, r, layers, tuple(sorted(links)), leaf_order)
-        for _, layers, links in sorted(chains(discrete, n))
-    ]
+    top = (tuple(range(1, r + 1)),)
+    return [CombType(n, r, layers, links, names[n]) for layers, links in down(top, n)]
 
 
 class WeightedCombType(NamedTuple):
@@ -315,7 +329,10 @@ def propagate_weights(
     try:
         bottom = tuple(map(index, root_weights))
     except TypeError:
-        bottom = tuple(map(int, root_weights))
+        try:
+            bottom = tuple(map(int, root_weights))
+        except (ValueError, OverflowError):  # nan, inf, or a string that is no number
+            bottom = None
         if bottom != tuple(root_weights):
             raise ValueError(f"weights must be integers, got {root_weights!r}") from None
     return tuple.__new__(WeightedCombType, (shape, bottom))  # a plain record: no checks skipped

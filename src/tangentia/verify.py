@@ -149,10 +149,12 @@ def check_torsion_division() -> str:
             sols = torsion.solve_division(c, 4)
             if len(sols) != 16:
                 raise CheckFailure(f"{cls}: {len(sols)} solutions")
-            split = {s: 0 for s in torsion.Stratum}
-            for p in sols:
-                split[torsion.stratify(p)] += 1
-            if tuple(split[s] for s in torsion.Stratum) != (1, 3, 12):
+            # list.count matches members by identity: no enum __hash__ per point
+            strata = [torsion.stratify(p) for p in sols]
+            if tuple(map(strata.count, torsion.Stratum)) != (1, 3, 12):
+                split = {s: 0 for s in torsion.Stratum}
+                for s in strata:
+                    split[s] += 1  # None, a point in no stratum, raises KeyError as before
                 raise CheckFailure(f"{cls}: split {split}")
     return "strata sizes 9/27/108; every ordered class splits its 16 division points 1/3/12"
 

@@ -114,7 +114,14 @@ def test_divisor_class_needs_six_multiplicities():
     (2, (1.5, 1, 0, 0, 0, 0)),
     (2.5, (1, 1, 0, 0, 0, 0)),
     (2, ("1", "1", 0, 0, 0, 0)),
-], ids=["fractional-a", "fractional-e", "string-a"])
+    (float("inf"), (0,) * 6),
+    (float("-inf"), (0,) * 6),
+    (float("nan"), (0,) * 6),
+    (2, (float("inf"), 1, 0, 0, 0, 0)),
+    (2, (1, float("-inf"), 0, 0, 0, 0)),
+    (2, (float("nan"), 1, 0, 0, 0, 0)),
+], ids=["fractional-a", "fractional-e", "string-a",
+        "inf-e", "minus-inf-e", "nan-e", "inf-a", "minus-inf-a", "nan-a"])
 def test_divisor_class_refuses_values_that_are_not_integers(e, a):
     with pytest.raises(ValueError, match=r"^class coefficients must be integers, got "):
         DivisorClass(e, a)
@@ -211,6 +218,41 @@ def test_enumerate_classes_against_e_loop_oracle(degree):
     assert [(r.e, r.a_multiset, r.p_a, r.ordered_count) for r in rows] == (
         _classes_by_e_loop(degree)
     )
+
+
+def _classes_by_built_divisors(d):
+    """The earlier search, at the budget ceiling: a validating DivisorClass
+    is built for every candidate of the box and its genus read by
+    arithmetic_genus."""
+    rows = []
+    for a in combinations_with_replacement(range(d + 1), 6):
+        e, rem = divmod(d + sum(a), 3)
+        if rem == 0:
+            genus = arithmetic_genus(DivisorClass(e, a))
+            if genus >= 0:
+                rows.append(lattice.ClassTableRow(e, a, genus, ordered_count(a)))
+    return sorted(rows, key=lambda r: (r.e, r.a_multiset))
+
+
+def test_enumerate_classes_at_the_ceiling_against_built_divisors():
+    rows = enumerate_classes(lattice.MAX_CLASS_DEGREE)
+    assert lattice.MAX_CLASS_DEGREE == 20
+    assert rows == _classes_by_built_divisors(lattice.MAX_CLASS_DEGREE)
+
+
+def test_class_search_builds_no_divisor_class(monkeypatch):
+    built = []
+    new = DivisorClass.__new__
+
+    def counted(cls, e, a):
+        built.append((e, a))
+        return new(cls, e, a)
+
+    monkeypatch.setattr(DivisorClass, "__new__", staticmethod(counted))
+    assert DivisorClass(2, (1, 1, 0, 0, 0, 0)) == CONIC and len(built) == 1  # the count works
+    rows = enumerate_classes(16)
+    assert len(rows) == 3669 and len(built) == 1
+    assert rows[0].representative == DivisorClass(*rows[0][:2]) and len(built) == 3
 
 
 W_E6_ORDER = 51840

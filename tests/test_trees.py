@@ -14,15 +14,16 @@ from tangentia.trees import (
     CombType,
     _canon_partition,
     _set_partitions,
-    _strict_coarsenings,
+    _strict_refinements,
     enumerate_types,
     propagate_weights,
 )
 
 # ---------------------------------------------------------------------------
 # independent counting oracle: chains in the partition lattice, generated
-# from restricted growth strings and counted top-down (the implementation
-# builds bottom-up from block merges, so the two share no code path)
+# from restricted growth strings and counted top-down by a refinement test
+# on sets (the implementation splits canonical blocks, so the two share no
+# code path)
 # ---------------------------------------------------------------------------
 
 def _rgs_partitions(r):
@@ -113,6 +114,14 @@ def _canonical(part):
     return tuple(sorted(tuple(sorted(block)) for block in part))
 
 
+def _strict_coarsenings(partition):
+    """Partitions obtained by merging at least two blocks of ``partition``:
+    the step of the bottom-up build oracle below."""
+    for grouping in _set_partitions(partition):
+        if len(grouping) < len(partition):  # something merged
+            yield _canon_partition(sum(group, ()) for group in grouping)
+
+
 def test_strict_coarsenings_against_refinement_oracle():
     for r in range(1, 6):
         partitions = _rgs_partitions(r)
@@ -122,6 +131,21 @@ def test_strict_coarsenings_against_refinement_oracle():
             assert len(set(got)) == len(got), fine
             expected = {_canonical(q) for q in partitions if _strictly_refines(fine, q)}
             assert set(got) == expected, fine
+
+
+def test_strict_refinements_invert_the_coarsenings():
+    # over every partition of 1..r, r <= 6: sorted, no duplicates, and
+    # exactly the partitions that have it among their strict coarsenings
+    for r in range(1, MAX_LABELS + 1):
+        partitions = sorted(_canonical(p) for p in _rgs_partitions(r))
+        finer = {p: [] for p in partitions}
+        for p in partitions:
+            for q in _strict_coarsenings(p):
+                finer[q].append(p)
+        for q in partitions:
+            got = _strict_refinements(q)
+            assert list(got) == sorted(set(got)) == sorted(finer[q]), q
+    assert len(_strict_refinements(((1, 2, 3, 4, 5, 6),))) == 202  # Bell(6) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -162,10 +186,11 @@ def test_enumeration_matches_grow_then_filter_oracle(n, r):
 
 
 # ---------------------------------------------------------------------------
-# build oracle: the earlier enumerator, which recurses over (partition, steps
-# left) with no memo and no bound, then builds each type afterwards from its
-# chain with from_partition_chain; enumerate_types builds the trees inside
-# its memoised recursion instead
+# build oracle: an earlier enumerator, which recurses up from the discrete
+# partition over (partition, steps left) by coarsening, with no memo and no
+# bound, sorts the chains, then builds each type afterwards from its chain
+# with from_partition_chain; enumerate_types recurses down by refinement in
+# sorted order and builds the trees inside its memoised recursion instead
 # ---------------------------------------------------------------------------
 
 def _recursive_chains(p, steps):
@@ -185,16 +210,40 @@ def test_enumeration_matches_chain_then_build_oracle(n, r):
 
 
 def test_cells_past_the_last_step_walk_no_lattice(monkeypatch):
-    # r blocks reach one block in at most r - 1 steps: every cell with
-    # n > r - 1 is empty, and is known to be so before any coarsening
+    # one block reaches r blocks in at most r - 1 steps: every cell with
+    # n > r - 1 is empty, and is known to be so before any refinement
     def refuse(partition):
         raise AssertionError(f"walked the lattice from {partition}")
 
-    monkeypatch.setattr(trees, "_strict_coarsenings", refuse)
+    monkeypatch.setattr(trees, "_strict_refinements", refuse)
+    with pytest.raises(AssertionError, match="walked the lattice"):
+        enumerate_types(1, 2)  # the patch is the helper the recursion calls
     empty = [(n, r) for n, r in _ALL_CELLS if n > r - 1]
     assert {(6, 6), (5, 3), (1, 1)} <= set(empty)
     for n, r in empty:
         assert enumerate_types(n, r) == [], (n, r)
+
+
+def test_refinements_are_computed_once_per_partition_per_call(monkeypatch):
+    computed = []
+    refinements = trees._strict_refinements
+
+    def counted(partition):
+        computed.append(partition)
+        return refinements(partition)
+
+    monkeypatch.setattr(trees, "_strict_refinements", counted)
+    # every partition of 1..r with fewer than r blocks is refined, once
+    for n, r, distinct in [(5, 6, 202), (4, 6, 202), (2, 3, 4), (0, 1, 0)]:
+        computed.clear()
+        enumerate_types(n, r)
+        assert len(computed) == len(set(computed)) == distinct, (n, r)
+    # the memo dies with the call: a second call computes them afresh
+    computed.clear()
+    enumerate_types(3, 5)
+    enumerate_types(3, 5)
+    half = len(computed) // 2
+    assert half and computed[:half] == computed[half:] and len(set(computed)) == half
 
 
 def test_each_call_has_its_own_memo():
@@ -339,8 +388,10 @@ def test_arguments_are_read_as_integers():
     assert enumerate_types(True, 3) == enumerate_types(1, 3)
     assert enumerate_types(Fraction(3), 4) == enumerate_types(3, 4)
     assert all(type(t.n) is type(t.r) is int for t in enumerate_types(2.0, 3.0))
-    for n, r in ((2.5, 3), (2, 3.5), (Fraction(1, 2), 3), ("2", 3)):
-        with pytest.raises(ValueError, match="n and r must be integers"):
+    inf, nan = float("inf"), float("nan")
+    for n, r in ((2.5, 3), (2, 3.5), (Fraction(1, 2), 3), ("2", 3),
+                 (inf, 3), (-inf, 3), (nan, 3), (2, inf), (2, -inf), (2, nan)):
+        with pytest.raises(ValueError, match=re.escape(f"n and r must be integers, got {n!r}, {r!r}")):
             enumerate_types(n, r)
 
 
@@ -375,6 +426,13 @@ def test_weight_propagation_input_checks():
         propagate_weights(shape, [1, 2, 0])  # weights must be positive
     with pytest.raises(ValueError, match=r"^weights must be integers, got \[1\.9, 2, 3\]$"):
         propagate_weights(shape, [1.9, 2, 3])
+    # infinities and nan read as any other value that is not an integer
+    for weights in ([float("inf"), 2, 3], [1, 2, float("nan")]):
+        with pytest.raises(ValueError, match=re.escape(f"weights must be integers, got {weights!r}")):
+            propagate_weights(shape, weights)
+    for weights in ([float("-inf"), 2, 3], [-1.5, 2, 3]):
+        with pytest.raises(ValueError, match="^weights must be positive integers$"):
+            propagate_weights(shape, weights)
     # integral values are stored as ints
     bottom = propagate_weights(shape, [1.0, True, 3]).bottom
     assert bottom == (1, 1, 3) and all(type(w) is int for w in bottom)
