@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import re
-from itertools import combinations_with_replacement
 from operator import index
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -83,11 +82,15 @@ def tangency_degree(c: DivisorClass) -> int:
     return -pairing(c, CANONICAL)
 
 
+def _spend(a: int) -> int:
+    """a(a - 1)/2: what a point of multiplicity a takes from the genus, and,
+    at a = e - 1, the genus budget (e - 1)(e - 2)/2 of a plane curve of
+    degree e."""
+    return a * (a - 1) // 2
+
+
 def _genus(e: int, a: Sequence[int]) -> int:
-    g = (e - 1) * (e - 2) // 2
-    for ai in a:
-        g -= ai * (ai - 1) // 2
-    return g
+    return _spend(e - 1) - sum(map(_spend, a))
 
 
 def arithmetic_genus(c: DivisorClass) -> int:
@@ -164,39 +167,80 @@ class ClassTableRow(NamedTuple):
         return DivisorClass(self.e, self.a_multiset)
 
 
-# the search box holds C(d + 6, 6) multisets; larger degrees are refused up front
+# larger degrees are refused up front: the search keeps only prefixes that
+# still fit the genus budget, but the rows it returns grow like d^5 (3,669 at
+# d = 16, 11,905 at d = 20)
 MAX_CLASS_DEGREE = 20
+
+
+def _integer(value, name: str) -> int:
+    """``value`` read as ``DivisorClass`` reads a coefficient: 4.0 and True
+    are 4 and 1, and a value that is not integral raises ValueError."""
+    try:
+        number = int(value)
+    except (ValueError, OverflowError):  # nan, inf, or a string that is no number
+        number = None
+    if number != value:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return number
+
+
+def _least_spend(total: int, parts: int) -> int:
+    """The least spend of ``parts`` multiplicities summing to ``total``:
+    spend is convex, so the sum split as evenly as possible."""
+    q, r = divmod(total, parts)
+    return r * _spend(q + 1) + (parts - r) * _spend(q)
 
 
 def enumerate_classes(target_degree: int = 4) -> list[ClassTableRow]:
     """All unordered classes with tangency degree ``target_degree``, p_a >= 0.
 
-    The search box is 0 <= ai <= target_degree with e determined by
-    3e = target_degree + sum(ai); rows come back sorted by (e, multiset).
-    Bounded to target_degree <= MAX_CLASS_DEGREE, checked before the search.
-    A candidate is kept on the genus of :func:`arithmetic_genus`, computed by
-    the helper that function shares, so no ``DivisorClass`` is built for it.
-    For target degree 4 this is a census of 9 rows whose ordered classes
-    total 216 of genus 0 and 27 of genus 1.
+    For each e from ceil(d/3) to floor(7d/3), with d = ``target_degree``,
+    the multiplicities 0 <= a1 <= ... <= a6 <= d of sum 3e - d are grown one
+    part at a time, each spending ``_spend(ai)`` of the genus budget
+    ``_spend(e - 1)``.  A branch is cut once what it has spent plus the
+    least its remaining parts can spend (their sum split evenly) exceeds the
+    budget; that least is a valid completion, so every branch kept ends in
+    a row, and what is left of the budget is the row's genus.  Larger parts
+    are tried first, so a branch's next part stops at the first cut, and
+    each e's rows, reversed, come out in (e, multiset) order.  No
+    ``DivisorClass`` is built for a candidate.  The degree is read as
+    ``DivisorClass`` reads a coefficient (4.0 is 4, 2.5 raises ValueError)
+    and bounded to MAX_CLASS_DEGREE before the search.  For target degree 4
+    this is a census of 9 rows whose ordered classes total 216 of genus 0
+    and 27 of genus 1.
     """
-    if target_degree < 0:
+    d = _integer(target_degree, "target degree")
+    if d < 0:
         raise ValueError("target degree must be nonnegative")
-    if target_degree > MAX_CLASS_DEGREE:
+    if d > MAX_CLASS_DEGREE:
         raise ValueError(
-            f"class search is budgeted to degree <= {MAX_CLASS_DEGREE}, got {target_degree}"
+            f"class search is budgeted to degree <= {MAX_CLASS_DEGREE}, got {d}"
         )
+    found: list[tuple[tuple[int, ...], int]] = []  # (multiset, genus) for one e
+
+    def grow(prefix: tuple[int, ...], total: int, budget: int) -> bool:
+        """Complete the ascending ``prefix`` with parts in [prefix[-1], d]
+        summing to ``total`` within the genus ``budget`` left, largest next
+        part first; False if even the least spend exceeds the budget."""
+        parts = NUM_POINTS - len(prefix)
+        if not parts:
+            found.append((prefix, budget))
+            return True
+        if _least_spend(total, parts) > budget:
+            return False
+        low = max(prefix[-1] if prefix else 0, total - (parts - 1) * d)
+        for a in range(min(d, total // parts), low - 1, -1):
+            # spend(a) plus the least of the rest only grows as a falls
+            if not grow(prefix + (a,), total - a, budget - _spend(a)):
+                break
+        return True
+
     rows = []
-    for a in combinations_with_replacement(range(target_degree + 1), NUM_POINTS):
-        e, rem = divmod(target_degree + sum(a), 3)
-        if rem:
-            continue
-        genus = _genus(e, a)
-        if genus < 0:
-            continue
-        rows.append(
-            ClassTableRow(e=e, a_multiset=a, p_a=genus, ordered_count=ordered_count(a))
-        )
-    rows.sort(key=lambda r: (r.e, r.a_multiset))
+    for e in range(-(-d // 3), 7 * d // 3 + 1):
+        grow((), 3 * e - d, _spend(e - 1))
+        rows += [ClassTableRow(e, a, genus, ordered_count(a)) for a, genus in reversed(found)]
+        found.clear()
     return rows
 
 

@@ -19,9 +19,11 @@ memoised recursion down from the one-block partition, over (partition,
 steps left), that walks each partition's strict refinements in sorted order
 and builds each tree as it goes: a partition's vertex ids are fixed by its
 layer, and a block's parent is the vertex owning its labels one layer up,
-so each memo entry carries its chains' layers and parent links.  The chains
-come out in sorted order (top first) and each one's links sorted by child,
-so nothing is sorted afterwards.  Every refinement adds a block, so a
+so each memo entry carries its chains' layers and parent links.  A
+partition's refinements are the products of its blocks' set partitions,
+and each block's are made once per call, however many partitions hold it.
+The chains come out in sorted order (top first) and each one's links
+sorted by child, so nothing is sorted afterwards.  Every refinement adds a block, so a
 partition with k blocks reaches the discrete one in at most r - k steps,
 and a branch with more steps left ends before any refinement is made.  The
 chains count the types: none once n > r - 1, one for (n, r) = (0, 1) or
@@ -41,10 +43,11 @@ total contact order.
 from __future__ import annotations
 
 import functools
-from itertools import product
+from contextvars import ContextVar
+from itertools import chain, product
 from operator import index
 from types import MappingProxyType
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 MAX_LAYERS = 6
 MAX_LABELS = 6
@@ -58,27 +61,44 @@ def _canon_partition(blocks) -> Partition:
     return tuple(sorted(tuple(sorted(b)) for b in blocks))
 
 
-def _set_partitions(items: Sequence) -> Iterator[list[list]]:
-    """All set partitions of ``items``, by recursive insertion."""
-    items = list(items)
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for smaller in _set_partitions(rest):
-        for i in range(len(smaller)):
-            yield smaller[:i] + [[first] + smaller[i]] + smaller[i + 1 :]
-        yield [[first]] + smaller
+def _set_partitions(items: Sequence) -> list[list[list]]:
+    """All set partitions of ``items``: each item, last first, joins every
+    block of each partition of the items after it, or starts a block of its
+    own."""
+    partitions: list[list[list]] = [[]]
+    for first in reversed(items):
+        grown = []
+        for smaller in partitions:
+            for i in range(len(smaller)):
+                grown.append(smaller[:i] + [[first] + smaller[i]] + smaller[i + 1 :])
+            grown.append([[first]] + smaller)
+        partitions = grown
+    return partitions
+
+
+# block -> its canonical set partitions, for the enumerate_types call in
+# progress; None outside one, so a memo never outlives its call
+_SPLITS: ContextVar[dict[tuple[int, ...], list[Partition]] | None] = ContextVar(
+    "_SPLITS", default=None
+)
 
 
 def _strict_refinements(partition: Partition) -> tuple[Partition, ...]:
     """Partitions obtained by splitting at least one block of ``partition``,
-    canonical and in sorted order."""
+    canonical and in sorted order.  Each block's canonical set partitions
+    are made once per :func:`enumerate_types` call and read from its memo
+    by every partition that holds the block."""
+    splits = _SPLITS.get()
+    if splits is None:
+        splits = {}
+    for block in partition:
+        if block not in splits:
+            splits[block] = [_canon_partition(s) for s in _set_partitions(block)]
     out = []
-    for split in product(*map(_set_partitions, partition)):
+    for split in product(*map(splits.__getitem__, partition)):
         blocks = [block for parts in split for block in parts]
         if len(blocks) > len(partition):  # something split
-            out.append(_canon_partition(blocks))
+            out.append(tuple(sorted(blocks)))
     return tuple(sorted(out))
 
 
@@ -96,7 +116,9 @@ class CombType(_CombFields):
     ``layers[j - 1]`` holds the vertex ids of layer j, ``parents`` maps each
     non-top vertex to its parent, and ``leaf_order[i]`` is the bottom vertex
     labeled i + 1.  Construction, on every path (``_make`` and ``_replace``
-    included), only checks that the ids are coherent; whether the axioms
+    included), only checks that the ids are coherent, by set operations:
+    the layers' ids are distinct (the first repeat is named), and the
+    parent links and the leaf order use only those ids.  Whether the axioms
     hold is the business of :meth:`violations`, so that broken candidates
     can be built and diagnosed.
 
@@ -109,25 +131,24 @@ class CombType(_CombFields):
     instance, neither a field nor a derived map.
     """
 
-    def __new__(cls, *args, **kwargs) -> CombType:
-        self = super().__new__(cls, *args, **kwargs)
-        if self.n < 0 or self.r < 1:
+    def __new__(cls, n: int, r: int, layers: tuple[tuple[str, ...], ...],
+                parents: tuple[tuple[str, str], ...], leaf_order: tuple[str, ...]) -> CombType:
+        if n < 0 or r < 1:
             raise ValueError("need n >= 0 and r >= 1")
-        if len(self.layers) != self.n + 1:
-            raise ValueError(f"expected {self.n + 1} layers, got {len(self.layers)}")
-        seen: set[str] = set()
-        for layer in self.layers:
-            for v in layer:
+        if len(layers) != n + 1:
+            raise ValueError(f"expected {n + 1} layers, got {len(layers)}")
+        ids = set().union(*layers)
+        if len(ids) != sum(map(len, layers)):
+            seen: set[str] = set()
+            for v in chain.from_iterable(layers):  # name the first repeat
                 if v in seen:
                     raise ValueError(f"duplicate vertex id {v!r}")
                 seen.add(v)
-        for child, parent in self.parents:
-            if child not in seen or parent not in seen:
-                raise ValueError("parent table mentions an unknown vertex")
-        for v in self.leaf_order:
-            if v not in seen:
-                raise ValueError("leaf order mentions an unknown vertex")
-        return self
+        if not ids.issuperset(chain.from_iterable(parents)):
+            raise ValueError("parent table mentions an unknown vertex")
+        if not ids.issuperset(leaf_order):
+            raise ValueError("leaf order mentions an unknown vertex")
+        return tuple.__new__(cls, (n, r, layers, parents, leaf_order))
 
     @classmethod
     def _make(cls, iterable) -> CombType:
@@ -241,9 +262,10 @@ def enumerate_types(n: int, r: int) -> list[CombType]:
 
     The trees are built inside one recursion down from the one-block
     partition over (partition, steps left), memoised for this call only like
-    the refinements it walks; walked in sorted order, they yield the chains
-    sorted.  A partition more than its steps left short of r blocks ends at
-    once, so a cell with n > r - 1 is empty without a lattice walk.  Every
+    the refinements it walks and the blocks' set partitions those are made
+    of; walked in sorted order, they yield the chains sorted.  A partition
+    more than its steps left short of r blocks ends at once, so a cell with
+    n > r - 1 is empty without a lattice walk.  Every
     type still passes the :class:`CombType` constructor's checks."""
     try:
         ints = int(n), int(r)
@@ -284,7 +306,11 @@ def enumerate_types(n: int, r: int) -> list[CombType]:
         return tuple(out)
 
     top = (tuple(range(1, r + 1)),)
-    return [CombType(n, r, layers, links, names[n]) for layers, links in down(top, n)]
+    token = _SPLITS.set({})  # the block splits memo of this call
+    try:
+        return [CombType(n, r, layers, links, names[n]) for layers, links in down(top, n)]
+    finally:
+        _SPLITS.reset(token)
 
 
 class WeightedCombType(NamedTuple):

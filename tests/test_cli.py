@@ -132,6 +132,13 @@ def test_torsion_solve_json(capsys):
     assert sorted(strata).count("T3") == 12
 
 
+@pytest.mark.parametrize("fmt", [(), ("--json",)], ids=["text", "json"])
+def test_repeated_class_terms_add_up(capsys, fmt):
+    repeated = run(capsys, "torsion", "--solve", "--class", "H-E1-E1", *fmt)
+    assert repeated == run(capsys, "torsion", "--solve", "--class", "H-2E1", *fmt)
+    assert repeated[0] == 0 and "H-2E1" in repeated[1] and "E1-E1" not in repeated[1]
+
+
 def test_classes_csv(capsys):
     code, out, _ = run(capsys, "classes", "--degree", "4", "--csv")
     lines = out.splitlines()
@@ -571,7 +578,7 @@ def _refuse(*args):
 
 
 @pytest.mark.parametrize("argv, module, heavy, message", [
-    (("classes", "--degree", "21"), lattice, "combinations_with_replacement",
+    (("classes", "--degree", "21"), lattice, "_least_spend",
      "class search is budgeted to degree <= 20, got 21"),
     (("instantons", "--w", "3", "--dmax", "1001"), covers, "binomial",
      "instanton numbers are budgeted to dmax <= 1000, got 1001"),

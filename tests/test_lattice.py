@@ -1,4 +1,5 @@
 import operator
+import re
 from itertools import combinations_with_replacement, permutations
 
 import pytest
@@ -83,6 +84,13 @@ def test_parse_class_literal_values():
     c = parse_class_literal("4H-E1-E2-2E3")
     assert (c.e, c.a) == (4, (1, 1, 2, 0, 0, 0))
     assert parse_class_literal("2H - E1 - E2") == CONIC
+
+
+def test_repeated_terms_of_a_class_literal_add_up():
+    twice = parse_class_literal("H-E1-E1")
+    assert twice == parse_class_literal("H-2E1") == DivisorClass(1, (2, 0, 0, 0, 0, 0))
+    assert parse_class_literal("2H+H-E3-E3-E3") == parse_class_literal("3H-3E3")
+    assert parse_class_literal("H-E1+E1") == H
 
 
 def test_parse_class_literal_rejects_junk():
@@ -253,6 +261,70 @@ def test_class_search_builds_no_divisor_class(monkeypatch):
     rows = enumerate_classes(16)
     assert len(rows) == 3669 and len(built) == 1
     assert rows[0].representative == DivisorClass(*rows[0][:2]) and len(built) == 3
+
+
+def _classes_by_box_walk(d):
+    """The earlier search: every multiset of the box 0 <= ai <= d is drawn,
+    e read off 3e = d + sum(a), and the genus checked on the candidates of
+    the right residue."""
+    rows = []
+    for a in combinations_with_replacement(range(d + 1), 6):
+        e, rem = divmod(d + sum(a), 3)
+        if rem:
+            continue
+        genus = (e - 1) * (e - 2) // 2 - sum(x * (x - 1) // 2 for x in a)
+        if genus >= 0:
+            rows.append(lattice.ClassTableRow(e, a, genus, ordered_count(a)))
+    rows.sort(key=lambda r: (r.e, r.a_multiset))
+    return rows
+
+
+@pytest.mark.parametrize("degree", range(0, lattice.MAX_CLASS_DEGREE + 1))
+def test_enumerate_classes_against_box_walk_oracle(degree):
+    assert enumerate_classes(degree) == _classes_by_box_walk(degree)
+
+
+def test_least_spend_against_every_split():
+    for parts in range(1, 5):
+        for total in range(0, 13):
+            least = min(
+                sum(x * (x - 1) // 2 for x in split)
+                for split in combinations_with_replacement(range(total + 1), parts)
+                if sum(split) == total
+            )
+            assert lattice._least_spend(total, parts) == least, (total, parts)
+
+
+def test_class_search_prunes_by_the_genus_budget(monkeypatch):
+    calls = []
+    least = lattice._least_spend
+
+    def counted(total, parts):
+        calls.append((total, parts))
+        return least(total, parts)
+
+    monkeypatch.setattr(lattice, "_least_spend", counted)
+    rows = enumerate_classes(16)
+    # the box walk scores every multiset of the right residue
+    scored = sum(1 for a in combinations_with_replacement(range(17), 6) if sum(a) % 3 == 2)
+    assert scored == 24864 and len(rows) == 3669
+    assert 0 < len(calls) < scored / 3
+
+
+def test_class_search_reads_its_degree_as_an_integer():
+    # the DivisorClass rule, checked before the budget
+    assert enumerate_classes(4.0) == enumerate_classes(4)
+    assert enumerate_classes(True) == enumerate_classes(1)
+    assert all(type(r.e) is int for r in enumerate_classes(3.0))
+    inf, nan = float("inf"), float("nan")
+    for value in (2.5, inf, -inf, nan, "4", "four", 20.5):
+        message = f"target degree must be an integer, got {value!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            enumerate_classes(value)
+    with pytest.raises(ValueError, match=r"^class search is budgeted to degree <= 20, got 21$"):
+        enumerate_classes(21.0)
+    with pytest.raises(ValueError, match=r"^target degree must be nonnegative$"):
+        enumerate_classes(-1.0)
 
 
 W_E6_ORDER = 51840

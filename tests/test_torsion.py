@@ -372,6 +372,32 @@ def test_solve_division_budget():
         solve_division(ZERO, MAX_DIVISION_ORDER + 1)
 
 
+_NOT_INTEGERS = [2.5, float("inf"), float("-inf"), float("nan"), "2", "two"]
+
+
+def test_sizes_are_read_as_integers():
+    # the DivisorClass rule: an integral value reads as an int, checked
+    # before the budgets
+    c = P(Fraction(1, 3), 0)
+    assert torsion_points(2.0) == torsion_points(2)
+    assert torsion_points(True) == [ZERO]
+    assert solve_division(c, 4.0) == solve_division(c, 4)
+    assert solve_division(c, True) == [c]
+    for value in _NOT_INTEGERS + [1.5]:
+        with pytest.raises(ValueError, match=re.escape(f"n must be an integer, got {value!r}")):
+            torsion_points(value)
+        with pytest.raises(ValueError, match=re.escape(f"m must be an integer, got {value!r}")):
+            solve_division(c, value)
+    with pytest.raises(ValueError, match=r"^n must be positive, got 0$"):
+        torsion_points(0.0)
+    with pytest.raises(ValueError, match=r"^m must be positive, got 0$"):
+        solve_division(c, 0.0)
+    with pytest.raises(ValueError, match=r"^division is budgeted to m <= 256, got 257$"):
+        solve_division(c, 257.0)
+    with pytest.raises(ValueError, match=r"^m must be an integer, got 256\.5$"):
+        solve_division(c, 256.5)
+
+
 def _division_oracle(c, m):
     # in Fractions, then sorted: x = (c.x + i) / m, y = (c.y + j) / m
     return sorted(P((c.x + i) / m, (c.y + j) / m) for i in range(m) for j in range(m))

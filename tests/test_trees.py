@@ -632,3 +632,58 @@ def test_constructor_rejects_malformed_structures():
             parents=(("2:0", "ghost"),),
             leaf_order=("2:0",),
         )
+
+
+_MALFORMED = [
+    (dict(n=-1, r=1, layers=(), parents=(), leaf_order=()), "need n >= 0 and r >= 1"),
+    (dict(n=0, r=0, layers=(("1:0",),), parents=(), leaf_order=("1:0",)), "need n >= 0 and r >= 1"),
+    (dict(n=1, r=1, layers=(("1:0",),), parents=(), leaf_order=("1:0",)),
+     "expected 2 layers, got 1"),
+    (dict(n=2, r=1, layers=(("v",), ("v",)), parents=(("u", "v"),), leaf_order=("u",)),
+     "expected 3 layers, got 2"),
+    (dict(n=1, r=2, layers=(("v",), ("w", "v")), parents=(), leaf_order=("w",)),
+     "duplicate vertex id 'v'"),
+    (dict(n=1, r=2, layers=(("a", "b"), ("b", "a")), parents=(("x", "y"),), leaf_order=("z",)),
+     "duplicate vertex id 'b'"),
+    (dict(n=0, r=2, layers=(("u", "w", "u"),), parents=(), leaf_order=("u", "w")),
+     "duplicate vertex id 'u'"),
+    (dict(n=1, r=1, layers=(("1:0",), ("2:0",)), parents=(("2:0", "ghost"),), leaf_order=("9:9",)),
+     "parent table mentions an unknown vertex"),
+    (dict(n=1, r=1, layers=(("1:0",), ("2:0",)), parents=(("ghost", "1:0"),), leaf_order=("2:0",)),
+     "parent table mentions an unknown vertex"),
+    (dict(n=1, r=1, layers=(("1:0",), ("2:0",)), parents=(("2:0", "1:0"),), leaf_order=("2:9",)),
+     "leaf order mentions an unknown vertex"),
+]
+
+
+@pytest.mark.parametrize("fields, message", _MALFORMED, ids=[
+    "negative-n", "zero-r", "too-few-layers", "too-few-layers-before-duplicate",
+    "duplicate-across-layers", "first-duplicate-named", "duplicate-in-a-layer",
+    "unknown-parent", "unknown-child", "unknown-leaf"])
+def test_constructor_errors_are_the_same_on_every_path(fields, message):
+    # the exact text, whichever way the fields arrive
+    base = enumerate_types(1, 2)[0]
+    for build in (lambda: CombType(*fields.values()), lambda: CombType(**fields),
+                  lambda: CombType._make(fields.values()), lambda: base._replace(**fields)):
+        with pytest.raises(ValueError) as caught:
+            build()
+        assert str(caught.value) == message
+
+
+def test_block_splits_are_generated_once_per_block_per_call(monkeypatch):
+    entries = []
+    real = trees._set_partitions
+
+    def counted(items):
+        entries.append(tuple(items))
+        return real(items)
+
+    monkeypatch.setattr(trees, "_set_partitions", counted)
+    assert [len(p) for p in trees._set_partitions((1, 2, 3))] == [1, 2, 2, 2, 3]
+    assert entries == [(1, 2, 3)]  # one entry per partitioned block, however large
+    entries.clear()
+    types = enumerate_types(4, 6)
+    # every nonempty subset of 1..6 is a block of some refined partition
+    assert len(types) == 4245 and len(entries) == len(set(entries)) == 2 ** 6 - 1
+    enumerate_types(4, 6)  # the memo dies with the call: the same blocks again
+    assert entries[63:] == entries[:63]
