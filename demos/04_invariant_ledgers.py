@@ -31,8 +31,9 @@ for degree in (1, 2, 3, 4):
 # ---------------------------------------------------------------------------
 
 # at a flex, a quartic can degenerate to the tangent line plus a nodal
-# cubic sharing the contact point; contact orders 3 and 9, and the two
-# pieces meet there with (C1.C2)_P = 3, so the pair counts min = 3
+# cubic sharing the contact point; contact orders 3 and 9.  The census
+# derives (C1.C2)_P = 3 from two bounds: at least min(3, 9), as both pieces
+# are smooth there, and at most 1 * 3 by Bezout; so the pair counts min = 3
 print(f"pair_contribution(3, 9, 3) = {pair_contribution(3, 9, 3)}")
 
 # the rule holds only when (C1.C2)_P = min(3, 9); a transversal meeting,

@@ -5,7 +5,7 @@ points: per point, immersed curves count 1, d-fold covers of a lower
 degree-b member count M_{3b}[d/b], and a reducible pair C1 + C2 glued at
 the contact point P counts the smaller of its two contact orders.  That
 pair rule holds when (C1.C2)_P equals the smaller order, which
-:func:`pair_contribution` checks against the number the census records;
+:func:`pair_contribution` checks against the number the census derives;
 its other hypotheses hold by construction (the census pieces are immersed
 and meet the cubic only at P, and (plane, cubic) is log Calabi-Yau).  The
 ledger produced by :func:`assemble_invariant` makes every line of that
@@ -165,20 +165,16 @@ def assemble_invariant(degree: int) -> GwLedger:
     Raises :class:`AssemblyMismatch`, carrying the ledger, if the total
     disagrees.
     """
-    lines = []
-    for label in census_strata(degree):
-        entry = boundary_census(degree, label)
-        for comp in entry.components:
-            lines.append(
-                LedgerLine(
-                    label,
-                    entry.points,
-                    _per_point(comp, multiple_cover),
-                    _provenance(degree, label, comp),
-                )
-            )
+    entries = [boundary_census(degree, label) for label in census_strata(degree)]
+    degree = entries[0].degree  # read by the census as an integer: 4.0 is 4
+    lines = tuple(
+        LedgerLine(e.stratum, e.points, _per_point(comp, multiple_cover),
+                   _provenance(degree, e.stratum, comp))
+        for e in entries
+        for comp in e.components
+    )
     note = DEGREE_4_MISPRINT_NOTE if degree == 4 else None
-    ledger = GwLedger(degree, tuple(lines), reference_invariant(degree), note)
+    ledger = GwLedger(degree, lines, reference_invariant(degree), note)
     if ledger.total != ledger.reference:
         raise AssemblyMismatch(ledger)
     return ledger
@@ -190,8 +186,9 @@ def local_invariant(degree: int) -> Fraction:
 
     Values: K_1 = 3, K_2 = -45/8, K_3 = 244/9, K_4 = -12333/64.
     """
-    sign = -1 if degree % 2 == 0 else 1
-    return sign * assemble_invariant(degree).total / (3 * degree)
+    ledger = assemble_invariant(degree)
+    sign = -1 if ledger.degree % 2 == 0 else 1
+    return sign * ledger.total / (3 * ledger.degree)
 
 
 def instanton_census(stratum) -> int:

@@ -19,16 +19,20 @@ feed :func:`aggregate_N`, and dividing by three times the stratum size
 plane) gives the immersed quartic counts per point.
 
 The census tables only what it cannot derive: the immersed curves of
-degrees 1 to 3 and the degree-4 pair.  Two rules give the rest: each
-entry of degree d starts with a k-fold cover of every immersed curve of
-degree d/k at the same point, and each degree-4 entry ends with the
-immersed quartics, :func:`count_M4` of its stratum.
+degrees 1 to 3.  Three rules read their count at the same point per lower
+degree: an entry of degree d starts with a k-fold cover of every immersed
+curve of degree d/k, then holds the pairs C1 + C2 of immersed curves of
+degrees d1 <= d2 with d1 + d2 = d, and in degree 4 ends with the immersed
+quartics, :func:`count_M4` of its stratum.
 
-Of the pair rule's hypotheses, one is a number: each pair records
-(C1.C2)_P, the local intersection of its two pieces at the contact point,
-and the rule checks it.  The others hold by construction: both pieces meet
-the cubic only at that point, and they are immersed, since the degree-4
-census is refused for the special cubic, whose pairs would carry a cusp.
+A pair's hypothesis (C1.C2)_P = min(D.C1, D.C2) = 3*d1 is derived from
+two bounds.  Each piece is smooth at the contact point P, and contact
+order between smooth branches is ultrametric, so (C1.C2)_P >= 3*d1;
+Bezout gives (C1.C2)_P <= d1*d2.  Where the lower bound is larger no such
+pair exists; up to degree 4 the bounds meet only for the split (1, 3), the
+tangent line plus a nodal cubic at a flex.  Both pieces meet the cubic
+only at P, and they are immersed, since the degree-4 census is refused
+for the special cubic, whose pairs would carry a cusp.
 """
 from __future__ import annotations
 
@@ -37,7 +41,7 @@ from operator import index
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Optional, Union
 
-from .lattice import enumerate_classes
+from .lattice import _integer, enumerate_classes
 from .torsion import Stratum, stratify, stratum_sizes, torsion_points
 
 # census-only stratum label for the 72 points of exact order 9 (degree 3)
@@ -217,25 +221,16 @@ class CensusEntry(NamedTuple):
     special_cubic: bool = False
 
 
-_NODAL_CUBICS_AT_FLEX = euler_budget(CHI_SURFACE, CHI_TRIPLE_TANGENT_LINE)
-
-# (degree, stratum label) -> the components per point that no rule derives.
-# boundary_census puts a k-fold cover of each tabled immersed curve of degree
-# d/k first and, in degree 4, the count_M4 immersed quartics last; an entry of
-# derived curves only is empty, so the strata are still read off the keys.
-# The pair is the tangent line (contact 3) plus a nodal cubic (contact 9) at
-# the flex, meeting there with (C1.C2)_P = 3.
+# (degree, stratum label) -> the immersed curves per point that no rule
+# derives; boundary_census derives the covers, pairs and quartics from them.
+# An entry of derived curves only is empty, so the strata are read off the keys.
 _CENSUS = {
     (1, "T1"): (Component(IMMERSED, 1),),
     (2, "T1"): (),
     (2, "T2"): (Component(IMMERSED, 1),),
-    (3, "T1"): (Component(IMMERSED, _NODAL_CUBICS_AT_FLEX),),
-    (3, NONFLEX_NINE): (
-        Component(IMMERSED, euler_budget(CHI_SURFACE, CHI_CUBIC_NONFLEX_SPECIAL)),
-    ),
-    (4, "T1"): (
-        Component(PAIR, _NODAL_CUBICS_AT_FLEX, tangencies=(3, 9), meeting_at_p=3),
-    ),
+    (3, "T1"): (Component(IMMERSED, euler_budget(CHI_SURFACE, CHI_TRIPLE_TANGENT_LINE)),),
+    (3, NONFLEX_NINE): (Component(IMMERSED, euler_budget(CHI_SURFACE, CHI_CUBIC_NONFLEX_SPECIAL)),),
+    (4, "T1"): (),
     (4, "T2"): (),
     (4, "T3"): (),
 }
@@ -246,7 +241,8 @@ _SPECIAL_CUBIC_CENSUS = {**_CENSUS, (3, "T1"): (Component(CUSPIDAL, 1),)}
 
 
 def census_strata(degree: int) -> tuple[str, ...]:
-    """Stratum labels that carry curves of the given degree."""
+    """Stratum labels that carry curves of the given degree (4.0 reads as 4)."""
+    degree = _integer(degree, "degree")
     strata = tuple(label for d, label in _CENSUS if d == degree)
     if not strata:
         raise ValueError(f"census covers degrees 1..4, got {degree}")
@@ -270,6 +266,7 @@ def boundary_census(
     cubics); it only alters degree 3 at T1, and degree 4 is refused under
     the flag because its line-plus-cubic pairs inherit the cusp.
     """
+    degree = _integer(degree, "degree")
     label = stratum.value if isinstance(stratum, Stratum) else str(stratum)
     valid = census_strata(degree)
     if label not in valid:
@@ -283,22 +280,26 @@ def boundary_census(
             "its line-plus-cubic pairs involve a cuspidal member"
         )
     table = _SPECIAL_CUBIC_CENSUS if special_cubic else _CENSUS
-    # a cover has degree k * (d/k) = d by construction; only degree 4 reaches
-    # the class table
+    # the tabled immersed count at this point per lower degree, read by the
+    # cover and pair rules; only degree 4 reaches the class table
+    immersed = {b: c.count for b in range(1, degree)
+                for c in table.get((b, label), ()) if c.kind == IMMERSED}
     covers = tuple(
-        Component(COVER, base.count, base_degree=degree // k, multiplicity=k)
+        Component(COVER, immersed[degree // k], base_degree=degree // k, multiplicity=k)
         for k in range(degree, 1, -1)
-        if degree % k == 0
-        for base in table.get((degree // k, label), ())
-        if base.kind == IMMERSED
+        if degree % k == 0 and degree // k in immersed
     )
+    pairs = ()  # where the bounds 3*d1 <= (C1.C2)_P <= d1*d2 meet
+    for d1 in range(1, degree // 2 + 1):
+        d2 = degree - d1
+        if d1 in immersed and d2 in immersed and 3 * d1 <= d1 * d2:
+            if 3 * d1 < d1 * d2:
+                raise ArithmeticError(f"the bounds leave (C1.C2)_P of a degree "
+                                      f"{d1} + {d2} pair undetermined: {3 * d1} to {d1 * d2}")
+            pairs += (Component(PAIR, immersed[d1] * immersed[d2],
+                                tangencies=(3 * d1, 3 * d2), meeting_at_p=3 * d1),)
     quartics = (Component(IMMERSED, count_M4(label)),) if degree == 4 else ()
-    components = covers + table[degree, label] + quartics
-    for comp in components:
-        if comp.kind == PAIR and sum(comp.tangencies) != 3 * degree:
-            raise ValueError(
-                f"pair contact orders {comp.tangencies} do not add up to {3 * degree}"
-            )
+    components = covers + pairs + table[degree, label] + quartics
     return CensusEntry(
         degree, label, stratum_point_count(label), components, special_cubic
     )

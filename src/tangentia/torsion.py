@@ -51,12 +51,14 @@ class TorsionPoint:
 
     ``TorsionPoint(x, y)`` takes ints, ``Fraction``s or strings such as
     ``"1/3"`` mod 1, but no float (inexact); ``TorsionPoint(a, b, n)`` is
-    (a/n, b/n).  Only an integer k makes a group multiple k * P.
+    (a/n, b/n), with n read as ``DivisorClass`` reads a coefficient (3.0 is
+    3).  Only an integer k makes a group multiple k * P.
     """
 
     __slots__ = ("a", "b", "n")
 
     def __new__(cls, x, y, n: int = 1) -> TorsionPoint:
+        n = _integer(n, "n")
         if n < 1:
             raise ValueError(f"n must be positive, got {n}")
         if isinstance(x, float) or isinstance(y, float):  # rarely the rational meant

@@ -43,7 +43,6 @@ total contact order.
 from __future__ import annotations
 
 import functools
-from contextvars import ContextVar
 from itertools import chain, product
 from operator import index
 from types import MappingProxyType
@@ -76,21 +75,13 @@ def _set_partitions(items: Sequence) -> list[list[list]]:
     return partitions
 
 
-# block -> its canonical set partitions, for the enumerate_types call in
-# progress; None outside one, so a memo never outlives its call
-_SPLITS: ContextVar[dict[tuple[int, ...], list[Partition]] | None] = ContextVar(
-    "_SPLITS", default=None
-)
-
-
-def _strict_refinements(partition: Partition) -> tuple[Partition, ...]:
+def _strict_refinements(
+    partition: Partition, splits: dict[tuple[int, ...], list[Partition]]
+) -> tuple[Partition, ...]:
     """Partitions obtained by splitting at least one block of ``partition``,
-    canonical and in sorted order.  Each block's canonical set partitions
-    are made once per :func:`enumerate_types` call and read from its memo
-    by every partition that holds the block."""
-    splits = _SPLITS.get()
-    if splits is None:
-        splits = {}
+    canonical and in sorted order.  ``splits`` maps a block to its canonical
+    set partitions; each is made once, on first need, and read by every
+    partition that holds the block."""
     for block in partition:
         if block not in splits:
             splits[block] = [_canon_partition(s) for s in _set_partitions(block)]
@@ -283,7 +274,8 @@ def enumerate_types(n: int, r: int) -> list[CombType]:
     # the vertex ids of each layer; "j:i" has one digit each under the budget,
     # so string order is (j, i) order and links built by layer come out sorted
     names = [tuple(f"{j}:{i}" for i in range(r)) for j in range(1, n + 2)]
-    refinements = functools.cache(_strict_refinements)  # one memo per call, like down's
+    splits: dict = {}  # block -> its canonical set partitions, for this call only
+    refinements = functools.cache(lambda q: _strict_refinements(q, splits))  # like down's
 
     @functools.cache  # one memo per call: it dies with this frame
     def down(q: Partition, steps: int) -> tuple[_Chain, ...]:
@@ -306,11 +298,7 @@ def enumerate_types(n: int, r: int) -> list[CombType]:
         return tuple(out)
 
     top = (tuple(range(1, r + 1)),)
-    token = _SPLITS.set({})  # the block splits memo of this call
-    try:
-        return [CombType(n, r, layers, links, names[n]) for layers, links in down(top, n)]
-    finally:
-        _SPLITS.reset(token)
+    return [CombType(n, r, layers, links, names[n]) for layers, links in down(top, n)]
 
 
 class WeightedCombType(NamedTuple):

@@ -145,6 +145,20 @@ def test_local_invariant_comes_from_the_ledger(monkeypatch):
         local_invariant(1)
 
 
+def test_the_degree_is_read_as_an_integer():
+    # through the census's integer rule: 2.0 is 2 and the ledger stores an
+    # int; a value that is not integral raises ValueError, not TypeError
+    for value, degree in [(2.0, 2), (4.0, 4), (True, 1)]:
+        ledger = assemble_invariant(value)
+        assert ledger == assemble_invariant(degree) and type(ledger.degree) is int
+        assert local_invariant(value) == local_invariant(degree)
+        assert type(local_invariant(value)) is Fraction
+    for value in [2.5, float("inf"), float("nan"), "4"]:
+        for call in (assemble_invariant, local_invariant):
+            with pytest.raises(ValueError, match="degree must be an integer"):
+                call(value)
+
+
 def test_local_invariant_sign_reconstruction():
     for d in (1, 2, 3, 4):
         sign = -1 if d % 2 == 0 else 1

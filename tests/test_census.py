@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from tangentia import census
+from tangentia.assembly import pair_contribution
 from tangentia.census import (
     CHI_CUBIC_NONFLEX_SPECIAL,
     CHI_QUARTIC_ORDER2_SPECIAL,
@@ -236,14 +237,56 @@ def test_component_refuses_bad_field_values(args, fields, message):
         valid._replace(count=args[1], **fields)
 
 
-@pytest.mark.parametrize("key, component, message", [
-    ((4, "T3"), Component(PAIR, 1, tangencies=(3, 6), meeting_at_p=3),
-     r"pair contact orders \(3, 6\) do not add up to 12"),
-], ids=["pair"])
-def test_boundary_census_checks_each_shapes_degree(monkeypatch, key, component, message):
-    monkeypatch.setitem(census._CENSUS, key, (component,))
-    with pytest.raises(ValueError, match=message):
-        boundary_census(*key)
+def test_pairs_are_derived_where_the_bounds_meet():
+    # every split d1 <= d2 of d <= 4 at every stratum: a pair exists exactly
+    # when both pieces are tabled immersed curves there and the bounds
+    # 3*d1 <= (C1.C2)_P <= d1*d2 meet; it sums to 3d and the pair rule takes it
+    def tabled(b, label):
+        return [c.count for c in census._CENSUS.get((b, label), ()) if c.kind == IMMERSED]
+
+    seen = []
+    for d in (1, 2, 3, 4):
+        for label in census_strata(d):
+            pairs = {c.tangencies: c for c in boundary_census(d, label).components
+                     if c.kind == PAIR}
+            for d1 in range(1, d // 2 + 1):
+                d2 = d - d1
+                pieces = tabled(d1, label) + tabled(d2, label)
+                pair = pairs.pop((3 * d1, 3 * d2), None)
+                assert (pair is not None) == (len(pieces) == 2 and 3 * d1 == d1 * d2)
+                if pair is not None:
+                    assert pair.count == pieces[0] * pieces[1]
+                    assert pair.meeting_at_p == 3 * d1 == min(pair.tangencies)
+                    assert sum(pair.tangencies) == 3 * d
+                    assert pair_contribution(*pair.tangencies, pair.meeting_at_p) == 3 * d1
+                    seen.append((d, label, pair.count))
+            assert not pairs, (d, label)
+    assert seen == [(4, "T1", 2)]
+    assert not any(c.kind == PAIR for row in census._CENSUS.values() for c in row)
+
+
+def test_a_pair_the_bounds_leave_undetermined_is_refused(monkeypatch):
+    # a tabled quartic at a flex would pair with the tangent line in degree 5,
+    # where 3 <= (C1.C2)_P <= 4 fixes nothing
+    monkeypatch.setitem(census._CENSUS, (4, "T1"), (Component(IMMERSED, 1),))
+    monkeypatch.setitem(census._CENSUS, (5, "T1"), ())
+    with pytest.raises(ArithmeticError, match=r"degree 1 \+ 4 pair undetermined: 3 to 4"):
+        boundary_census(5, "T1")
+
+
+def test_the_degree_is_read_as_an_integer():
+    # the DivisorClass rule: an integral value reads as an int
+    for value, degree in [(4.0, 4), (True, 1), (Fraction(2), 2)]:
+        assert census_strata(value) == census_strata(degree)
+        label = census_strata(degree)[0]
+        entry = boundary_census(value, label)
+        assert entry == boundary_census(degree, label)
+        assert type(entry.degree) is int
+    for value in [2.5, float("inf"), float("nan"), "4"]:
+        with pytest.raises(ValueError, match="degree must be an integer"):
+            boundary_census(value, "T1")
+        with pytest.raises(ValueError, match="degree must be an integer"):
+            census_strata(value)
 
 
 # every component of every entry, field by field: (kind, count, base_degree,

@@ -7,6 +7,7 @@ at run time.  Imports inside functions (the CLI handlers, the package's
 lazily resolved names) are covered by ``tests/test_cold_start.py``.
 """
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -98,17 +99,33 @@ def test_leaf_layers_import_nothing_even_lazily(name):
 DATACLASS_MODULES = set()
 
 
-def _imports_dataclasses(name):
+def _imports_module(name, stdlib):
     for node in ast.walk(ast.Module(body=_body(name), type_ignores=[])):
-        if isinstance(node, ast.Import) and any(a.name == "dataclasses" for a in node.names):
+        if isinstance(node, ast.Import) and any(a.name == stdlib for a in node.names):
             return True
-        if isinstance(node, ast.ImportFrom) and node.module == "dataclasses":
+        if isinstance(node, ast.ImportFrom) and node.module == stdlib:
             return True
     return False
 
 
 def test_only_the_pinned_modules_import_dataclasses():
-    assert {name for name in LAYERS if _imports_dataclasses(name)} == DATACLASS_MODULES
+    assert {name for name in LAYERS if _imports_module(name, "dataclasses")} == DATACLASS_MODULES
+
+
+# the only module-level memos: functools caches of derived read-only tables.
+# A memo that serves one call lives in that call, not in a module global.
+MODULE_CACHES = {"torsion.stratum_sizes", "census.quadrisection_split", "census.aggregate_N"}
+
+
+def test_the_only_module_level_state_is_the_pinned_caches():
+    cached = set()
+    for name in LAYERS:
+        module = importlib.import_module("tangentia" if name == "__init__" else f"tangentia.{name}")
+        for value in vars(module).values():
+            if hasattr(value, "cache_info"):  # keyed where defined, so re-exports count once
+                cached.add(f"{value.__module__.rpartition('.')[2]}.{value.__qualname__}")
+    assert cached == MODULE_CACHES
+    assert not [name for name in LAYERS if _imports_module(name, "contextvars")]
 
 
 def test_the_scan_sees_through_blocks_but_not_type_checking_or_functions():

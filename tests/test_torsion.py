@@ -383,7 +383,10 @@ def test_sizes_are_read_as_integers():
     assert torsion_points(True) == [ZERO]
     assert solve_division(c, 4.0) == solve_division(c, 4)
     assert solve_division(c, True) == [c]
-    for value in _NOT_INTEGERS + [1.5]:
+    assert TorsionPoint(1, 0, 3.0) == TorsionPoint(1, 0, 3) == c
+    for value in _NOT_INTEGERS + [1.5, "3"]:
+        with pytest.raises(ValueError, match=re.escape(f"n must be an integer, got {value!r}")):
+            TorsionPoint(1, 0, value)
         with pytest.raises(ValueError, match=re.escape(f"n must be an integer, got {value!r}")):
             torsion_points(value)
         with pytest.raises(ValueError, match=re.escape(f"m must be an integer, got {value!r}")):

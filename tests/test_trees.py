@@ -143,9 +143,9 @@ def test_strict_refinements_invert_the_coarsenings():
             for q in _strict_coarsenings(p):
                 finer[q].append(p)
         for q in partitions:
-            got = _strict_refinements(q)
+            got = _strict_refinements(q, {})
             assert list(got) == sorted(set(got)) == sorted(finer[q]), q
-    assert len(_strict_refinements(((1, 2, 3, 4, 5, 6),))) == 202  # Bell(6) - 1
+    assert len(_strict_refinements(((1, 2, 3, 4, 5, 6),), {})) == 202  # Bell(6) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +212,7 @@ def test_enumeration_matches_chain_then_build_oracle(n, r):
 def test_cells_past_the_last_step_walk_no_lattice(monkeypatch):
     # one block reaches r blocks in at most r - 1 steps: every cell with
     # n > r - 1 is empty, and is known to be so before any refinement
-    def refuse(partition):
+    def refuse(partition, splits):
         raise AssertionError(f"walked the lattice from {partition}")
 
     monkeypatch.setattr(trees, "_strict_refinements", refuse)
@@ -228,9 +228,9 @@ def test_refinements_are_computed_once_per_partition_per_call(monkeypatch):
     computed = []
     refinements = trees._strict_refinements
 
-    def counted(partition):
+    def counted(partition, splits):
         computed.append(partition)
-        return refinements(partition)
+        return refinements(partition, splits)
 
     monkeypatch.setattr(trees, "_strict_refinements", counted)
     # every partition of 1..r with fewer than r blocks is refined, once
