@@ -32,7 +32,8 @@ Bezout gives (C1.C2)_P <= d1*d2.  Where the lower bound is larger no such
 pair exists; up to degree 4 the bounds meet only for the split (1, 3), the
 tangent line plus a nodal cubic at a flex.  Both pieces meet the cubic
 only at P, and they are immersed, since the degree-4 census is refused
-for the special cubic, whose pairs would carry a cusp.
+for the special cubic, whose pairs would carry a cusp.  A split d1 = d2
+is refused: its distinct pairs number C(n, 2), not the n*n the rule counts.
 """
 from __future__ import annotations
 
@@ -252,7 +253,7 @@ def census_strata(degree: int) -> tuple[str, ...]:
 def stratum_point_count(label: str) -> int:
     """Points of the cubic in a stratum; NF9 is the points of exact order 9."""
     if label == NONFLEX_NINE:
-        return sum(1 for p in torsion_points(9) if p.n == 9)
+        return 9**2 - 3**2  # E[9] minus E[3]
     return stratum_sizes()[Stratum(label)]
 
 
@@ -296,6 +297,9 @@ def boundary_census(
             if 3 * d1 < d1 * d2:
                 raise ArithmeticError(f"the bounds leave (C1.C2)_P of a degree "
                                       f"{d1} + {d2} pair undetermined: {3 * d1} to {d1 * d2}")
+            if d1 == d2:  # two curves of one degree: C(n, 2) distinct pairs, not n^2
+                raise ArithmeticError(f"the count of degree {d1} + {d2} pairs is not "
+                                      f"derived: both curves have degree {d1}")
             pairs += (Component(PAIR, immersed[d1] * immersed[d2],
                                 tangencies=(3 * d1, 3 * d2), meeting_at_p=3 * d1),)
     quartics = (Component(IMMERSED, count_M4(label)),) if degree == 4 else ()

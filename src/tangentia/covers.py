@@ -6,8 +6,8 @@ a single point with contact order w contributes
     M_w[d] = C(d(w-1) - 1, d - 1) / d^2
 
 to the corresponding relative invariant, where C is the generalized binomial
-(so w = 1 makes sense and gives M_1[d] = C(-d-1, d-1)/d^2).  Covers of a
-rigid curve inside the anticanonical divisor itself contribute
+(so w = 1 makes sense and gives M_1[d] = C(-1, d-1)/d^2 = (-1)^(d-1)/d^2).
+Covers of a rigid curve inside the anticanonical divisor itself contribute
 
     M'_n[d] = (-1)^{n(d-1)} / d^2
 
@@ -31,17 +31,29 @@ sieve).  Empirically the m_w[d] are positive integers whenever w >= 3;
 w = 1, 2 never arise as the contact order of a plane curve with a cubic
 (that order is always 3 times the degree), and there the generalized
 formula yields zeros from d = 2 on.
+
+With s = w - 1 >= 2 and s^2 < d, the solve steps each binomial from the
+previous degree's, with P(n, k) = n!/(n-k)! a product of k small ints:
+
+    C(ds-1, d-1) = C((d-1)s-1, d-2) * P(ds-1, s) / ((d-1) * P(d(s-1), s-1)).
+
+There that costs less than a fresh binomial; for larger s it costs more,
+so every other degree gets a fresh one, as does every degree of w <= 2,
+where each binomial is +-1.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterator, NamedTuple
 
 from .rationals import binomial
 
 # work budgets, checked before any work: multiple_cover makes one binomial
-# of size d * w, instanton_numbers d_max binomials plus O(d_max log d_max)
-# integer additions, and integrality_report one such solve per w
+# of size d * w; instanton_numbers a fresh binomial per degree d <= (w-1)^2
+# (every d if w <= 2), a multiply and an exact divide by products of w - 1
+# and w - 2 small ints per later degree, and O(d_max log d_max) integer
+# additions; integrality_report one such solve per w
 MAX_INSTANTON_DEGREE = 1000
 MAX_CONTACT_ORDER = 4096
 MAX_INTEGRALITY_CELLS = 4096
@@ -83,8 +95,9 @@ def instanton_numbers(w: int, d_max: int) -> dict[int, Fraction]:
 
     Instead of finding the divisors of each d, every n[d1] is pushed, with
     its sign, into a running sum at each multiple k * d1 <= d_max as soon as
-    it is known: d_max binomials plus O(d_max log d_max) integer additions,
-    and one Fraction n[d] / d^2 per degree.
+    it is known: O(d_max log d_max) integer additions, and one Fraction
+    n[d] / d^2 per degree.  Degree 1 always gets a fresh binomial, and
+    later degrees are stepped as the module docstring says.
 
     Bounded to d_max <= MAX_INSTANTON_DEGREE and w <= MAX_CONTACT_ORDER.
     """
@@ -94,10 +107,15 @@ def instanton_numbers(w: int, d_max: int) -> dict[int, Fraction]:
             f"instanton numbers are budgeted to dmax <= {MAX_INSTANTON_DEGREE}, got {d_max}"
         )
     _require_cover_budget(w, 1)
+    s = w - 1
     pushed = [0] * (d_max + 1)  # pushed[e]: the signed n[d1] summed over d1 | e, d1 < e
     m: dict[int, Fraction] = {}
     for d in range(1, d_max + 1):
-        n = binomial(d * (w - 1) - 1, d - 1) - pushed[d]
+        if 1 < s and s * s < d:  # b holds degree d - 1's binomial
+            b = b * math.perm(d * s - 1, s) // ((d - 1) * math.perm(d * (s - 1), s - 1))
+        else:
+            b = binomial(d * s - 1, d - 1)
+        n = b - pushed[d]
         m[d] = Fraction(n, d * d)
         odd = d * w % 2
         for k in range(2, d_max // d + 1):
@@ -140,19 +158,9 @@ def integrality_report(w_max: int, d_max: int) -> list[IntegralityRow]:
         )
     rows = []
     for w in range(1, w_max + 1):
-        m = instanton_numbers(w, d_max)
-        for d in range(1, d_max + 1):
-            v = m[d]
-            rows.append(
-                IntegralityRow(
-                    w=w,
-                    d=d,
-                    value=v,
-                    is_integer=v.denominator == 1,
-                    is_positive=v > 0,
-                    extrapolated=w < 3,
-                )
-            )
+        extrapolated = w < 3
+        rows += [IntegralityRow(w, d, v, v.denominator == 1, v.numerator > 0, extrapolated)
+                 for d, v in instanton_numbers(w, d_max).items()]
     return rows
 
 

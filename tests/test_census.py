@@ -25,7 +25,7 @@ from tangentia.census import (
     quadrisection_split,
     stratum_point_count,
 )
-from tangentia.torsion import Stratum, stratum_sizes
+from tangentia.torsion import Stratum, stratum_sizes, torsion_points
 
 
 def test_euler_budget():
@@ -101,6 +101,18 @@ def test_stratum_point_counts():
     assert stratum_point_count("T2") == 27
     assert stratum_point_count("T3") == 108
     assert stratum_point_count(NONFLEX_NINE) == 72
+
+
+def _refuse(*args):
+    raise AssertionError("built torsion points")
+
+
+def test_the_order_nine_count_builds_no_points(monkeypatch):
+    # the oracle counts the points of exact order 9 one by one
+    oracle = sum(1 for p in torsion_points(9) if p.n == 9)
+    monkeypatch.setattr(census, "torsion_points", _refuse)
+    assert stratum_point_count(NONFLEX_NINE) == oracle
+    assert boundary_census(3, NONFLEX_NINE).points == oracle
 
 
 def _kinds(entry):
@@ -272,6 +284,14 @@ def test_a_pair_the_bounds_leave_undetermined_is_refused(monkeypatch):
     monkeypatch.setitem(census._CENSUS, (5, "T1"), ())
     with pytest.raises(ArithmeticError, match=r"degree 1 \+ 4 pair undetermined: 3 to 4"):
         boundary_census(5, "T1")
+
+
+def test_a_pair_of_two_curves_of_one_degree_is_refused(monkeypatch):
+    # in degree 6 the bounds meet at (C1.C2)_P = 9 for two nodal cubics at a
+    # flex, but such pairs number C(2, 2), not 2 * 2
+    monkeypatch.setitem(census._CENSUS, (6, "T1"), ())
+    with pytest.raises(ArithmeticError, match=r"^the count of degree 3 \+ 3 pairs is not derived"):
+        boundary_census(6, "T1")
 
 
 def test_the_degree_is_read_as_an_integer():

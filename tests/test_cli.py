@@ -357,6 +357,23 @@ def test_degeneration_trees_catches_a_dropped_type(monkeypatch):
         verify.check_degeneration_trees()
 
 
+def test_degeneration_trees_names_an_invalid_type(monkeypatch):
+    monkeypatch.setattr(trees.CombType, "violations", lambda self: [3])
+    with pytest.raises(verify.CheckFailure,
+                       match=r"^enumerated type invalid: CombType\(n=0, r=1, .*\)$"):
+        verify.check_degeneration_trees()
+
+
+def test_class_table_failures_keep_their_messages(monkeypatch):
+    real = lattice.enumerate_classes
+    monkeypatch.setattr(lattice, "enumerate_classes", lambda d: real(d)[1:])
+    with pytest.raises(verify.CheckFailure, match=r"^class table mismatch: \(\(3, \(0, 0, 1, 1, 1, 2\), 0, 60\), "):
+        verify.check_class_table()
+    monkeypatch.setattr(verify, "EXPECTED_TABLE", verify.EXPECTED_TABLE[1:])
+    with pytest.raises(verify.CheckFailure, match=r"^totals 201/27$"):
+        verify.check_class_table()
+
+
 def test_verify_all_passes_without_asserts():
     # under -O every assert is stripped, so no check may rely on one
     env = {k: v for k, v in os.environ.items() if not k.startswith("TANGENTIA_")}

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from tangentia import covers
 from tangentia.covers import (
@@ -34,6 +34,12 @@ def test_multiple_cover_against_binomial_formula():
         for d in range(1, 11):
             expected = Fraction(binomial(d * (w - 1) - 1, d - 1), d * d)
             assert multiple_cover(w, d) == expected
+
+
+def test_contact_order_one_alternates():
+    # C(-1, d - 1) = (-1)^(d - 1): the generalized binomial at w = 1
+    for d in range(1, 11):
+        assert multiple_cover(1, d) == Fraction((-1) ** (d - 1), d * d)
 
 
 def test_d_squared_clears_denominator():
@@ -115,8 +121,64 @@ def test_geometric_instantons_are_positive_integers(w, d_max):
     assert all(v.denominator == 1 and v > 0 for v in m.values())
 
 
+def _binomial_solve(w, d_max):
+    """The oracle for the binomial step: n[d] from a fresh
+    ``rationals.binomial`` at every degree, minus the signed n[d1] over the
+    proper divisors d1 of d, found by trial division."""
+    n = {}
+    for d in range(1, d_max + 1):
+        n[d] = binomial(d * (w - 1) - 1, d - 1) - sum(
+            -n[d1] if d1 * w % 2 and (d // d1) % 2 == 0 else n[d1]
+            for d1 in range(1, d) if d % d1 == 0
+        )
+    return {d: Fraction(v, d * d) for d, v in n.items()}
+
+
+@pytest.mark.parametrize("w", [1, 2, 3, 12, 32, 33])
+def test_the_binomial_step_matches_fresh_binomials_to_the_budget(w):
+    # an error in the step compounds over degrees; past (w - 1)^2 the step
+    # takes over for w > 2, so w = 32 switches at d = 962 and w = 33 never does
+    assert instanton_numbers(w, covers.MAX_INSTANTON_DEGREE) == _binomial_solve(
+        w, covers.MAX_INSTANTON_DEGREE
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 80).flatmap(
+    lambda w: st.tuples(st.just(w), st.integers(min((w - 1) ** 2 + 1, 400), 400))
+))
+def test_the_binomial_step_matches_fresh_binomials_past_the_switch(case):
+    # d_max > (w - 1)^2 wherever that fits under 400, so for 3 <= w <= 21
+    # the solve crosses from fresh binomials to steps
+    w, d_max = case
+    assert instanton_numbers(w, d_max) == _binomial_solve(w, d_max)
+
+
+@pytest.mark.parametrize("call, most", [
+    (lambda: instanton_numbers(3, 400), 4),
+    (lambda: instanton_numbers(12, 400), 121),
+    (lambda: integrality_report(12, 40), 370),
+], ids=["instantons-3-400", "instantons-12-400", "integrality-12-40"])
+def test_binomials_are_stepped_not_recomputed(monkeypatch, call, most):
+    # a work count, read without a clock: fresh binomials only up to degree
+    # (w - 1)^2 for w > 2, so one per degree (400, 400 and 480 calls) fails here
+    calls = []
+    monkeypatch.setattr(covers, "binomial", lambda n, k: calls.append(n) or binomial(n, k))
+    call()
+    assert len(calls) <= most
+
+
 def _refuse(*args):
     raise AssertionError("instanton_numbers called a per-degree helper")
+
+
+@pytest.mark.parametrize("w", [1, 2, 3, covers.MAX_CONTACT_ORDER])
+def test_the_first_degree_is_a_fresh_binomial(monkeypatch, w):
+    # the CLI's budget tests detect started work by refusing covers.binomial,
+    # which is only sound while every solve starts with one
+    monkeypatch.setattr(covers, "binomial", _refuse)
+    with pytest.raises(AssertionError, match="per-degree helper"):
+        instanton_numbers(w, 1)
 
 
 def test_instantons_use_no_cover_helpers(monkeypatch):
