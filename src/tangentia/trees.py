@@ -22,6 +22,8 @@ layer, and a block's parent is the vertex owning its labels one layer up,
 so each memo entry carries its chains' layers and parent links.  A
 partition's refinements are the products of its blocks' set partitions,
 and each block's are made once per call, however many partitions hold it.
+The memos are freed when the call returns: the recursion refers to itself,
+so the call unbinds it explicitly rather than leave a cycle for the collector.
 The chains come out in sorted order (top first) and each one's links
 sorted by child, so nothing is sorted afterwards.  Every refinement adds a block, so a
 partition with k blocks reaches the discrete one in at most r - k steps,
@@ -213,34 +215,8 @@ class CombType(_CombFields):
 
     # -- partition chain view ---------------------------------------------
 
-    @classmethod
-    def from_partition_chain(cls, chain: Sequence[Partition]) -> "CombType":
-        """The tree of a chain (top partition first, discrete partition of 1..r
-        last), built top down: layer j's blocks are the vertices ``"j:i"`` in the
-        given order, and a block's parent is the vertex owning its labels one layer
-        up.  A chain that does not nest or end discrete raises ``ValueError``."""
-        if not chain:
-            raise ValueError("a partition chain needs at least one layer")
-        layers, parents = [], []
-        for j, part in enumerate(chain, start=1):
-            layers.append(tuple(f"{j}:{i}" for i in range(len(part))))
-            owner = {x: name for name, block in zip(layers[-1], part) for x in block}
-            if sum(map(len, part)) != len(owner):
-                raise ValueError(f"layer {j} {part} puts a label in two blocks")
-            if j > 1:
-                links = {(owner[x], above.get(x)) for x in owner}
-                if owner.keys() != above.keys() or len(links) != len(part):
-                    raise ValueError(f"layer {j} {part} does not refine layer {j - 1} {chain[j - 2]}")
-                parents += links
-            above = owner  # label -> vertex, for the next layer's parents
-        r = len(above)
-        if sorted(chain[-1]) != [(x,) for x in range(1, r + 1)]:
-            raise ValueError(f"bottom layer {chain[-1]} is not the discrete partition of 1..{r}")
-        return cls(n=len(chain) - 1, r=r, layers=tuple(layers), parents=tuple(sorted(parents)),
-                   leaf_order=tuple(above[x] for x in range(1, r + 1)))
-
     def partition_chain(self) -> tuple[Partition, ...]:
-        """Inverse view: the chain of bottom-label partitions, top first."""
+        """The chain of bottom-label partitions, one per layer, top first."""
         below = self._labels_below
         return tuple(_canon_partition(below[v] for v in layer) for layer in self.layers)
 
@@ -254,7 +230,9 @@ def enumerate_types(n: int, r: int) -> list[CombType]:
     The trees are built inside one recursion down from the one-block
     partition over (partition, steps left), memoised for this call only like
     the refinements it walks and the blocks' set partitions those are made
-    of; walked in sorted order, they yield the chains sorted.  A partition
+    of; walked in sorted order, they yield the chains sorted.  Reference
+    counting frees all three memos as the call returns, because the
+    self-referring recursion is unbound first.  A partition
     more than its steps left short of r blocks ends at once, so a cell with
     n > r - 1 is empty without a lattice walk.  Every
     type still passes the :class:`CombType` constructor's checks."""
@@ -277,7 +255,7 @@ def enumerate_types(n: int, r: int) -> list[CombType]:
     splits: dict = {}  # block -> its canonical set partitions, for this call only
     refinements = functools.cache(lambda q: _strict_refinements(q, splits))  # like down's
 
-    @functools.cache  # one memo per call: it dies with this frame
+    @functools.cache  # one memo per call, freed as the call returns
     def down(q: Partition, steps: int) -> tuple[_Chain, ...]:
         """Every chain from q down to the discrete partition in ``steps``
         strict refinements, as its layers' ids and its parent links sorted
@@ -298,7 +276,11 @@ def enumerate_types(n: int, r: int) -> list[CombType]:
         return tuple(out)
 
     top = (tuple(range(1, r + 1)),)
-    return [CombType(n, r, layers, links, names[n]) for layers, links in down(top, n)]
+    try:
+        chains = down(top, n)
+    finally:  # down reaches itself through its closure: unbinding it breaks that cycle
+        del down
+    return [CombType(n, r, layers, links, names[n]) for layers, links in chains]
 
 
 class WeightedCombType(NamedTuple):
@@ -334,18 +316,18 @@ def propagate_weights(
 ) -> WeightedCombType:
     """Attach ``root_weights[i]`` to bottom label i + 1; every vertex then
     weighs the total weight of the bottom labels below it.  The weights are
-    stored as ints; one that is not integral raises ValueError."""
+    stored as ints; one that is not integral, or is no number, raises ValueError."""
     shape._labels_below  # validates the shape: a broken type raises ValueError
     if len(root_weights) != shape.r:
         raise ValueError(f"expected {shape.r} weights, got {len(root_weights)}")
-    if min(root_weights) < 1:
-        raise ValueError("weights must be positive integers")
     try:
+        if min(root_weights) < 1:  # TypeError for a weight that is no number
+            raise ValueError("weights must be positive integers")
         bottom = tuple(map(index, root_weights))
     except TypeError:
         try:
             bottom = tuple(map(int, root_weights))
-        except (ValueError, OverflowError):  # nan, inf, or a string that is no number
+        except (TypeError, ValueError, OverflowError):  # None, nan, inf, or a string
             bottom = None
         if bottom != tuple(root_weights):
             raise ValueError(f"weights must be integers, got {root_weights!r}") from None

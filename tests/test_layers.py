@@ -113,7 +113,10 @@ def test_only_the_pinned_modules_import_dataclasses():
 
 
 # the only module-level memos: functools caches of derived read-only tables.
-# A memo that serves one call lives in that call, not in a module global.
+# A memo that serves one call lives in that call, not in a module global, and
+# is freed when that call returns, by reference counting, not left for the
+# collector (tests/test_trees.py::test_each_call_frees_its_memos_when_it_returns).
+# No library module imports gc: collector tuning never stands in for freeing.
 MODULE_CACHES = {"torsion.stratum_sizes", "census.quadrisection_split", "census.aggregate_N"}
 
 
@@ -126,6 +129,7 @@ def test_the_only_module_level_state_is_the_pinned_caches():
                 cached.add(f"{value.__module__.rpartition('.')[2]}.{value.__qualname__}")
     assert cached == MODULE_CACHES
     assert not [name for name in LAYERS if _imports_module(name, "contextvars")]
+    assert not [name for name in LAYERS if _imports_module(name, "gc")]
 
 
 def test_the_scan_sees_through_blocks_but_not_type_checking_or_functions():
