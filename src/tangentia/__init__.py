@@ -1,9 +1,10 @@
 """Exact-arithmetic toolkit for counting rational plane curves maximally
 tangent to a smooth cubic.
 
-The pieces, bottom to top: exact rationals and a generalized binomial
-(:mod:`~tangentia.rationals`), multiple-cover contributions and instanton
-numbers (:mod:`~tangentia.covers`), the torsion model of the cubic
+The pieces, bottom to top: the number rules, a generalized binomial and
+the integer rule every size is read by (:mod:`~tangentia.rationals`),
+multiple-cover contributions and instanton numbers
+(:mod:`~tangentia.covers`), the torsion model of the cubic
 (:mod:`~tangentia.torsion`), the Picard lattice of the blown-up plane
 (:mod:`~tangentia.lattice`), the per-point curve census
 (:mod:`~tangentia.census`), the invariant ledgers

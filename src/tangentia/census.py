@@ -42,7 +42,8 @@ from operator import index
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Optional, Union
 
-from .lattice import _integer, enumerate_classes
+from .lattice import enumerate_classes
+from .rationals import _integer
 from .torsion import Stratum, stratify, stratum_sizes, torsion_points
 
 # census-only stratum label for the 72 points of exact order 9 (degree 3)

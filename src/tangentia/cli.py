@@ -446,18 +446,16 @@ def _tree_lines(shape: trees.CombType, weighted) -> list[str]:
     children = shape.children_map
     labels = {v: i + 1 for i, v in enumerate(shape.leaf_order)}
     lines = []
-
-    def walk(v: str, depth: int) -> None:
+    stack = [(shape.layers[0][0], 0)]  # pre-order: a vertex, then its children in order
+    while stack:
+        v, depth = stack.pop()
         text = v
         if v in labels:
             text += f" = label {labels[v]}"
         if weighted is not None:
             text += f" (weight {weighted.weight(v)})"
         lines.append("  " * (depth + 1) + text)
-        for child in children[v]:
-            walk(child, depth + 1)
-
-    walk(shape.layers[0][0], 0)
+        stack += [(child, depth + 1) for child in reversed(children[v])]
     return lines
 
 

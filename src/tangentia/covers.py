@@ -78,8 +78,7 @@ def local_cover(n: int, d: int) -> Fraction:
 
 def divisors(d: int) -> Iterator[int]:
     """Positive divisors of d in increasing order, by trial division."""
-    if d < 1:
-        raise ValueError(f"d must be positive, got {d}")
+    _require_positive(d=d)
     for k in range(1, d + 1):
         if d % k == 0:
             yield k

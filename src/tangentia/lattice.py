@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import math
 import re
-from operator import index
 from typing import Iterable, Iterator, NamedTuple, Sequence
+
+from .rationals import _integer, _integers
 
 NUM_POINTS = 6
 
@@ -31,26 +32,19 @@ class _DivisorFields(NamedTuple):
 class DivisorClass(_DivisorFields):
     """The class e*H - a1*E1 - ... - a6*E6, with ``e`` stored as an int and
     ``a`` as six ints on every construction path (``_make`` and ``_replace``
-    included); a value that is not integral raises ValueError, while 1.0
-    and True are stored as 1.  A class is a lattice vector, not a sequence:
+    included), read by the integer rule of :mod:`~tangentia.rationals`: a
+    value that is not integral raises ValueError, while 1.0 and True are
+    stored as 1.  A class is a lattice vector, not a sequence:
     it has no order, and ``+`` and ``*`` do not concatenate."""
 
     __slots__ = ()
 
     def __new__(cls, e: int, a: Iterable[int]) -> DivisorClass:
         a = tuple(a)
-        try:
-            e, a = index(e), tuple(map(index, a))
-        except TypeError:
-            try:
-                ints = int(e), tuple(map(int, a))
-            except (ValueError, OverflowError):  # nan, inf, or a string that is no number
-                ints = None
-            if ints != (e, a):
-                raise ValueError(
-                    f"class coefficients must be integers, got {e!r}, {a!r}"
-                ) from None
-            e, a = ints
+        ints = _integers((e, *a))
+        if ints is None:
+            raise ValueError(f"class coefficients must be integers, got {e!r}, {a!r}")
+        e, a = ints[0], ints[1:]
         if len(a) != NUM_POINTS:
             raise ValueError(f"expected {NUM_POINTS} multiplicities, got {len(a)}")
         return tuple.__new__(cls, (e, a))
@@ -173,18 +167,6 @@ class ClassTableRow(NamedTuple):
 MAX_CLASS_DEGREE = 20
 
 
-def _integer(value, name: str) -> int:
-    """``value`` read as ``DivisorClass`` reads a coefficient: 4.0 and True
-    are 4 and 1, and a value that is not integral raises ValueError."""
-    try:
-        number = int(value)
-    except (ValueError, OverflowError):  # nan, inf, or a string that is no number
-        number = None
-    if number != value:
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return number
-
-
 def _least_spend(total: int, parts: int) -> int:
     """The least spend of ``parts`` multiplicities summing to ``total``:
     spend is convex, so the sum split as evenly as possible."""
@@ -204,11 +186,11 @@ def enumerate_classes(target_degree: int = 4) -> list[ClassTableRow]:
     a row, and what is left of the budget is the row's genus.  Larger parts
     are tried first, so a branch's next part stops at the first cut, and
     each e's rows, reversed, come out in (e, multiset) order.  No
-    ``DivisorClass`` is built for a candidate.  The degree is read as
-    ``DivisorClass`` reads a coefficient (4.0 is 4, 2.5 raises ValueError)
-    and bounded to MAX_CLASS_DEGREE before the search.  For target degree 4
-    this is a census of 9 rows whose ordered classes total 216 of genus 0
-    and 27 of genus 1.
+    ``DivisorClass`` is built for a candidate.  The degree is read by the
+    integer rule of :mod:`~tangentia.rationals` (4.0 is 4, 2.5 raises
+    ValueError) and bounded to MAX_CLASS_DEGREE before the search.  For
+    target degree 4 this is a census of 9 rows whose ordered classes total
+    216 of genus 0 and 27 of genus 1.
     """
     d = _integer(target_degree, "target degree")
     if d < 0:
@@ -237,10 +219,13 @@ def enumerate_classes(target_degree: int = 4) -> list[ClassTableRow]:
         return True
 
     rows = []
-    for e in range(-(-d // 3), 7 * d // 3 + 1):
-        grow((), 3 * e - d, _spend(e - 1))
-        rows += [ClassTableRow(e, a, genus, ordered_count(a)) for a, genus in reversed(found)]
-        found.clear()
+    try:
+        for e in range(-(-d // 3), 7 * d // 3 + 1):
+            grow((), 3 * e - d, _spend(e - 1))
+            rows += [ClassTableRow(e, a, genus, ordered_count(a)) for a, genus in reversed(found)]
+            found.clear()
+    finally:  # grow reaches itself through its closure: unbinding it breaks that cycle
+        del grow
     return rows
 
 

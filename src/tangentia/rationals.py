@@ -1,13 +1,20 @@
-"""Exact rational arithmetic helpers.
+"""Exact number rules: the generalized binomial and the integer rule.
 
 Rationals throughout this package are :class:`fractions.Fraction`: values
 are always stored in lowest terms with a positive denominator, so equality
 is structural and ``str()`` prints ``"num/den"`` (or just ``"num"`` for
 integers), which is the serialization used everywhere in this package.
+
+The integer rule reads every size in the package (degrees, torsion orders,
+class coefficients, a tree's layers, labels and weights): a value equal to
+an int is that int, so 4.0 is 4 and True is 1; 2.5, inf, nan, a string or
+None is refused.
 """
 from __future__ import annotations
 
 import math
+from operator import index
+from typing import Optional, Sequence
 
 
 def binomial(n: int, k: int) -> int:
@@ -22,3 +29,24 @@ def binomial(n: int, k: int) -> int:
     if n < 0:
         return (-1) ** k * math.comb(k - n - 1, k)
     return math.comb(n, k)
+
+
+def _integers(values: Sequence) -> Optional[tuple[int, ...]]:
+    """``values`` as ints by the integer rule, or None if one is not integral."""
+    try:
+        return tuple(map(index, values))
+    except TypeError:
+        pass
+    try:
+        ints = tuple(map(int, values))
+    except (TypeError, ValueError, OverflowError):  # None, nan, inf, or a string that is no number
+        return None
+    return ints if ints == tuple(values) else None
+
+
+def _integer(value, name: str) -> int:
+    """``value`` read by the integer rule; ValueError, naming it, if it is not integral."""
+    ints = _integers((value,))
+    if ints is None:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return ints[0]

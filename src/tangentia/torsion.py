@@ -35,6 +35,8 @@ from operator import index
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Mapping, Optional
 
+from .rationals import _integer
+
 if TYPE_CHECKING:
     from .lattice import DivisorClass
 
@@ -51,8 +53,9 @@ class TorsionPoint:
 
     ``TorsionPoint(x, y)`` takes ints, ``Fraction``s or strings such as
     ``"1/3"`` mod 1, but no float (inexact); ``TorsionPoint(a, b, n)`` is
-    (a/n, b/n), with n read as ``DivisorClass`` reads a coefficient (3.0 is
-    3).  Only an integer k makes a group multiple k * P.
+    (a/n, b/n), with n read by the integer rule of
+    :mod:`~tangentia.rationals` (3.0 is 3).  Only an integer k makes a
+    group multiple k * P.
     """
 
     __slots__ = ("a", "b", "n")
@@ -153,22 +156,10 @@ def _point(a: int, b: int, n: int) -> TorsionPoint:
     return p
 
 
-def _integer(value, name: str) -> int:
-    """``value`` read as ``DivisorClass`` reads a coefficient: 4.0 and True
-    are 4 and 1, and a value that is not integral raises ValueError."""
-    try:
-        number = int(value)
-    except (ValueError, OverflowError):  # nan, inf, or a string that is no number
-        number = None
-    if number != value:
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return number
-
-
 def torsion_points(n: int) -> list[TorsionPoint]:
     """The n^2 points killed by n, in lexicographic (x, y) order.  n is read
-    as ``DivisorClass`` reads a coefficient: 2.0 is 2, and 2.5 raises
-    ValueError."""
+    by the integer rule of :mod:`~tangentia.rationals`: 2.0 is 2, and 2.5
+    raises ValueError."""
     n = _integer(n, "n")
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
@@ -214,9 +205,9 @@ def solve_division(c: TorsionPoint, m: int) -> list[TorsionPoint]:
     """All m^2 solutions of m * P = c within the torsion, in lexicographic
     order: ((c.a + i*c.n) / N, (c.b + j*c.n) / N) for N = c.n * m in (i, j)
     order, sorted already as 0 <= c.a, c.b < c.n puts every numerator in
-    [0, N).  m is read as ``DivisorClass`` reads a coefficient (4.0 is 4,
-    1.5 raises ValueError) and bounded to m <= MAX_DIVISION_ORDER, both
-    checked before any point."""
+    [0, N).  m is read by the integer rule of :mod:`~tangentia.rationals`
+    (4.0 is 4, 1.5 raises ValueError) and bounded to m <=
+    MAX_DIVISION_ORDER, both checked before any point."""
     m = _integer(m, "m")
     if m < 1:
         raise ValueError(f"m must be positive, got {m}")

@@ -46,9 +46,10 @@ from __future__ import annotations
 
 import functools
 from itertools import chain, product
-from operator import index
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
+
+from .rationals import _integers
 
 MAX_LAYERS = 6
 MAX_LABELS = 6
@@ -224,8 +225,8 @@ class CombType(_CombFields):
 def enumerate_types(n: int, r: int) -> list[CombType]:
     """All combinatorial types with n + 1 layers and r labeled bottom
     vertices, in the order of their partition chains (top first).  Bounded
-    to n <= 6 and r <= 6; as in ``DivisorClass``, 2.0 reads as 2, and 2.5,
-    inf or nan raises ``ValueError``.
+    to n <= 6 and r <= 6; by the integer rule of :mod:`~tangentia.rationals`,
+    2.0 reads as 2, and 2.5, inf or nan raises ``ValueError``.
 
     The trees are built inside one recursion down from the one-block
     partition over (partition, steps left), memoised for this call only like
@@ -236,11 +237,8 @@ def enumerate_types(n: int, r: int) -> list[CombType]:
     more than its steps left short of r blocks ends at once, so a cell with
     n > r - 1 is empty without a lattice walk.  Every
     type still passes the :class:`CombType` constructor's checks."""
-    try:
-        ints = int(n), int(r)
-    except (ValueError, OverflowError):  # nan, inf, or a string that is no number
-        ints = None
-    if ints != (n, r):
+    ints = _integers((n, r))
+    if ints is None:
         raise ValueError(f"n and r must be integers, got {n!r}, {r!r}")
     n, r = ints
     if n < 0 or r < 1:
@@ -316,19 +314,17 @@ def propagate_weights(
 ) -> WeightedCombType:
     """Attach ``root_weights[i]`` to bottom label i + 1; every vertex then
     weighs the total weight of the bottom labels below it.  The weights are
-    stored as ints; one that is not integral, or is no number, raises ValueError."""
+    stored as ints, read by the integer rule of :mod:`~tangentia.rationals`;
+    one that is not integral, or is no number, raises ValueError."""
     shape._labels_below  # validates the shape: a broken type raises ValueError
     if len(root_weights) != shape.r:
         raise ValueError(f"expected {shape.r} weights, got {len(root_weights)}")
     try:
-        if min(root_weights) < 1:  # TypeError for a weight that is no number
+        if min(root_weights) < 1:
             raise ValueError("weights must be positive integers")
-        bottom = tuple(map(index, root_weights))
-    except TypeError:
-        try:
-            bottom = tuple(map(int, root_weights))
-        except (TypeError, ValueError, OverflowError):  # None, nan, inf, or a string
-            bottom = None
-        if bottom != tuple(root_weights):
-            raise ValueError(f"weights must be integers, got {root_weights!r}") from None
+    except TypeError:  # a weight that is no number: the integer rule refuses it
+        pass
+    bottom = _integers(root_weights)
+    if bottom is None:
+        raise ValueError(f"weights must be integers, got {root_weights!r}")
     return tuple.__new__(WeightedCombType, (shape, bottom))  # a plain record: no checks skipped

@@ -153,7 +153,7 @@ def test_the_degree_is_read_as_an_integer():
         assert ledger == assemble_invariant(degree) and type(ledger.degree) is int
         assert local_invariant(value) == local_invariant(degree)
         assert type(local_invariant(value)) is Fraction
-    for value in [2.5, float("inf"), float("nan"), "4"]:
+    for value in [2.5, float("inf"), float("nan"), "4", None, [2], 1j]:
         for call in (assemble_invariant, local_invariant):
             with pytest.raises(ValueError, match="degree must be an integer"):
                 call(value)

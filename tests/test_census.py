@@ -295,14 +295,14 @@ def test_a_pair_of_two_curves_of_one_degree_is_refused(monkeypatch):
 
 
 def test_the_degree_is_read_as_an_integer():
-    # the DivisorClass rule: an integral value reads as an int
+    # the integer rule of rationals: an integral value reads as an int
     for value, degree in [(4.0, 4), (True, 1), (Fraction(2), 2)]:
         assert census_strata(value) == census_strata(degree)
         label = census_strata(degree)[0]
         entry = boundary_census(value, label)
         assert entry == boundary_census(degree, label)
         assert type(entry.degree) is int
-    for value in [2.5, float("inf"), float("nan"), "4"]:
+    for value in [2.5, float("inf"), float("nan"), "4", None, [2], 1j]:
         with pytest.raises(ValueError, match="degree must be an integer"):
             boundary_census(value, "T1")
         with pytest.raises(ValueError, match="degree must be an integer"):

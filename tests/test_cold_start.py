@@ -58,13 +58,13 @@ SUBCOMMAND_LAYERS = {
     "mcover --w 3 --d 4": {"covers", "rationals"},
     "instantons --w 3 --dmax 4": {"covers", "rationals"},
     "integrality --wmax 3 --dmax 3": {"covers", "rationals"},
-    "classes --degree 4": {"lattice"},
-    "torsion --strata": {"torsion"},
-    "torsion --solve --class 2H-E1-E2": {"lattice", "torsion"},
-    "census --aggregate": {"census", "lattice", "torsion"},
-    "census --degree 4 --stratum T1 --json": {"census", "lattice", "torsion"},
+    "classes --degree 4": {"lattice", "rationals"},
+    "torsion --strata": {"rationals", "torsion"},
+    "torsion --solve --class 2H-E1-E2": {"lattice", "rationals", "torsion"},
+    "census --aggregate": {"census", "lattice", "rationals", "torsion"},
+    "census --degree 4 --stratum T1 --json": {"census", "lattice", "rationals", "torsion"},
     "check-gw --degree 4": {"assembly", "census", "covers", "lattice", "rationals", "torsion"},
-    "graphs --n 2 --r 3 --weights 1,2,3": {"trees"},
+    "graphs --n 2 --r 3 --weights 1,2,3": {"rationals", "trees"},
     "verify-all --json": LAYERS,
     "mcover --w x --d 4": set(),
 }
@@ -126,9 +126,9 @@ def test_covers_subcommands_load_no_dataclasses(argv):
 
 
 @pytest.mark.parametrize("statement, loaded", [
-    ("import tangentia.torsion", ["tangentia.torsion"]),
+    ("import tangentia.torsion", ["tangentia.rationals", "tangentia.torsion"]),
     ("from tangentia.cli import main; main(['torsion', '--strata'])",
-     ["tangentia.cli", "tangentia.torsion"]),
+     ["tangentia.cli", "tangentia.rationals", "tangentia.torsion"]),
 ])
 def test_torsion_loads_no_other_layer_and_no_dataclasses(statement, loaded):
     # torsion imports DivisorClass for its annotations only

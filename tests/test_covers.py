@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -66,8 +67,9 @@ def test_divisors_increasing_order():
     assert list(divisors(12)) == [1, 2, 3, 4, 6, 12]
     assert list(divisors(1)) == [1]
     assert list(divisors(7)) == [1, 7]
-    with pytest.raises(ValueError):
-        list(divisors(0))
+    for value in (0, 4.0, None):  # the covers rule: a positive int, nothing converted
+        with pytest.raises(ValueError, match=re.escape(f"d must be a positive integer, got {value!r}")):
+            list(divisors(value))
 
 
 def test_instanton_reference_values():

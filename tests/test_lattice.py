@@ -128,8 +128,12 @@ def test_divisor_class_needs_six_multiplicities():
     (2, (float("inf"), 1, 0, 0, 0, 0)),
     (2, (1, float("-inf"), 0, 0, 0, 0)),
     (2, (float("nan"), 1, 0, 0, 0, 0)),
+    (None, (0,) * 6),
+    (2, ([2], 1, 0, 0, 0, 0)),
+    (1j, (0,) * 6),
 ], ids=["fractional-a", "fractional-e", "string-a",
-        "inf-e", "minus-inf-e", "nan-e", "inf-a", "minus-inf-a", "nan-a"])
+        "inf-e", "minus-inf-e", "nan-e", "inf-a", "minus-inf-a", "nan-a",
+        "none-e", "list-a", "complex-e"])
 def test_divisor_class_refuses_values_that_are_not_integers(e, a):
     with pytest.raises(ValueError, match=r"^class coefficients must be integers, got "):
         DivisorClass(e, a)
@@ -312,12 +316,12 @@ def test_class_search_prunes_by_the_genus_budget(monkeypatch):
 
 
 def test_class_search_reads_its_degree_as_an_integer():
-    # the DivisorClass rule, checked before the budget
+    # the integer rule of rationals, checked before the budget
     assert enumerate_classes(4.0) == enumerate_classes(4)
     assert enumerate_classes(True) == enumerate_classes(1)
     assert all(type(r.e) is int for r in enumerate_classes(3.0))
     inf, nan = float("inf"), float("nan")
-    for value in (2.5, inf, -inf, nan, "4", "four", 20.5):
+    for value in (2.5, inf, -inf, nan, "4", "four", 20.5, None, [2], 1j):
         message = f"target degree must be an integer, got {value!r}"
         with pytest.raises(ValueError, match=re.escape(message)):
             enumerate_classes(value)

@@ -18,19 +18,21 @@ SOURCES = sorted(PACKAGE.glob("*.py"))
 # module -> the modules it imports when it is loaded
 LAYERS = {
     "rationals": set(),
-    "lattice": set(),
-    "torsion": set(),
-    "trees": set(),
+    "lattice": {"rationals"},
+    "torsion": {"rationals"},
+    "trees": {"rationals"},
     "covers": {"rationals"},
-    "census": {"lattice", "torsion"},
+    "census": {"lattice", "rationals", "torsion"},
     "assembly": {"census", "covers"},
     "verify": {"assembly", "census", "covers", "lattice", "torsion", "trees"},
     "cli": set(),
     "__init__": set(),
 }
 
-# the bottom layers import no other module, not even inside a function
-LEAVES = ("rationals", "lattice", "torsion", "trees")
+# the bottom layer imports no other module, not even inside a function
+LEAVES = ("rationals",)
+# the layers above it import only the number rules, not even inside a function
+ON_RATIONALS = ("lattice", "torsion", "trees")
 
 
 def _named_modules(node):
@@ -93,6 +95,11 @@ def test_load_time_imports_match_the_graph(name):
 @pytest.mark.parametrize("name", LEAVES)
 def test_leaf_layers_import_nothing_even_lazily(name):
     assert imports(_body(name), into_functions=True) == set()
+
+
+@pytest.mark.parametrize("name", ON_RATIONALS)
+def test_layers_on_the_number_rules_import_only_rationals_even_lazily(name):
+    assert imports(_body(name), into_functions=True) == {"rationals"}
 
 
 # dataclasses pulls in inspect, ast and dis at load; no module may import it

@@ -1,10 +1,11 @@
 import math
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from tangentia.rationals import binomial
+from tangentia.rationals import _integer, _integers, binomial
 
 
 def test_binomial_small_values():
@@ -87,3 +88,37 @@ rationals = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**
 @given(rationals)
 def test_format_parse_identity(q):
     assert Fraction(str(q)) == q
+
+
+def _integral_by_fraction(value):
+    """Oracle for the integer rule: a number, not a string, whose Fraction
+    exists and has denominator 1."""
+    if isinstance(value, str):  # Fraction parses strings; the rule refuses them
+        return False
+    try:
+        return Fraction(value).denominator == 1
+    except (TypeError, ValueError, OverflowError):  # None, nan, inf
+        return False
+
+
+sizes = st.one_of(
+    st.integers(-10**30, 10**30), st.booleans(), st.fractions(max_denominator=12),
+    st.floats(allow_nan=True, allow_infinity=True), st.text(max_size=4),
+    st.from_regex(r"\A-?\d{1,3}\Z"), st.none(), st.complex_numbers(max_magnitude=4),
+    st.just([2]),
+)
+
+
+@given(st.lists(sizes, max_size=4))
+def test_integer_rule_matches_fraction_oracle(values):
+    ints = _integers(values)
+    if all(map(_integral_by_fraction, values)):
+        assert ints == tuple(values) and all(type(i) is int for i in ints)
+    else:
+        assert ints is None
+    for value in values:
+        if _integral_by_fraction(value):
+            assert _integer(value, "size") == value
+        else:
+            with pytest.raises(ValueError, match=re.escape(f"size must be an integer, got {value!r}")):
+                _integer(value, "size")

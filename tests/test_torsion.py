@@ -372,12 +372,12 @@ def test_solve_division_budget():
         solve_division(ZERO, MAX_DIVISION_ORDER + 1)
 
 
-_NOT_INTEGERS = [2.5, float("inf"), float("-inf"), float("nan"), "2", "two"]
+_NOT_INTEGERS = [2.5, float("inf"), float("-inf"), float("nan"), "2", "two", None, [2], 1j]
 
 
 def test_sizes_are_read_as_integers():
-    # the DivisorClass rule: an integral value reads as an int, checked
-    # before the budgets
+    # the integer rule of rationals: an integral value reads as an int,
+    # checked before the budgets; no value raises TypeError
     c = P(Fraction(1, 3), 0)
     assert torsion_points(2.0) == torsion_points(2)
     assert torsion_points(True) == [ZERO]

@@ -1,3 +1,4 @@
+import argparse
 import gc
 import math
 import re
@@ -8,7 +9,8 @@ from itertools import permutations, product
 import pytest
 from hypothesis import given, strategies as st
 
-from tangentia import trees
+from tangentia import cli, trees
+from tangentia.lattice import MAX_CLASS_DEGREE, enumerate_classes
 from tangentia.trees import (
     MAX_LABELS,
     MAX_LAYERS,
@@ -288,7 +290,10 @@ def test_each_call_frees_its_memos_when_it_returns():
     # collection (44,860 objects after (4, 6)).  No clock: the collector's
     # count of unreachable objects.  With automatic collection paused, all
     # that a call makes stays in the youngest generation, so collecting that
-    # one finds all of the call's garbage
+    # one finds all of the call's garbage.  The class search's recursion
+    # (126 objects over degrees 0..20 when left bound) and the CLI's tree
+    # rendering (91,263 objects for graphs --n 4 --r 6 as a recursive
+    # closure) are held to the same bound
     enabled = gc.isenabled()
     gc.collect()
     gc.disable()
@@ -296,6 +301,11 @@ def test_each_call_frees_its_memos_when_it_returns():
         for n, r in _ALL_CELLS:
             enumerate_types(n, r)
             assert gc.collect(0) < 100, (n, r)
+        for degree in range(MAX_CLASS_DEGREE + 1):
+            enumerate_classes(degree)
+        assert gc.collect(0) < 100
+        cli.cmd_graphs(argparse.Namespace(n=4, r=6, weights=None))
+        assert gc.collect(0) < 100
     finally:
         if enabled:
             gc.enable()
@@ -430,14 +440,15 @@ def test_budget_guard():
 
 
 def test_arguments_are_read_as_integers():
-    # the DivisorClass rule: an integral value is stored as an int
+    # the integer rule of rationals: an integral value is stored as an int
     assert enumerate_types(2.0, 3) == enumerate_types(2, 3) == enumerate_types(2, 3.0)
     assert enumerate_types(True, 3) == enumerate_types(1, 3)
     assert enumerate_types(Fraction(3), 4) == enumerate_types(3, 4)
     assert all(type(t.n) is type(t.r) is int for t in enumerate_types(2.0, 3.0))
     inf, nan = float("inf"), float("nan")
     for n, r in ((2.5, 3), (2, 3.5), (Fraction(1, 2), 3), ("2", 3),
-                 (inf, 3), (-inf, 3), (nan, 3), (2, inf), (2, -inf), (2, nan)):
+                 (inf, 3), (-inf, 3), (nan, 3), (2, inf), (2, -inf), (2, nan),
+                 (None, 3), (2, [2]), (1j, 3)):
         with pytest.raises(ValueError, match=re.escape(f"n and r must be integers, got {n!r}, {r!r}")):
             enumerate_types(n, r)
 
