@@ -40,7 +40,8 @@ from .rationals import _integer
 if TYPE_CHECKING:
     from .lattice import DivisorClass
 
-# solve_division allocates m^2 points; larger m is refused up front
+# solve_division and torsion_points allocate m^2 and n^2 points (at most
+# 65,536); larger m or n is refused up front
 MAX_DIVISION_ORDER = 256
 
 
@@ -158,11 +159,14 @@ def _point(a: int, b: int, n: int) -> TorsionPoint:
 
 def torsion_points(n: int) -> list[TorsionPoint]:
     """The n^2 points killed by n, in lexicographic (x, y) order.  n is read
-    by the integer rule of :mod:`~tangentia.rationals`: 2.0 is 2, and 2.5
-    raises ValueError."""
+    by the integer rule of :mod:`~tangentia.rationals` (2.0 is 2, and 2.5
+    raises ValueError) and bounded to n <= MAX_DIVISION_ORDER, both checked
+    before any point."""
     n = _integer(n, "n")
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
+    if n > MAX_DIVISION_ORDER:
+        raise ValueError(f"torsion points are budgeted to n <= {MAX_DIVISION_ORDER}, got {n}")
     return [_point(i, j, n) for i in range(n) for j in range(n)]
 
 

@@ -19,11 +19,12 @@ memoised recursion down from the one-block partition, over (partition,
 steps left), that walks each partition's strict refinements in sorted order
 and builds each tree as it goes: a partition's vertex ids are fixed by its
 layer, and a block's parent is the vertex owning its labels one layer up,
-so each memo entry carries its chains' layers and parent links.  A
-partition's refinements are the products of its blocks' set partitions,
-and each block's are made once per call, however many partitions hold it.
-The memos are freed when the call returns: the recursion refers to itself,
-so the call unbinds it explicitly rather than leave a cycle for the collector.
+so each memo entry carries its chains' layers and parent links, as two
+parallel tuples.  A partition's refinements are the products of its blocks'
+set partitions; each block's, each (child, parent) link pair (n * r * r at
+most) and each distinct layers tuple is made once per call and shared.  All
+of it is freed when the call returns: the recursion refers to itself, so
+the call unbinds it rather than leave a cycle for the collector.
 The chains come out in sorted order (top first) and each one's links
 sorted by child, so nothing is sorted afterwards.  Every refinement adds a block, so a
 partition with k blocks reaches the discrete one in at most r - k steps,
@@ -55,8 +56,8 @@ MAX_LAYERS = 6
 MAX_LABELS = 6
 
 Partition = tuple[tuple[int, ...], ...]
-# the layers' vertex ids and the parent links of a chain, top first
-_Chain = tuple[tuple[tuple[str, ...], ...], tuple[tuple[str, str], ...]]
+# chains as two parallel tuples: their layers' vertex ids, top first, and parent links
+_Chains = tuple[tuple[tuple[tuple[str, ...], ...], ...], tuple[tuple[tuple[str, str], ...], ...]]
 
 
 def _canon_partition(blocks) -> Partition:
@@ -114,7 +115,8 @@ class CombType(_CombFields):
     the layers' ids are distinct (the first repeat is named), and the
     parent links and the leaf order use only those ids.  Whether the axioms
     hold is the business of :meth:`violations`, so that broken candidates
-    can be built and diagnosed.
+    can be built and diagnosed.  The types of one :func:`enumerate_types`
+    call may share their (immutable) layers and link pairs.
 
     These fields are the whole type.  The partition chain and every vertex
     weight of a :class:`WeightedCombType` (which stores only this shape and
@@ -231,12 +233,13 @@ def enumerate_types(n: int, r: int) -> list[CombType]:
     The trees are built inside one recursion down from the one-block
     partition over (partition, steps left), memoised for this call only like
     the refinements it walks and the blocks' set partitions those are made
-    of; walked in sorted order, they yield the chains sorted.  Reference
-    counting frees all three memos as the call returns, because the
-    self-referring recursion is unbound first.  A partition
-    more than its steps left short of r blocks ends at once, so a cell with
-    n > r - 1 is empty without a lattice walk.  Every
-    type still passes the :class:`CombType` constructor's checks."""
+    of; walked in sorted order, they yield the chains sorted.  Its types
+    share one tuple per parent link pair and per distinct layers.  Reference
+    counting frees everything else as the call returns, because the
+    self-referring recursion is unbound first.  A partition more than its
+    steps left short of r blocks ends at once, so a cell with n > r - 1 is
+    empty without a lattice walk.  Every type still passes the
+    :class:`CombType` constructor's checks."""
     ints = _integers((n, r))
     if ints is None:
         raise ValueError(f"n and r must be integers, got {n!r}, {r!r}")
@@ -250,35 +253,41 @@ def enumerate_types(n: int, r: int) -> list[CombType]:
     # the vertex ids of each layer; "j:i" has one digit each under the budget,
     # so string order is (j, i) order and links built by layer come out sorted
     names = [tuple(f"{j}:{i}" for i in range(r)) for j in range(1, n + 2)]
+    # pairs[j][i][k] links vertex i of layer j + 2 to vertex k of layer j + 1
+    pairs = [[[(v, u) for u in upper] for v in lower] for upper, lower in zip(names, names[1:])]
     splits: dict = {}  # block -> its canonical set partitions, for this call only
     refinements = functools.cache(lambda q: _strict_refinements(q, splits))  # like down's
+    stacked: dict = {}  # (block count, id(layers below)) -> the one layers tuple on them
 
     @functools.cache  # one memo per call, freed as the call returns
-    def down(q: Partition, steps: int) -> tuple[_Chain, ...]:
+    def down(q: Partition, steps: int) -> _Chains:
         """Every chain from q down to the discrete partition in ``steps``
-        strict refinements, as its layers' ids and its parent links sorted
-        by child; q is layer ``n + 1 - steps``."""
+        strict refinements, as two parallel tuples: the chains' layers' ids
+        and their parent links sorted by child; q is layer ``n + 1 - steps``."""
         if r - len(q) < steps:
-            return ()  # each refinement adds a block: q cannot reach r blocks
+            return (), ()  # each refinement adds a block: q cannot reach r blocks
         ids = names[n - steps][: len(q)]
         if steps == 0:
-            return (((ids,), ()),) if len(q) == r else ()
-        owner = {x: v for v, block in zip(ids, q) for x in block}
-        below_ids = names[n + 1 - steps]
-        out: list[_Chain] = []
+            return (((ids,),), ((),)) if len(q) == r else ((), ())
+        owner = {x: k for k, block in enumerate(q) for x in block}
+        row = pairs[n - steps]
+        layers, links = [], []
         for p in refinements(q):
-            below = down(p, steps - 1)
-            if below:
-                links = tuple((v, owner[block[0]]) for v, block in zip(below_ids, p))
-                out += [((ids,) + layers, links + up) for layers, up in below]
-        return tuple(out)
+            lowers, ups = down(p, steps - 1)
+            if lowers:
+                own = tuple(row[i][owner[block[0]]] for i, block in enumerate(p))
+                links += [own + up for up in ups]
+                for lower in lowers:  # the memo keeps lower alive, so its id is a key
+                    key = (len(q), id(lower))
+                    layers.append(stacked.get(key) or stacked.setdefault(key, (ids,) + lower))
+        return tuple(layers), tuple(links)
 
     top = (tuple(range(1, r + 1)),)
     try:
         chains = down(top, n)
     finally:  # down reaches itself through its closure: unbinding it breaks that cycle
         del down
-    return [CombType(n, r, layers, links, names[n]) for layers, links in chains]
+    return [CombType(n, r, layers, links, names[n]) for layers, links in zip(*chains)]
 
 
 class WeightedCombType(NamedTuple):

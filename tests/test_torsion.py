@@ -372,6 +372,20 @@ def test_solve_division_budget():
         solve_division(ZERO, MAX_DIVISION_ORDER + 1)
 
 
+def test_torsion_points_budget_is_checked_before_any_point(monkeypatch):
+    # n^2 points: 1e20 would ask for 10**40 of them.  The budget is the one
+    # solve_division keeps; library callers use 4 and 12, scale 24..36
+    def refuse(a, b, n):
+        raise AssertionError("built a point")
+
+    monkeypatch.setattr(torsion_module, "_point", refuse)
+    for value in (257, 257.0, 10**40, 1e20):
+        with pytest.raises(ValueError, match=rf"^torsion points are budgeted to n <= 256, got {int(value)}$"):
+            torsion_points(value)
+    with pytest.raises(AssertionError, match="built a point"):
+        torsion_points(MAX_DIVISION_ORDER)  # inside the budget: the patch is reached
+
+
 _NOT_INTEGERS = [2.5, float("inf"), float("-inf"), float("nan"), "2", "two", None, [2], 1j]
 
 
