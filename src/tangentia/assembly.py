@@ -28,6 +28,7 @@ from .census import (
     census_strata,
 )
 from .covers import instanton_numbers, multiple_cover
+from .rationals import _integer
 
 
 class HypothesisViolation(ValueError):
@@ -53,14 +54,17 @@ def pair_contribution(tangency_one: int, tangency_two: int, meeting_at_p: int) -
     The rule holds when the pieces meet at P with (C1.C2)_P = min(w1, w2);
     any other ``meeting_at_p`` raises :class:`HypothesisViolation`.  The
     census supplies immersed pieces, and both pieces meet D only at P.
+    All three are read by the integer rule: 3.0 is 3, and 3.5 is refused.
     """
-    if tangency_one < 1 or tangency_two < 1:
+    w1, w2 = (_integer(w, "contact order") for w in (tangency_one, tangency_two))
+    if w1 < 1 or w2 < 1:
         raise ValueError("contact orders must be positive")
-    smaller = min(tangency_one, tangency_two)
+    meeting_at_p = _integer(meeting_at_p, "meeting_at_p")
+    smaller = min(w1, w2)
     if meeting_at_p != smaller:
         raise HypothesisViolation(
             f"pair contribution hypothesis not met: (C1.C2)_P = {meeting_at_p}, "
-            f"but the rule needs min({tangency_one}, {tangency_two}) = {smaller}"
+            f"but the rule needs min({w1}, {w2}) = {smaller}"
         )
     return Fraction(smaller)
 

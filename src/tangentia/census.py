@@ -38,7 +38,6 @@ is refused: its distinct pairs number C(n, 2), not the n*n the rule counts.
 from __future__ import annotations
 
 import functools
-from operator import index
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Optional, Union
 
@@ -65,7 +64,9 @@ CHI_QUARTIC_ORDER4_SPECIAL = 4  # genus-1 quartic classes at a T3 point
 
 def euler_budget(chi_surface: int, chi_special_fiber: int) -> int:
     """Number of nodal rational members of a pencil: chi of the total
-    surface minus chi of the special fiber.  Inputs must be nonnegative."""
+    surface minus chi of the special fiber, both nonnegative integers."""
+    chi_surface = _integer(chi_surface, "Euler characteristic")
+    chi_special_fiber = _integer(chi_special_fiber, "Euler characteristic")
     if chi_surface < 0 or chi_special_fiber < 0:
         raise ValueError("Euler characteristics must be nonnegative")
     return chi_surface - chi_special_fiber
@@ -147,15 +148,6 @@ CUSPIDAL = "cuspidal"  # only behind the special-cubic flag
 COMPONENT_KINDS = (IMMERSED, COVER, PAIR, CUSPIDAL)
 
 
-def _check_at_least(name: str, value, least: int) -> None:
-    try:
-        if index(value) >= least:
-            return
-    except TypeError:
-        pass
-    raise ValueError(f"component {name} must be an integer >= {least}, got {value!r}")
-
-
 class _ComponentFields(NamedTuple):
     kind: str
     count: int
@@ -175,7 +167,8 @@ class Component(_ComponentFields):
     contact point.  Every construction path (``_make`` and ``_replace``
     included) validates: the count, degrees, contact orders and (C1.C2)_P
     are positive integers, a multiplicity is at least 2, and a field the
-    kind does not carry is None.
+    kind does not carry is None.  Numbers are read by the integer rule of
+    :mod:`~tangentia.rationals` and stored as ints: 2.0 is stored as 2.
     """
 
     __slots__ = ()
@@ -184,14 +177,13 @@ class Component(_ComponentFields):
         self = super().__new__(cls, *args, **kwargs)
         if self.kind not in COMPONENT_KINDS:
             raise ValueError(f"unknown component kind {self.kind!r}")
-        _check_at_least("count", self.count, 1)
-        carried: tuple[str, ...] = ()
+        count = _integer(self.count, "component count", 1)
+        carried = {}
         if self.kind == COVER:
             if self.base_degree is None or self.multiplicity is None:
                 raise ValueError("cover components need base_degree and multiplicity")
-            _check_at_least("base_degree", self.base_degree, 1)
-            _check_at_least("multiplicity", self.multiplicity, 2)
-            carried = ("base_degree", "multiplicity")
+            carried = {"base_degree": _integer(self.base_degree, "component base_degree", 1),
+                       "multiplicity": _integer(self.multiplicity, "component multiplicity", 2)}
         elif self.kind == PAIR:
             if self.tangencies is None or self.meeting_at_p is None:
                 raise ValueError(
@@ -201,14 +193,13 @@ class Component(_ComponentFields):
                 raise ValueError(
                     f"component tangencies must be two contact orders, got {self.tangencies!r}"
                 )
-            for order in self.tangencies:
-                _check_at_least("tangencies", order, 1)
-            _check_at_least("meeting_at_p", self.meeting_at_p, 1)
-            carried = ("tangencies", "meeting_at_p")
+            carried = {"tangencies": tuple(_integer(order, "component tangencies", 1)
+                                           for order in self.tangencies),
+                       "meeting_at_p": _integer(self.meeting_at_p, "component meeting_at_p", 1)}
         for name in self._fields[2:]:
             if name not in carried and getattr(self, name) is not None:
                 raise ValueError(f"{self.kind} components carry no {name}")
-        return self
+        return tuple.__new__(cls, (self.kind, count, *map(carried.get, self._fields[2:])))
 
     @classmethod
     def _make(cls, iterable) -> Component:

@@ -47,7 +47,7 @@ import math
 from fractions import Fraction
 from typing import Iterator, NamedTuple
 
-from .rationals import binomial
+from .rationals import _integer, binomial
 
 # work budgets, checked before any work: multiple_cover makes one binomial
 # of size d * w; instanton_numbers a fresh binomial per degree d <= (w-1)^2
@@ -64,21 +64,21 @@ def multiple_cover(w: int, d: int) -> Fraction:
 
     Bounded to w <= MAX_CONTACT_ORDER and d <= MAX_INSTANTON_DEGREE.
     """
-    _require_positive(w=w, d=d)
+    w, d = _integer(w, "w", 1), _integer(d, "d", 1)
     _require_cover_budget(w, d)
     return Fraction(binomial(d * (w - 1) - 1, d - 1), d * d)
 
 
 def local_cover(n: int, d: int) -> Fraction:
     """Contribution M'_n[d] of d-fold covers of a curve inside the divisor."""
-    _require_positive(n=n, d=d)
+    n, d = _integer(n, "n", 1), _integer(d, "d", 1)
     sign = -1 if (n * (d - 1)) % 2 else 1
     return Fraction(sign, d * d)
 
 
 def divisors(d: int) -> Iterator[int]:
     """Positive divisors of d in increasing order, by trial division."""
-    _require_positive(d=d)
+    d = _integer(d, "d", 1)
     for k in range(1, d + 1):
         if d % k == 0:
             yield k
@@ -100,7 +100,7 @@ def instanton_numbers(w: int, d_max: int) -> dict[int, Fraction]:
 
     Bounded to d_max <= MAX_INSTANTON_DEGREE and w <= MAX_CONTACT_ORDER.
     """
-    _require_positive(w=w, d_max=d_max)
+    w, d_max = _integer(w, "w", 1), _integer(d_max, "d_max", 1)
     if d_max > MAX_INSTANTON_DEGREE:
         raise ValueError(
             f"instanton numbers are budgeted to dmax <= {MAX_INSTANTON_DEGREE}, got {d_max}"
@@ -149,7 +149,7 @@ def integrality_report(w_max: int, d_max: int) -> list[IntegralityRow]:
     outside the user-supplied bounds is claimed.  Bounded to
     w_max * d_max <= MAX_INTEGRALITY_CELLS.
     """
-    _require_positive(w_max=w_max, d_max=d_max)
+    w_max, d_max = _integer(w_max, "w_max", 1), _integer(d_max, "d_max", 1)
     if w_max * d_max > MAX_INTEGRALITY_CELLS:
         raise ValueError(
             f"the integrality box is budgeted to wmax * dmax <= {MAX_INTEGRALITY_CELLS}, "
@@ -169,9 +169,3 @@ def _require_cover_budget(w: int, d: int) -> None:
             f"multiple covers are budgeted to w <= {MAX_CONTACT_ORDER} and "
             f"d <= {MAX_INSTANTON_DEGREE}, got w = {w}, d = {d}"
         )
-
-
-def _require_positive(**named: int) -> None:
-    for name, value in named.items():
-        if not isinstance(value, int) or value < 1:
-            raise ValueError(f"{name} must be a positive integer, got {value!r}")

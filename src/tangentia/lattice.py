@@ -141,10 +141,14 @@ def class_literal(c: DivisorClass) -> str:
 
 
 def ordered_count(multiset: Sequence[int]) -> int:
-    """Number of distinct orderings of a multiset: 6! / prod(multiplicity!)."""
-    count = math.factorial(len(multiset))
-    for value in set(multiset):
-        count //= math.factorial(multiset.count(value))
+    """Number of distinct orderings of a multiset: n! / prod(multiplicity!),
+    its entries read by the integer rule (1.0 is 1)."""
+    ints = _integers(multiset)
+    if ints is None:
+        raise ValueError(f"multiset entries must be integers, got {multiset!r}")
+    count = math.factorial(len(ints))
+    for value in set(ints):
+        count //= math.factorial(ints.count(value))
     return count
 
 

@@ -5,10 +5,11 @@ are always stored in lowest terms with a positive denominator, so equality
 is structural and ``str()`` prints ``"num/den"`` (or just ``"num"`` for
 integers), which is the serialization used everywhere in this package.
 
-The integer rule reads every size in the package (degrees, torsion orders,
-class coefficients, a tree's layers, labels and weights): a value equal to
-an int is that int, so 4.0 is 4 and True is 1; 2.5, inf, nan, a string or
-None is refused.
+The integer rule is the package's one rule for what an integer is.  It reads
+every size: degrees, torsion orders, class coefficients, a tree's layers,
+labels and weights, the w, d and bounds of :mod:`~tangentia.covers`, and
+the numbers of a census ``Component``.  A value equal to an int is that int,
+so 4.0 is 4 and True is 1; 2.5, inf, nan, a string or None is refused.
 """
 from __future__ import annotations
 
@@ -44,9 +45,10 @@ def _integers(values: Sequence) -> Optional[tuple[int, ...]]:
     return ints if ints == tuple(values) else None
 
 
-def _integer(value, name: str) -> int:
-    """``value`` read by the integer rule; ValueError, naming it, if it is not integral."""
+def _integer(value, name: str, least: Optional[int] = None) -> int:
+    """``value`` read by the integer rule, and at least ``least`` if given; else ValueError."""
     ints = _integers((value,))
-    if ints is None:
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if ints is None or (least is not None and ints[0] < least):
+        what = {None: "an integer", 1: "a positive integer"}.get(least, f"an integer >= {least}")
+        raise ValueError(f"{name} must be {what}, got {value!r}")
     return ints[0]

@@ -40,6 +40,18 @@ def test_pair_contribution_names_violated_hypothesis():
         pair_contribution(3, -9, 3)
 
 
+def test_pair_contribution_reads_its_arguments_by_the_integer_rule():
+    # the rule is stated for integer contact orders: 3.0 is 3, 3.5 is refused
+    for value in (3.0, Fraction(3)):
+        assert pair_contribution(value, 9, 3) == pair_contribution(3, value * 3, value) == 3
+    assert pair_contribution(True, 9, 1) == pair_contribution(1, 9, 1) == 1
+    for value in (3.5, float("inf"), float("nan"), None, "3", 1j):
+        for args, name in (((value, 9, 3), "contact order"), ((9, value, 3), "contact order"),
+                           ((3, 9, value), "meeting_at_p")):
+            with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+                pair_contribution(*args)
+
+
 def test_reference_invariants():
     assert reference_invariant(1) == 9
     assert reference_invariant(2) == Fraction(135, 4)

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -33,10 +34,21 @@ def test_euler_budget():
     assert euler_budget(CHI_SURFACE, CHI_QUARTIC_ORDER4_SPECIAL) == 8
     assert euler_budget(CHI_SURFACE, CHI_TRIPLE_TANGENT_LINE) == 2
     assert euler_budget(CHI_SURFACE, CHI_CUBIC_NONFLEX_SPECIAL) == 3
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^Euler characteristics must be nonnegative$"):
         euler_budget(-1, 4)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^Euler characteristics must be nonnegative$"):
         euler_budget(12, -2)
+
+
+def test_euler_budget_reads_its_inputs_by_the_integer_rule():
+    # a pencil has a whole number of nodal members
+    for value in (12.0, True, Fraction(12)):
+        assert euler_budget(value, 2) == euler_budget(int(value), 2)
+        assert type(euler_budget(value, 2.0)) is int
+    for value in (12.5, float("inf"), float("nan"), None, "12", 1j):
+        for args in ((value, 2), (12, value)):
+            with pytest.raises(ValueError, match="^Euler characteristic must be an integer, got "):
+                euler_budget(*args)
 
 
 def test_quadrisection_split():
@@ -218,10 +230,10 @@ def test_component_validation():
 
 
 @pytest.mark.parametrize("args, fields, message", [
-    ((IMMERSED, 1.5), {}, r"component count must be an integer >= 1, got 1\.5"),
-    ((CUSPIDAL, "2"), {}, r"component count must be an integer >= 1, got '2'"),
+    ((IMMERSED, 1.5), {}, r"component count must be a positive integer, got 1\.5"),
+    ((CUSPIDAL, "2"), {}, r"component count must be a positive integer, got '2'"),
     ((COVER, 1), dict(base_degree=0, multiplicity=-2), r"base_degree .* got 0"),
-    ((COVER, 1), dict(base_degree=1.0, multiplicity=2), r"base_degree .* got 1\.0"),
+    ((COVER, 1), dict(base_degree=2.5, multiplicity=2), r"base_degree .* got 2\.5"),
     ((COVER, 1), dict(base_degree=1, multiplicity=1), r"multiplicity must be an integer >= 2, got 1"),
     ((PAIR, 1), dict(tangencies=(3,), meeting_at_p=2.5), r"tangencies must be two contact orders"),
     ((PAIR, 1), dict(tangencies=(3, 0), meeting_at_p=3), r"tangencies must be .* got 0"),
@@ -247,6 +259,41 @@ def test_component_refuses_bad_field_values(args, fields, message):
     }[args[0]]
     with pytest.raises(ValueError, match=message):
         valid._replace(count=args[1], **fields)
+
+
+# a valid component of each kind with numbers, and the field each number is in
+NUMBERED = [
+    (IMMERSED, 4, {}, "count"),
+    (COVER, 1, dict(base_degree=4, multiplicity=2), "base_degree"),
+    (COVER, 1, dict(base_degree=1, multiplicity=4), "multiplicity"),
+    (PAIR, 1, dict(tangencies=(3, 4), meeting_at_p=3), "tangencies"),
+    (PAIR, 1, dict(tangencies=(4, 9), meeting_at_p=4), "meeting_at_p"),
+]
+
+
+def _field(name, value):
+    """The keyword that puts ``value`` in field ``name``; a tangency goes second."""
+    return {name: (3, value) if name == "tangencies" else value}
+
+
+@pytest.mark.parametrize("kind, count, fields, name", NUMBERED, ids=[n for *_, n in NUMBERED])
+def test_component_reads_its_numbers_by_the_integer_rule(kind, count, fields, name):
+    # an integral value is stored as the int it equals, on every construction path
+    valid = Component(kind, count, **fields)
+    for value, stored in ((4.0, 4), (Fraction(4), 4), (True, 1)):
+        if stored < 2 and name == "multiplicity":
+            continue
+        built = Component(**{"kind": kind, "count": count, **fields, **_field(name, value)})
+        assert built == valid._replace(**_field(name, value))
+        assert built == valid._replace(**_field(name, stored))
+        numbers = built[1:4] + (built.meeting_at_p, *(built.tangencies or ()))
+        assert all(type(v) is int for v in numbers if v is not None)
+    floor = "an integer >= 2" if name == "multiplicity" else "a positive integer"
+    refused = (2.5, float("inf"), float("-inf"), float("nan"), "4", 1j)
+    for value in refused + ((None,) if name in ("count", "tangencies") else ()):
+        message = f"component {name} must be {floor}, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            valid._replace(**_field(name, value))
 
 
 def test_pairs_are_derived_where_the_bounds_meet():

@@ -67,9 +67,41 @@ def test_divisors_increasing_order():
     assert list(divisors(12)) == [1, 2, 3, 4, 6, 12]
     assert list(divisors(1)) == [1]
     assert list(divisors(7)) == [1, 7]
-    for value in (0, 4.0, None):  # the covers rule: a positive int, nothing converted
+    for value in (0, 2.5, None):  # the integer rule of rationals, at least 1
         with pytest.raises(ValueError, match=re.escape(f"d must be a positive integer, got {value!r}")):
             list(divisors(value))
+
+
+# every covers entry point, one argument varied and the other held at 3
+ENTRY_POINTS = [
+    ("multiple_cover", lambda v: multiple_cover(v, 3), "w"),
+    ("multiple_cover", lambda v: multiple_cover(3, v), "d"),
+    ("local_cover", lambda v: local_cover(v, 3), "n"),
+    ("local_cover", lambda v: local_cover(3, v), "d"),
+    ("divisors", lambda v: list(divisors(v)), "d"),
+    ("instanton_numbers", lambda v: instanton_numbers(v, 3), "w"),
+    ("instanton_numbers", lambda v: instanton_numbers(3, v), "d_max"),
+    ("integrality_report", lambda v: integrality_report(v, 3), "w_max"),
+    ("integrality_report", lambda v: integrality_report(3, v), "d_max"),
+]
+
+
+@pytest.mark.parametrize("call, name", [(call, name) for _, call, name in ENTRY_POINTS],
+                         ids=[f"{f}-{name}" for f, _, name in ENTRY_POINTS])
+def test_every_entry_point_reads_its_arguments_by_the_integer_rule(call, name):
+    expected = call(4)
+    for value in (4.0, Fraction(4)):
+        assert call(value) == expected
+    assert call(True) == call(1)
+    for value in (2.5, float("inf"), float("-inf"), float("nan"), None, "4", 1j, 0, -4.0):
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be a positive integer, got {value!r}")):
+            call(value)
+
+
+def test_integral_values_are_stored_as_ints():
+    assert type(next(iter(instanton_numbers(3.0, 2.0)))) is int
+    assert all(type(k) is int for k in divisors(12.0))
+    assert all(type(r.w) is int and type(r.d) is int for r in integrality_report(2.0, 2.0))
 
 
 def test_instanton_reference_values():

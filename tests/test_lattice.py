@@ -179,6 +179,13 @@ def test_ordered_count_against_permutation_oracle():
         assert ordered_count(multiset) == len(set(permutations(multiset)))
 
 
+def test_ordered_count_reads_its_entries_by_the_integer_rule():
+    assert ordered_count([0, 0.0, True, 1.0, 2, 2]) == ordered_count((0, 0, 1, 1, 2, 2)) == 90
+    for value in (1.5, float("inf"), float("nan"), None, "1", 1j):
+        with pytest.raises(ValueError, match="^multiset entries must be integers, got "):
+            ordered_count((0, 0, value, 1, 1, 1))
+
+
 def test_enumerate_classes_degree_four_table():
     rows = enumerate_classes(4)
     assert [(r.e, r.a_multiset, r.p_a, r.ordered_count) for r in rows] == [

@@ -23,7 +23,7 @@ LAYERS = {
     "trees": {"rationals"},
     "covers": {"rationals"},
     "census": {"lattice", "rationals", "torsion"},
-    "assembly": {"census", "covers"},
+    "assembly": {"census", "covers", "rationals"},
     "verify": {"assembly", "census", "covers", "lattice", "torsion", "trees"},
     "cli": set(),
     "__init__": set(),
@@ -117,6 +117,56 @@ def _imports_module(name, stdlib):
 
 def test_only_the_pinned_modules_import_dataclasses():
     assert {name for name in LAYERS if _imports_module(name, "dataclasses")} == DATACLASS_MODULES
+
+
+# the integer rule of rationals is the package's one rule for what an integer
+# is: no module asks isinstance(..., int), and operator.index is read only by
+# rationals and by torsion, whose TorsionPoint.__mul__ keeps Python's strict
+# operator protocol
+INDEX_MODULES = {"rationals", "torsion"}
+
+
+def _nodes(body):
+    return ast.walk(ast.Module(body=body, type_ignores=[]))
+
+
+def isinstance_int_lines(body):
+    """Lines of the calls ``isinstance(x, int)``, int alone or in a tuple."""
+    found = []
+    for node in _nodes(body):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+            types = node.args[1] if len(node.args) == 2 else None
+            names = types.elts if isinstance(types, ast.Tuple) else [types]
+            if any(getattr(t, "id", None) == "int" for t in names):
+                found.append(node.lineno)
+    return found
+
+
+def operator_index_lines(body):
+    """Lines that import ``index`` from operator or read ``operator.index``."""
+    return [node.lineno for node in _nodes(body)
+            if isinstance(node, ast.ImportFrom) and node.module == "operator"
+            and any(a.name == "index" for a in node.names)
+            or isinstance(node, ast.Attribute) and node.attr == "index"
+            and getattr(node.value, "id", None) == "operator"]
+
+
+def test_one_integer_rule():
+    assert not [name for name in LAYERS if isinstance_int_lines(_body(name))]
+    assert {name for name in LAYERS if operator_index_lines(_body(name))} == INDEX_MODULES
+
+
+def test_the_integer_rule_scan_sees_isinstance_and_operator_index():
+    body = ast.parse(
+        "import operator\n"
+        "from operator import index, itemgetter\n"
+        "def f(x):\n"
+        "    return isinstance(x, int) or isinstance(x, (float, int)) or operator.index(x)\n"
+        "def g(x):\n"
+        "    return isinstance(x, float) or isinstance(x, (str, tuple)) or x.index(1)\n"
+    ).body
+    assert isinstance_int_lines(body) == [4, 4]
+    assert operator_index_lines(body) == [2, 4]
 
 
 # the only module-level memos: functools caches of derived read-only tables.

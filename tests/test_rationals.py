@@ -109,16 +109,25 @@ sizes = st.one_of(
 )
 
 
-@given(st.lists(sizes, max_size=4))
-def test_integer_rule_matches_fraction_oracle(values):
+def _floor_phrase(least):
+    if least is None:
+        return "an integer"
+    return "a positive integer" if least == 1 else f"an integer >= {least}"
+
+
+@given(st.lists(sizes, max_size=4), st.one_of(st.none(), st.integers(-3, 3)))
+def test_integer_rule_matches_fraction_oracle(values, least):
     ints = _integers(values)
     if all(map(_integral_by_fraction, values)):
         assert ints == tuple(values) and all(type(i) is int for i in ints)
     else:
         assert ints is None
+    floor = () if least is None else (least,)  # no floor is the default
     for value in values:
-        if _integral_by_fraction(value):
-            assert _integer(value, "size") == value
+        if _integral_by_fraction(value) and (least is None or value >= least):
+            read = _integer(value, "size", *floor)
+            assert read == value and type(read) is int
         else:
-            with pytest.raises(ValueError, match=re.escape(f"size must be an integer, got {value!r}")):
-                _integer(value, "size")
+            message = f"size must be {_floor_phrase(least)}, got {value!r}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                _integer(value, "size", *floor)
