@@ -56,9 +56,7 @@ def pair_contribution(tangency_one: int, tangency_two: int, meeting_at_p: int) -
     census supplies immersed pieces, and both pieces meet D only at P.
     All three are read by the integer rule: 3.0 is 3, and 3.5 is refused.
     """
-    w1, w2 = (_integer(w, "contact order") for w in (tangency_one, tangency_two))
-    if w1 < 1 or w2 < 1:
-        raise ValueError("contact orders must be positive")
+    w1, w2 = (_integer(w, "contact order", 1) for w in (tangency_one, tangency_two))
     meeting_at_p = _integer(meeting_at_p, "meeting_at_p")
     smaller = min(w1, w2)
     if meeting_at_p != smaller:

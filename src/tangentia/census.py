@@ -10,6 +10,12 @@ pairs.  Which shapes occur depends only on the stratum of P:
 * for degree 3 the interesting non-flex points are the 72 points of order
   9, exposed here under the census-only label ``"NF9"``.
 
+With a flex O as origin, a degree-d curve meets D only at P exactly when
+dH|_D ~ 3d*P, that is when 3d*(P - O) = 0.  So the points that carry
+degree-d curves are the (3d)-torsion: the strata of a degree and their
+point counts are read off one table of exact orders per label, and a
+degree is in the census when 3d is one of those orders (d = 1..4).
+
 Immersed counts in degrees 3 and 4 (genus-1 classes) come from an Euler
 characteristic budget: the relevant pencil sweeps out a rational elliptic
 surface with chi = 12, each nodal rational member contributes 1, and the
@@ -38,15 +44,20 @@ is refused: its distinct pairs number C(n, 2), not the n*n the rule counts.
 from __future__ import annotations
 
 import functools
+import math
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Optional, Union
 
 from .lattice import enumerate_classes
 from .rationals import _integer
-from .torsion import Stratum, stratify, stratum_sizes, torsion_points
+from .torsion import Stratum, stratify, torsion_points
 
 # census-only stratum label for the 72 points of exact order 9 (degree 3)
 NONFLEX_NINE = "NF9"
+
+# the exact orders of the points in each stratum; a stratum carries curves
+# of degree d when its orders divide 3d (see the module docstring)
+_ORDERS = {"T1": (1, 3), "T2": (2, 6), "T3": (4, 12), NONFLEX_NINE: (9,)}
 
 CensusStratum = Union[Stratum, str]
 
@@ -127,7 +138,7 @@ def count_M4(stratum: Union[Stratum, str]) -> int:
     exact; anything else is a bug."""
     stratum = Stratum(stratum)
     n = aggregate_N()[stratum]
-    denom = 3 * stratum_sizes()[stratum]
+    denom = 3 * stratum_point_count(stratum.value)
     quot, rem = divmod(n, denom)
     if rem:
         raise ArithmeticError(
@@ -215,17 +226,13 @@ class CensusEntry(NamedTuple):
 
 
 # (degree, stratum label) -> the immersed curves per point that no rule
-# derives; boundary_census derives the covers, pairs and quartics from them.
-# An entry of derived curves only is empty, so the strata are read off the keys.
+# derives; boundary_census derives the covers, pairs and quartics from them,
+# and census_strata the strata from _ORDERS, so every entry is non-empty.
 _CENSUS = {
     (1, "T1"): (Component(IMMERSED, 1),),
-    (2, "T1"): (),
     (2, "T2"): (Component(IMMERSED, 1),),
     (3, "T1"): (Component(IMMERSED, euler_budget(CHI_SURFACE, CHI_TRIPLE_TANGENT_LINE)),),
     (3, NONFLEX_NINE): (Component(IMMERSED, euler_budget(CHI_SURFACE, CHI_CUBIC_NONFLEX_SPECIAL)),),
-    (4, "T1"): (),
-    (4, "T2"): (),
-    (4, "T3"): (),
 }
 
 # on the special cubic the two nodal cubics at a flex degenerate to one
@@ -234,19 +241,24 @@ _SPECIAL_CUBIC_CENSUS = {**_CENSUS, (3, "T1"): (Component(CUSPIDAL, 1),)}
 
 
 def census_strata(degree: int) -> tuple[str, ...]:
-    """Stratum labels that carry curves of the given degree (4.0 reads as 4)."""
+    """Stratum labels that carry curves of the given degree (4.0 reads as 4):
+    those whose orders divide 3 * degree, ascending by order.  The degree is
+    refused before any point is built unless 3 * degree is a named order."""
     degree = _integer(degree, "degree")
-    strata = tuple(label for d, label in _CENSUS if d == degree)
-    if not strata:
+    n = 3 * degree
+    if not any(n in orders for orders in _ORDERS.values()):
         raise ValueError(f"census covers degrees 1..4, got {degree}")
-    return strata
+    return tuple(label for label in sorted(_ORDERS, key=_ORDERS.get)
+                 if any(n % k == 0 for k in _ORDERS[label]))
 
 
 def stratum_point_count(label: str) -> int:
-    """Points of the cubic in a stratum; NF9 is the points of exact order 9."""
-    if label == NONFLEX_NINE:
-        return 9**2 - 3**2  # E[9] minus E[3]
-    return stratum_sizes()[Stratum(label)]
+    """Points of the cubic in a stratum: for each of its orders k, the
+    (a/k, b/k) with gcd(a, b, k) = 1, which have exact order k.  No point
+    is built."""
+    if label not in _ORDERS:
+        raise ValueError(f"no census stratum {label!r}")
+    return sum(math.gcd(a, b, k) == 1 for k in _ORDERS[label] for a in range(k) for b in range(k))
 
 
 def boundary_census(
@@ -295,7 +307,7 @@ def boundary_census(
             pairs += (Component(PAIR, immersed[d1] * immersed[d2],
                                 tangencies=(3 * d1, 3 * d2), meeting_at_p=3 * d1),)
     quartics = (Component(IMMERSED, count_M4(label)),) if degree == 4 else ()
-    components = covers + pairs + table[degree, label] + quartics
+    components = covers + pairs + table.get((degree, label), ()) + quartics
     return CensusEntry(
         degree, label, stratum_point_count(label), components, special_cubic
     )

@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from .rationals import _integer, binomial
 
@@ -76,12 +76,10 @@ def local_cover(n: int, d: int) -> Fraction:
     return Fraction(sign, d * d)
 
 
-def divisors(d: int) -> Iterator[int]:
+def divisors(d: int) -> tuple[int, ...]:
     """Positive divisors of d in increasing order, by trial division."""
     d = _integer(d, "d", 1)
-    for k in range(1, d + 1):
-        if d % k == 0:
-            yield k
+    return tuple(k for k in range(1, d + 1) if d % k == 0)
 
 
 def instanton_numbers(w: int, d_max: int) -> dict[int, Fraction]:

@@ -17,8 +17,9 @@ Geometry dictionary, under a marking theta of the relevant points:
 * T2 is the 27 points of order exactly 6 or 2 (6-torsion, not 3-torsion),
   where the conic with sixfold contact lives;
 * T3 is the 108 points of order exactly 12 or 4, the generic quartic case;
-* for cubics the relevant non-flex points are the 72 of exact order 9;
-  only the census module counts them, under its label ``"NF9"``.
+* for cubics the relevant non-flex points are the 72 of exact order 9,
+  which the census module labels ``"NF9"``; it reads the strata of each
+  degree d off the (3d)-torsion.
 
 The standard marking puts the six blown-up base points P1..P6 at the
 3-torsion values fixed in :data:`BASE_POINTS` (their theta-values sum to
@@ -62,9 +63,7 @@ class TorsionPoint:
     __slots__ = ("a", "b", "n")
 
     def __new__(cls, x, y, n: int = 1) -> TorsionPoint:
-        n = _integer(n, "n")
-        if n < 1:
-            raise ValueError(f"n must be positive, got {n}")
+        n = _integer(n, "n", 1)
         if isinstance(x, float) or isinstance(y, float):  # rarely the rational meant
             raise ValueError(f"torsion coordinates must be exact, not floats: got {x!r}, {y!r}")
         x, y = Fraction(x), Fraction(y)
@@ -162,9 +161,7 @@ def torsion_points(n: int) -> list[TorsionPoint]:
     by the integer rule of :mod:`~tangentia.rationals` (2.0 is 2, and 2.5
     raises ValueError) and bounded to n <= MAX_DIVISION_ORDER, both checked
     before any point."""
-    n = _integer(n, "n")
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
+    n = _integer(n, "n", 1)
     if n > MAX_DIVISION_ORDER:
         raise ValueError(f"torsion points are budgeted to n <= {MAX_DIVISION_ORDER}, got {n}")
     return [_point(i, j, n) for i in range(n) for j in range(n)]
@@ -212,9 +209,7 @@ def solve_division(c: TorsionPoint, m: int) -> list[TorsionPoint]:
     [0, N).  m is read by the integer rule of :mod:`~tangentia.rationals`
     (4.0 is 4, 1.5 raises ValueError) and bounded to m <=
     MAX_DIVISION_ORDER, both checked before any point."""
-    m = _integer(m, "m")
-    if m < 1:
-        raise ValueError(f"m must be positive, got {m}")
+    m = _integer(m, "m", 1)
     if m > MAX_DIVISION_ORDER:
         raise ValueError(f"division is budgeted to m <= {MAX_DIVISION_ORDER}, got {m}")
     n = c.n * m

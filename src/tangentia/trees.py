@@ -50,7 +50,7 @@ from itertools import chain, product
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
 
-from .rationals import _integers
+from .rationals import _integer, _integers
 
 MAX_LAYERS = 6
 MAX_LABELS = 6
@@ -240,12 +240,7 @@ def enumerate_types(n: int, r: int) -> list[CombType]:
     steps left short of r blocks ends at once, so a cell with n > r - 1 is
     empty without a lattice walk.  Every type still passes the
     :class:`CombType` constructor's checks."""
-    ints = _integers((n, r))
-    if ints is None:
-        raise ValueError(f"n and r must be integers, got {n!r}, {r!r}")
-    n, r = ints
-    if n < 0 or r < 1:
-        raise ValueError("need n >= 0 and r >= 1")
+    n, r = _integer(n, "n", 0), _integer(r, "r", 1)
     if n > MAX_LAYERS or r > MAX_LABELS:
         raise ValueError(
             f"enumeration is budgeted to n <= {MAX_LAYERS}, r <= {MAX_LABELS}"

@@ -34,9 +34,9 @@ def test_pair_contribution_names_violated_hypothesis():
         message = str(excinfo.value)
         assert f"(C1.C2)_P = {meeting}" in message
         assert "min(3, 9) = 3" in message
-    with pytest.raises(ValueError, match="contact orders must be positive"):
+    with pytest.raises(ValueError, match="^contact order must be a positive integer, got 0$"):
         pair_contribution(0, 9, 0)
-    with pytest.raises(ValueError, match="contact orders must be positive"):
+    with pytest.raises(ValueError, match="^contact order must be a positive integer, got -9$"):
         pair_contribution(3, -9, 3)
 
 
@@ -46,9 +46,10 @@ def test_pair_contribution_reads_its_arguments_by_the_integer_rule():
         assert pair_contribution(value, 9, 3) == pair_contribution(3, value * 3, value) == 3
     assert pair_contribution(True, 9, 1) == pair_contribution(1, 9, 1) == 1
     for value in (3.5, float("inf"), float("nan"), None, "3", 1j):
-        for args, name in (((value, 9, 3), "contact order"), ((9, value, 3), "contact order"),
-                           ((3, 9, value), "meeting_at_p")):
-            with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+        for args, what in (((value, 9, 3), "contact order must be a positive integer"),
+                           ((9, value, 3), "contact order must be a positive integer"),
+                           ((3, 9, value), "meeting_at_p must be an integer")):
+            with pytest.raises(ValueError, match=f"^{what}, got "):
                 pair_contribution(*args)
 
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from tangentia import census
+from tangentia import census, torsion
 from tangentia.assembly import pair_contribution
 from tangentia.census import (
     CHI_CUBIC_NONFLEX_SPECIAL,
@@ -26,7 +26,7 @@ from tangentia.census import (
     quadrisection_split,
     stratum_point_count,
 )
-from tangentia.torsion import Stratum, stratum_sizes, torsion_points
+from tangentia.torsion import Stratum, stratify, stratum_sizes, torsion_points
 
 
 def test_euler_budget():
@@ -326,19 +326,54 @@ def test_pairs_are_derived_where_the_bounds_meet():
 
 def test_a_pair_the_bounds_leave_undetermined_is_refused(monkeypatch):
     # a tabled quartic at a flex would pair with the tangent line in degree 5,
-    # where 3 <= (C1.C2)_P <= 4 fixes nothing
+    # where 3 <= (C1.C2)_P <= 4 fixes nothing; naming order 15 admits degree 5
     monkeypatch.setitem(census._CENSUS, (4, "T1"), (Component(IMMERSED, 1),))
-    monkeypatch.setitem(census._CENSUS, (5, "T1"), ())
+    monkeypatch.setitem(census._ORDERS, "T1", (1, 3, 15))
     with pytest.raises(ArithmeticError, match=r"degree 1 \+ 4 pair undetermined: 3 to 4"):
         boundary_census(5, "T1")
 
 
 def test_a_pair_of_two_curves_of_one_degree_is_refused(monkeypatch):
     # in degree 6 the bounds meet at (C1.C2)_P = 9 for two nodal cubics at a
-    # flex, but such pairs number C(2, 2), not 2 * 2
-    monkeypatch.setitem(census._CENSUS, (6, "T1"), ())
+    # flex, but such pairs number C(2, 2), not 2 * 2; naming order 18 admits
+    # degree 6
+    monkeypatch.setitem(census._ORDERS, "T1", (1, 3, 18))
     with pytest.raises(ArithmeticError, match=r"^the count of degree 3 \+ 3 pairs is not derived"):
         boundary_census(6, "T1")
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 4])
+def test_the_strata_of_a_degree_are_its_3d_torsion(degree):
+    # a degree-d curve meets the cubic only at P exactly when 3d * P = 0
+    # (a flex as origin): each point of the (3d)-torsion lies in exactly one
+    # stratum of the degree, by its exact order; the T labels agree with
+    # stratify, and the stratum sizes add up to (3d)^2
+    strata = census_strata(degree)
+    for p in torsion_points(3 * degree):
+        labels = [label for label in strata if p.n in census._ORDERS[label]]
+        assert len(labels) == 1, p
+        if labels[0] != NONFLEX_NINE:
+            assert stratify(p) == Stratum(labels[0])
+    assert sum(map(stratum_point_count, strata)) == (3 * degree) ** 2
+
+
+@pytest.mark.parametrize("degree", [0, -1, 5, 6, 10**30])
+def test_a_degree_outside_the_census_is_refused_before_any_point(monkeypatch, degree):
+    # 3d names no stratum order: refused in O(1), with no point built
+    monkeypatch.setattr(census, "torsion_points", _refuse)
+    monkeypatch.setattr(torsion, "_point", _refuse)
+    message = f"^census covers degrees 1..4, got {degree}$"
+    with pytest.raises(ValueError, match=message):
+        census_strata(degree)
+    with pytest.raises(ValueError, match=message):
+        boundary_census(degree, "T1")
+
+
+def test_every_tabled_entry_holds_curves():
+    # the strata come from the order table, so no entry is kept for its key
+    assert len(census._CENSUS) == 4
+    assert all(census._CENSUS.values())
+    assert all(label in census_strata(degree) for degree, label in census._CENSUS)
 
 
 def test_the_degree_is_read_as_an_integer():

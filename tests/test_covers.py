@@ -64,12 +64,12 @@ def test_local_cover_values_and_sign_rule():
 
 
 def test_divisors_increasing_order():
-    assert list(divisors(12)) == [1, 2, 3, 4, 6, 12]
-    assert list(divisors(1)) == [1]
-    assert list(divisors(7)) == [1, 7]
-    for value in (0, 2.5, None):  # the integer rule of rationals, at least 1
+    assert divisors(12) == (1, 2, 3, 4, 6, 12)
+    assert divisors(1) == (1,)
+    assert divisors(7) == (1, 7)
+    for value in (0, 2.5, None):  # the integer rule of rationals, at least 1, refused at the call
         with pytest.raises(ValueError, match=re.escape(f"d must be a positive integer, got {value!r}")):
-            list(divisors(value))
+            divisors(value)
 
 
 # every covers entry point, one argument varied and the other held at 3
@@ -78,7 +78,7 @@ ENTRY_POINTS = [
     ("multiple_cover", lambda v: multiple_cover(3, v), "d"),
     ("local_cover", lambda v: local_cover(v, 3), "n"),
     ("local_cover", lambda v: local_cover(3, v), "d"),
-    ("divisors", lambda v: list(divisors(v)), "d"),
+    ("divisors", divisors, "d"),
     ("instanton_numbers", lambda v: instanton_numbers(v, 3), "w"),
     ("instanton_numbers", lambda v: instanton_numbers(3, v), "d_max"),
     ("integrality_report", lambda v: integrality_report(v, 3), "w_max"),

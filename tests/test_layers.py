@@ -8,6 +8,7 @@ lazily resolved names) are covered by ``tests/test_cold_start.py``.
 """
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -167,6 +168,52 @@ def test_the_integer_rule_scan_sees_isinstance_and_operator_index():
     ).body
     assert isinstance_int_lines(body) == [4, 4]
     assert operator_index_lines(body) == [2, 4]
+
+
+# a positivity floor is the integer rule's third argument, _integer(value, name,
+# least), not a refusal in a module's own words; the list-level weights check
+# and CombType's coherence check, which takes no integer rule, keep theirs
+OWN_FLOOR_REFUSALS = {
+    ("cli", "cmd_graphs", "weights must be positive integers"),
+    ("trees", "propagate_weights", "weights must be positive integers"),
+    ("trees", "CombType.__new__", "need n >= 0 and r >= 1"),
+}
+_OWN_FLOOR = re.compile(r"must be positive|need n >= 0")
+
+
+def own_floor_refusals(nodes, scope=()):
+    """(enclosing definition, text) of each string constant under ``nodes``
+    that words a positivity floor of its own."""
+    found = []
+    for node in nodes:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found += own_floor_refusals(node.body, scope + (node.name,))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and _OWN_FLOOR.search(node.value):
+            found.append((".".join(scope), node.value))
+        else:
+            found += own_floor_refusals(ast.iter_child_nodes(node), scope)
+    return found
+
+
+def test_positivity_floors_are_read_by_the_integer_rule():
+    found = {(name, *refusal) for name in LAYERS for refusal in own_floor_refusals(_body(name))}
+    assert found == OWN_FLOOR_REFUSALS
+
+
+def test_the_floor_scan_sees_strings_and_f_strings_by_definition():
+    body = ast.parse(
+        "class A:\n"
+        "    def f(self, n):\n"
+        "        raise ValueError(f\"n must be positive, got {n}\")\n"
+        "def g():\n"
+        "    return 'need n >= 0 and r >= 1', 'must be nonnegative'\n"
+        "X = 'weights must be positive'\n"
+    ).body
+    assert own_floor_refusals(body) == [
+        ("A.f", "n must be positive, got "), ("g", "need n >= 0 and r >= 1"),
+        ("", "weights must be positive"),
+    ]
 
 
 # the only module-level memos: functools caches of derived read-only tables.

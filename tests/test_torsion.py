@@ -399,19 +399,21 @@ def test_sizes_are_read_as_integers():
     assert solve_division(c, True) == [c]
     assert TorsionPoint(1, 0, 3.0) == TorsionPoint(1, 0, 3) == c
     for value in _NOT_INTEGERS + [1.5, "3"]:
-        with pytest.raises(ValueError, match=re.escape(f"n must be an integer, got {value!r}")):
+        with pytest.raises(ValueError, match=re.escape(f"n must be a positive integer, got {value!r}")):
             TorsionPoint(1, 0, value)
-        with pytest.raises(ValueError, match=re.escape(f"n must be an integer, got {value!r}")):
+        with pytest.raises(ValueError, match=re.escape(f"n must be a positive integer, got {value!r}")):
             torsion_points(value)
-        with pytest.raises(ValueError, match=re.escape(f"m must be an integer, got {value!r}")):
+        with pytest.raises(ValueError, match=re.escape(f"m must be a positive integer, got {value!r}")):
             solve_division(c, value)
-    with pytest.raises(ValueError, match=r"^n must be positive, got 0$"):
+    with pytest.raises(ValueError, match=r"^n must be a positive integer, got 0\.0$"):
         torsion_points(0.0)
-    with pytest.raises(ValueError, match=r"^m must be positive, got 0$"):
+    with pytest.raises(ValueError, match=r"^n must be a positive integer, got -3$"):
+        TorsionPoint(1, 0, -3)
+    with pytest.raises(ValueError, match=r"^m must be a positive integer, got 0\.0$"):
         solve_division(c, 0.0)
     with pytest.raises(ValueError, match=r"^division is budgeted to m <= 256, got 257$"):
         solve_division(c, 257.0)
-    with pytest.raises(ValueError, match=r"^m must be an integer, got 256\.5$"):
+    with pytest.raises(ValueError, match=r"^m must be a positive integer, got 256\.5$"):
         solve_division(c, 256.5)
 
 

@@ -489,11 +489,16 @@ def test_arguments_are_read_as_integers():
     assert enumerate_types(Fraction(3), 4) == enumerate_types(3, 4)
     assert all(type(t.n) is type(t.r) is int for t in enumerate_types(2.0, 3.0))
     inf, nan = float("inf"), float("nan")
-    for n, r in ((2.5, 3), (2, 3.5), (Fraction(1, 2), 3), ("2", 3),
-                 (inf, 3), (-inf, 3), (nan, 3), (2, inf), (2, -inf), (2, nan),
-                 (None, 3), (2, [2]), (1j, 3)):
-        with pytest.raises(ValueError, match=re.escape(f"n and r must be integers, got {n!r}, {r!r}")):
-            enumerate_types(n, r)
+    for value in (2.5, Fraction(1, 2), "2", inf, -inf, nan, None, [2], 1j):
+        with pytest.raises(ValueError, match=re.escape(f"n must be an integer >= 0, got {value!r}")):
+            enumerate_types(value, 3)
+        with pytest.raises(ValueError, match=re.escape(f"r must be a positive integer, got {value!r}")):
+            enumerate_types(2, value)
+    # the floors of the integer rule: n >= 0 and r >= 1, each named
+    with pytest.raises(ValueError, match=r"^n must be an integer >= 0, got -1$"):
+        enumerate_types(-1, 3)
+    with pytest.raises(ValueError, match=r"^r must be a positive integer, got 0$"):
+        enumerate_types(2, 0)
 
 
 def test_large_enumeration_is_quick():
