@@ -23,6 +23,7 @@ from .census import (
     IMMERSED,
     NONFLEX_NINE,
     PAIR,
+    _ORDERS,
     Component,
     boundary_census,
     census_strata,
@@ -110,19 +111,19 @@ class GwLedger(NamedTuple):
         return sum((line.subtotal for line in self.lines), Fraction(0))
 
 
-_STRATUM_PHRASE = {
-    "T1": "flex",
-    "T2": "order-2 or order-6 point",
-    "T3": "order-4 or order-12 point",
-    NONFLEX_NINE: "order-9 non-flex point",
-}
-
 _BASE_CURVE = {1: "tangent line", 2: "sixfold-contact conic"}
 _TRAVERSAL = {2: "double", 3: "triple", 4: "quadruple"}
 
 
 def _provenance(degree: int, stratum: str, comp: Component) -> str:
-    where = _STRATUM_PHRASE[stratum]
+    # the contact point in words, its exact orders read off the census table
+    where = " or ".join(f"order-{k}" for k in _ORDERS[stratum])
+    if stratum == "T1":
+        where = "flex"
+    elif stratum == NONFLEX_NINE:
+        where += " non-flex point"
+    else:
+        where += " point"
     if comp.kind == COVER:
         return (
             f"{_TRAVERSAL[comp.multiplicity]} covers of the "

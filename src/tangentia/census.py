@@ -5,16 +5,18 @@ meeting D only at P decomposes into irreducible immersed curves, multiple
 covers of lower-degree members, and (in degree 4) reducible line-plus-cubic
 pairs.  Which shapes occur depends only on the stratum of P:
 
-* T1 (flexes), T2 (order 2 or 6), T3 (order 4 or 12) as in
-  :mod:`tangentia.torsion`;
+* T1 (flexes), T2 and T3, by their exact orders in
+  :data:`tangentia.torsion.STRATUM_ORDERS`;
 * for degree 3 the interesting non-flex points are the 72 points of order
   9, exposed here under the census-only label ``"NF9"``.
 
 With a flex O as origin, a degree-d curve meets D only at P exactly when
 dH|_D ~ 3d*P, that is when 3d*(P - O) = 0.  So the points that carry
 degree-d curves are the (3d)-torsion: the strata of a degree and their
-point counts are read off one table of exact orders per label, and a
-degree is in the census when 3d is one of those orders (d = 1..4).
+point counts are read off one table of exact orders per label (the torsion
+table plus NF9's order 9), and a degree is in the census when 3d is one of
+those orders (d = 1..4).  No count builds a point: the stratum sizes and
+the (1, 3, 12) quadrisection split are counted off the table too.
 
 Immersed counts in degrees 3 and 4 (genus-1 classes) come from an Euler
 characteristic budget: the relevant pencil sweeps out a rational elliptic
@@ -44,20 +46,20 @@ is refused: its distinct pairs number C(n, 2), not the n*n the rule counts.
 from __future__ import annotations
 
 import functools
-import math
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Optional, Union
 
 from .lattice import enumerate_classes
 from .rationals import _integer
-from .torsion import Stratum, stratify, torsion_points
+from .torsion import STRATUM_ORDERS, Stratum, _exact_order_count
 
 # census-only stratum label for the 72 points of exact order 9 (degree 3)
 NONFLEX_NINE = "NF9"
 
-# the exact orders of the points in each stratum; a stratum carries curves
-# of degree d when its orders divide 3d (see the module docstring)
-_ORDERS = {"T1": (1, 3), "T2": (2, 6), "T3": (4, 12), NONFLEX_NINE: (9,)}
+# the exact orders of the points in each stratum label, the torsion strata's
+# and NF9's; a stratum carries curves of degree d when its orders divide 3d
+# (see the module docstring)
+_ORDERS = {**{s.value: orders for s, orders in STRATUM_ORDERS.items()}, NONFLEX_NINE: (9,)}
 
 CensusStratum = Union[Stratum, str]
 
@@ -76,25 +78,18 @@ CHI_QUARTIC_ORDER4_SPECIAL = 4  # genus-1 quartic classes at a T3 point
 def euler_budget(chi_surface: int, chi_special_fiber: int) -> int:
     """Number of nodal rational members of a pencil: chi of the total
     surface minus chi of the special fiber, both nonnegative integers."""
-    chi_surface = _integer(chi_surface, "Euler characteristic")
-    chi_special_fiber = _integer(chi_special_fiber, "Euler characteristic")
-    if chi_surface < 0 or chi_special_fiber < 0:
-        raise ValueError("Euler characteristics must be nonnegative")
+    chi_surface = _integer(chi_surface, "Euler characteristic", 0)
+    chi_special_fiber = _integer(chi_special_fiber, "Euler characteristic", 0)
     return chi_surface - chi_special_fiber
 
 
-@functools.cache
 def quadrisection_split() -> Mapping[Stratum, int]:
     """How the 16 solutions of 4P = c (c any 3-torsion point) fall into the
-    strata: translating by the 4-torsion subgroup distributes them (1, 3, 12)
-    regardless of c, so the split is read off at c = 0."""
-    split = {s: 0 for s in Stratum}
-    for t in torsion_points(4):
-        s = stratify(t)
-        if s is None:
-            raise ArithmeticError(f"4-torsion point {t} lies in no stratum")
-        split[s] += 1
-    return MappingProxyType(split)
+    strata, read-only: translating by the 4-torsion subgroup distributes them
+    (1, 3, 12) regardless of c, so the split is read off at c = 0, as each
+    stratum's points of an order dividing 4.  No point is built."""
+    return MappingProxyType({s: _exact_order_count(k for k in orders if 4 % k == 0)
+                             for s, orders in STRATUM_ORDERS.items()})
 
 
 def class_curve_counts(p_a: int) -> Mapping[Stratum, int]:
@@ -253,12 +248,11 @@ def census_strata(degree: int) -> tuple[str, ...]:
 
 
 def stratum_point_count(label: str) -> int:
-    """Points of the cubic in a stratum: for each of its orders k, the
-    (a/k, b/k) with gcd(a, b, k) = 1, which have exact order k.  No point
-    is built."""
+    """Points of the cubic in a stratum: those of its exact orders, counted
+    by :mod:`~tangentia.torsion` without building a point."""
     if label not in _ORDERS:
         raise ValueError(f"no census stratum {label!r}")
-    return sum(math.gcd(a, b, k) == 1 for k in _ORDERS[label] for a in range(k) for b in range(k))
+    return _exact_order_count(_ORDERS[label])
 
 
 def boundary_census(

@@ -220,13 +220,6 @@ def cmd_integrality(args) -> Output:
     return Output(payload, lines, [header, *rows], 0 if all_pass else 2)
 
 
-_STRATUM_DESCRIPTIONS = {
-    "T1": "order 1 or 3 (flexes)",
-    "T2": "order 2 or 6",
-    "T3": "order 4 or 12",
-}
-
-
 def cmd_torsion(args) -> Output:
     if args.strata and (args.class_literal is not None or args.m is not None):
         raise UsageError("--class and --m apply only to --solve")
@@ -238,8 +231,9 @@ def cmd_torsion(args) -> Output:
         sizes = torsion.stratum_sizes()
         payload = {s.value: sizes[s] for s in torsion.Stratum}
         return Output(payload, [
-            f"{label}: {size} points, {_STRATUM_DESCRIPTIONS[label]}"
-            for label, size in payload.items()
+            f"{s.value}: {sizes[s]} points, order {' or '.join(map(str, orders))}"
+            + (" (flexes)" if s is torsion.Stratum.T1 else "")
+            for s, orders in torsion.STRATUM_ORDERS.items()
         ])
 
     from . import lattice

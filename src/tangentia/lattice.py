@@ -191,14 +191,12 @@ def enumerate_classes(target_degree: int = 4) -> list[ClassTableRow]:
     are tried first, so a branch's next part stops at the first cut, and
     each e's rows, reversed, come out in (e, multiset) order.  No
     ``DivisorClass`` is built for a candidate.  The degree is read by the
-    integer rule of :mod:`~tangentia.rationals` (4.0 is 4, 2.5 raises
-    ValueError) and bounded to MAX_CLASS_DEGREE before the search.  For
-    target degree 4 this is a census of 9 rows whose ordered classes total
-    216 of genus 0 and 27 of genus 1.
+    integer rule of :mod:`~tangentia.rationals` with floor 0 (4.0 is 4;
+    2.5 and -1 raise ValueError) and bounded to MAX_CLASS_DEGREE before
+    the search.  For target degree 4 this is a census of 9 rows whose
+    ordered classes total 216 of genus 0 and 27 of genus 1.
     """
-    d = _integer(target_degree, "target degree")
-    if d < 0:
-        raise ValueError("target degree must be nonnegative")
+    d = _integer(target_degree, "target degree", 0)
     if d > MAX_CLASS_DEGREE:
         raise ValueError(
             f"class search is budgeted to degree <= {MAX_CLASS_DEGREE}, got {d}"

@@ -21,6 +21,11 @@ Geometry dictionary, under a marking theta of the relevant points:
   which the census module labels ``"NF9"``; it reads the strata of each
   degree d off the (3d)-torsion.
 
+These orders are written once, in :data:`STRATUM_ORDERS`: :func:`stratify`
+looks a point's order up in it, and :func:`stratum_sizes` and the census
+count each stratum's points of exact order k (the (a/k, b/k) with
+gcd(a, b, k) = 1) without building one.
+
 The standard marking puts the six blown-up base points P1..P6 at the
 3-torsion values fixed in :data:`BASE_POINTS` (their theta-values sum to
 zero, as they must for points cut out by a conic), and the ninth-order
@@ -34,7 +39,7 @@ import math
 from fractions import Fraction
 from operator import index
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Mapping, Optional
+from typing import TYPE_CHECKING, Iterable, Mapping, Optional
 
 from .rationals import _integer
 
@@ -175,31 +180,29 @@ class Stratum(enum.Enum):
     T3 = "T3"
 
 
+# the exact orders of the points in each stratum: the one table that
+# stratify, stratum_sizes and the census counts read
+STRATUM_ORDERS = MappingProxyType({Stratum.T1: (1, 3), Stratum.T2: (2, 6), Stratum.T3: (4, 12)})
+_STRATUM_OF_ORDER = {k: s for s, orders in STRATUM_ORDERS.items() for k in orders}
+
+
 def stratify(p: TorsionPoint) -> Optional[Stratum]:
-    """Stratum of a point: T1 if 3p = 0, T2 if 6p = 0 but 3p != 0,
-    T3 if 12p = 0 but 6p != 0, None for everything else.  Since k*p = 0
-    exactly when the order of p divides k, no multiple is built."""
-    order = p.n
-    if 3 % order == 0:
-        return Stratum.T1
-    if 6 % order == 0:
-        return Stratum.T2
-    if 12 % order == 0:
-        return Stratum.T3
-    return None
+    """Stratum of a point, looked up by its exact order in
+    :data:`STRATUM_ORDERS`; None for an order that no stratum names.  No
+    multiple is built."""
+    return _STRATUM_OF_ORDER.get(p.n)
 
 
-@functools.cache
+def _exact_order_count(orders: Iterable[int]) -> int:
+    """Points of exact order k, summed over k in ``orders``: the (a/k, b/k)
+    with gcd(a, b, k) = 1.  No point is built."""
+    return sum(math.gcd(a, b, k) == 1 for k in orders for a in range(k) for b in range(k))
+
+
 def stratum_sizes() -> Mapping[Stratum, int]:
-    """Sizes (9, 27, 108) of T1, T2, T3, computed by enumerating the
-    144 points of 12-torsion."""
-    sizes = {s: 0 for s in Stratum}
-    for p in torsion_points(12):
-        s = stratify(p)
-        if s is None:
-            raise ArithmeticError(f"12-torsion point {p} lies in no stratum")
-        sizes[s] += 1
-    return MappingProxyType(sizes)
+    """Sizes (9, 27, 108) of T1, T2, T3, read-only: each stratum's points
+    of its exact orders, counted without building a point."""
+    return MappingProxyType({s: _exact_order_count(orders) for s, orders in STRATUM_ORDERS.items()})
 
 
 def solve_division(c: TorsionPoint, m: int) -> list[TorsionPoint]:

@@ -34,9 +34,9 @@ def test_euler_budget():
     assert euler_budget(CHI_SURFACE, CHI_QUARTIC_ORDER4_SPECIAL) == 8
     assert euler_budget(CHI_SURFACE, CHI_TRIPLE_TANGENT_LINE) == 2
     assert euler_budget(CHI_SURFACE, CHI_CUBIC_NONFLEX_SPECIAL) == 3
-    with pytest.raises(ValueError, match="^Euler characteristics must be nonnegative$"):
+    with pytest.raises(ValueError, match="^Euler characteristic must be an integer >= 0, got -1$"):
         euler_budget(-1, 4)
-    with pytest.raises(ValueError, match="^Euler characteristics must be nonnegative$"):
+    with pytest.raises(ValueError, match="^Euler characteristic must be an integer >= 0, got -2$"):
         euler_budget(12, -2)
 
 
@@ -47,7 +47,7 @@ def test_euler_budget_reads_its_inputs_by_the_integer_rule():
         assert type(euler_budget(value, 2.0)) is int
     for value in (12.5, float("inf"), float("nan"), None, "12", 1j):
         for args in ((value, 2), (12, value)):
-            with pytest.raises(ValueError, match="^Euler characteristic must be an integer, got "):
+            with pytest.raises(ValueError, match="^Euler characteristic must be an integer >= 0, got "):
                 euler_budget(*args)
 
 
@@ -77,7 +77,8 @@ def test_cached_counts_are_read_only(fn):
     counts = fn()
     with pytest.raises(TypeError):
         counts[Stratum.T1] = 0
-    assert fn() is counts
+    # only aggregate_N is cached; the two point counts are rebuilt per call
+    assert (fn() is counts) == (fn is aggregate_N)
 
 
 def test_count_M4():
@@ -122,9 +123,21 @@ def _refuse(*args):
 def test_the_order_nine_count_builds_no_points(monkeypatch):
     # the oracle counts the points of exact order 9 one by one
     oracle = sum(1 for p in torsion_points(9) if p.n == 9)
-    monkeypatch.setattr(census, "torsion_points", _refuse)
+    monkeypatch.setattr(torsion, "_point", _refuse)
     assert stratum_point_count(NONFLEX_NINE) == oracle
     assert boundary_census(3, NONFLEX_NINE).points == oracle
+
+
+def test_the_stratum_counts_build_no_points(monkeypatch):
+    # every count reads the order table of torsion; none enumerates points
+    monkeypatch.setattr(torsion, "_point", _refuse)
+    aggregate_N.cache_clear()
+    assert stratum_sizes() == {Stratum.T1: 9, Stratum.T2: 27, Stratum.T3: 108}
+    assert quadrisection_split() == {Stratum.T1: 1, Stratum.T2: 3, Stratum.T3: 12}
+    assert [stratum_point_count(label) for label in ("T1", "T2", "T3", NONFLEX_NINE)] \
+        == [9, 27, 108, 72]
+    assert [count_M4(s) for s in Stratum] == [8, 14, 16]
+    assert _kinds(boundary_census(4, "T3")) == [(IMMERSED, 16)]
 
 
 def _kinds(entry):
@@ -360,7 +373,6 @@ def test_the_strata_of_a_degree_are_its_3d_torsion(degree):
 @pytest.mark.parametrize("degree", [0, -1, 5, 6, 10**30])
 def test_a_degree_outside_the_census_is_refused_before_any_point(monkeypatch, degree):
     # 3d names no stratum order: refused in O(1), with no point built
-    monkeypatch.setattr(census, "torsion_points", _refuse)
     monkeypatch.setattr(torsion, "_point", _refuse)
     message = f"^census covers degrees 1..4, got {degree}$"
     with pytest.raises(ValueError, match=message):

@@ -631,3 +631,30 @@ def test_output_is_deterministic(capsys, argv):
     first = run(capsys, *argv)
     second = run(capsys, *argv)
     assert first == second
+
+
+# ---------------------------------------------------------------------------
+# work counts
+# ---------------------------------------------------------------------------
+
+# torsion points built per subcommand, an upper bound with no clock: the
+# stratum sizes, the quadrisection split and the census counts read the
+# order table, so only verify-all (division, and its own 144-point
+# cross-check) builds points
+POINT_BUILDS = {
+    "torsion --strata": 0,
+    "census --aggregate": 0,
+    "census --degree 4 --stratum T1": 0,
+    "check-gw --degree 4": 0,
+    "verify-all --json": 11_322,
+}
+
+
+@pytest.mark.parametrize("argv", list(POINT_BUILDS))
+def test_points_built_per_subcommand(capsys, monkeypatch, argv):
+    built = []
+    point = torsion._point
+    monkeypatch.setattr(torsion, "_point", lambda *args: built.append(args) or point(*args))
+    code, _, err = run(capsys, *argv.split())
+    assert (code, err) == (0, "")
+    assert len(built) <= POINT_BUILDS[argv]

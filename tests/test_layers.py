@@ -178,7 +178,7 @@ OWN_FLOOR_REFUSALS = {
     ("trees", "propagate_weights", "weights must be positive integers"),
     ("trees", "CombType.__new__", "need n >= 0 and r >= 1"),
 }
-_OWN_FLOOR = re.compile(r"must be positive|need n >= 0")
+_OWN_FLOOR = re.compile(r"must be positive|must be nonnegative|need n >= 0")
 
 
 def own_floor_refusals(nodes, scope=()):
@@ -212,7 +212,7 @@ def test_the_floor_scan_sees_strings_and_f_strings_by_definition():
     ).body
     assert own_floor_refusals(body) == [
         ("A.f", "n must be positive, got "), ("g", "need n >= 0 and r >= 1"),
-        ("", "weights must be positive"),
+        ("g", "must be nonnegative"), ("", "weights must be positive"),
     ]
 
 
@@ -221,7 +221,7 @@ def test_the_floor_scan_sees_strings_and_f_strings_by_definition():
 # is freed when that call returns, by reference counting, not left for the
 # collector (tests/test_trees.py::test_each_call_frees_its_memos_when_it_returns).
 # No library module imports gc: collector tuning never stands in for freeing.
-MODULE_CACHES = {"torsion.stratum_sizes", "census.quadrisection_split", "census.aggregate_N"}
+MODULE_CACHES = {"census.aggregate_N"}
 
 
 def test_the_only_module_level_state_is_the_pinned_caches():

@@ -128,6 +128,17 @@ def test_stratum_point_count_against_jordan_totient(label, orders):
     assert stratum_point_count(label) == sum(jordan_totient_2(k) for k in orders)
 
 
+def test_stratify_counts_match_the_order_table():
+    # for every m <= 36, each stratum's points of order dividing m, counted
+    # off the table, against the strata of the m^2 points built one by one
+    for m in range(1, 37):
+        expected = {s: sum(jordan_totient_2(k) for k in orders if m % k == 0)
+                    for s, orders in torsion_module.STRATUM_ORDERS.items()}
+        counts = Counter(stratify(p) for p in torsion_points(m))
+        del counts[None]
+        assert counts == {s: n for s, n in expected.items() if n}, m
+
+
 @given(st.integers(1, 36))
 def test_torsion_points_by_order_match_jordan_totient(m):
     orders = Counter(p.n for p in torsion_points(m))
@@ -433,12 +444,12 @@ def test_division_matches_fraction_oracle(c, m):
 
 
 def test_solve_division_keeps_no_cache():
-    # two calls share no point, and stratum_sizes is the module's only cache
+    # two calls share no point, and the module keeps no cache
     c = P(Fraction(1, 3), Fraction(2, 3))
     first, second = solve_division(c, 8), solve_division(c, 8)
     assert first == second and not {id(p) for p in first} & {id(p) for p in second}
     cached = [name for name in dir(torsion_module) if hasattr(getattr(torsion_module, name), "cache_info")]
-    assert cached == ["stratum_sizes"]
+    assert cached == []
 
 
 def test_division_and_torsion_points_return_fresh_lists():
