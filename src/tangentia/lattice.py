@@ -83,14 +83,10 @@ def _spend(a: int) -> int:
     return a * (a - 1) // 2
 
 
-def _genus(e: int, a: Sequence[int]) -> int:
-    return _spend(e - 1) - sum(map(_spend, a))
-
-
 def arithmetic_genus(c: DivisorClass) -> int:
     """p_a = (e-1)(e-2)/2 - sum ai(ai-1)/2 (image genus of a plane curve
     of degree e with ordinary points of multiplicities ai)."""
-    return _genus(c.e, c.a)
+    return _spend(c.e - 1) - sum(map(_spend, c.a))
 
 
 _TERM = re.compile(r"([+-]?)(\d*)(H|E([1-6]))")

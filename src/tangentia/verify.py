@@ -2,9 +2,11 @@
 
 Each check recomputes one cluster of results from scratch and compares
 against the frozen expected values; :func:`run_all_checks` drives the whole
-battery.  A check fails by raising :class:`CheckFailure`; one that raises
-any other exception fails too, with ``"<Type>: <message>"`` as its detail,
-and the rest still run.  The CLI's ``verify-all`` subcommand prints one
+battery.  A check fails one way: :func:`_expect` raises
+:class:`CheckFailure` with a ``str.format`` message built only on failure,
+so a passing check formats nothing.  A check that raises any other
+exception fails too, with ``"<Type>: <message>"`` as its detail, and the
+rest still run.  The CLI's ``verify-all`` subcommand prints one
 PASS/FAIL line per check, and the acceptance test suite asserts the same
 facts.
 """
@@ -28,9 +30,9 @@ class CheckFailure(AssertionError):
     pass
 
 
-def _expect(condition: bool, message: str) -> None:
+def _expect(condition: bool, template: str, *args: object) -> None:
     if not condition:
-        raise CheckFailure(message)
+        raise CheckFailure(template.format(*args))
 
 
 # ---------------------------------------------------------------------------
@@ -46,9 +48,9 @@ def check_multiple_cover_values() -> str:
     }
     for (w, d), value in expected.items():
         got = covers.multiple_cover(w, d)
-        _expect(got == value, f"M_{w}[{d}] = {got}, expected {value}")
+        _expect(got == value, "M_{}[{}] = {}, expected {}", w, d, got, value)
     for w in range(1, 13):
-        _expect(covers.multiple_cover(w, 1) == 1, f"M_{w}[1] != 1")
+        _expect(covers.multiple_cover(w, 1) == 1, "M_{}[1] != 1", w)
     return "M_3[2..4] = 3/4, 10/9, 35/16 and M_6[2] = 9/4; M_w[1] = 1"
 
 
@@ -62,12 +64,10 @@ def check_instanton_inversion() -> str:
     the round trip is independent of the kernel it checks.
     """
     m3 = covers.instanton_numbers(3, 6)
-    _expect(
-        [m3[d] for d in range(1, 7)] == [1, 1, 1, 2, 5, 13],
-        f"m_3[1..6] = {[m3[d] for d in range(1, 7)]}",
-    )
+    got = [m3[d] for d in range(1, 7)]
+    _expect(got == [1, 1, 1, 2, 5, 13], "m_3[1..6] = {}", got)
     m6 = covers.instanton_numbers(6, 2)
-    _expect(m6[2] == 2, f"m_6[2] = {m6[2]}")
+    _expect(m6[2] == 2, "m_6[2] = {}", m6[2])
     for w in range(1, 13):
         m = covers.instanton_numbers(w, 10)
         for d in range(1, 11):
@@ -75,12 +75,9 @@ def check_instanton_inversion() -> str:
                 covers.local_cover(d1 * w, d // d1) * m[d1]
                 for d1 in covers.divisors(d)
             )
-            # raised inline: a passing degree builds no message
-            if total != covers.multiple_cover(w, d):
-                raise CheckFailure(f"round trip failed at w={w}, d={d}")
-    report = covers.integrality_report(8, 8)
-    bad = [r for r in report if not r.passes]
-    _expect(not bad, f"integrality failures: {bad[:3]}")
+            _expect(total == covers.multiple_cover(w, d), "round trip failed at w={}, d={}", w, d)
+    bad = [r for r in covers.integrality_report(8, 8) if not r.passes]
+    _expect(not bad, "integrality failures: {}", bad[:3])
     return "m_3[1..6] = 1,1,1,2,5,13; inversion round-trips for w <= 12, d <= 10; integrality box 8x8 all-pass"
 
 
@@ -100,13 +97,10 @@ EXPECTED_TABLE = (
 def check_class_table() -> str:
     rows = lattice.enumerate_classes(4)
     got = tuple((r.e, r.a_multiset, r.p_a, r.ordered_count) for r in rows)
-    # failures are raised inline: a passing table is never formatted
-    if got != EXPECTED_TABLE:
-        raise CheckFailure(f"class table mismatch: {got}")
+    _expect(got == EXPECTED_TABLE, "class table mismatch: {}", got)
     genus0 = sum(r.ordered_count for r in rows if r.p_a == 0)
     genus1 = sum(r.ordered_count for r in rows if r.p_a == 1)
-    if (genus0, genus1) != (216, 27):
-        raise CheckFailure(f"totals {genus0}/{genus1}")
+    _expect((genus0, genus1) == (216, 27), "totals {}/{}", genus0, genus1)
     return "9 rows; ordered classes: 216 of genus 0 + 27 of genus 1 = 243"
 
 
@@ -118,62 +112,49 @@ def check_cremona_reduction() -> str:
         for ordering in set(permutations(multiset)):
             start = lattice.DivisorClass(e, ordering)
             path = list(lattice.cremona_steps(start))
-            # failures are raised inline: a passing class renders no message
             for prev, cur in zip(path, path[1:]):
-                if lattice.arithmetic_genus(prev) != lattice.arithmetic_genus(cur):
-                    raise CheckFailure(f"genus changed along reduction of {start}")
-                if lattice.tangency_degree(prev) != lattice.tangency_degree(cur):
-                    raise CheckFailure(f"tangency degree changed along reduction of {start}")
+                _expect(lattice.arithmetic_genus(prev) == lattice.arithmetic_genus(cur),
+                        "genus changed along reduction of {}", start)
+                _expect(lattice.tangency_degree(prev) == lattice.tangency_degree(cur),
+                        "tangency degree changed along reduction of {}", start)
             terminal = path[-1]
             target = conic if p_a == 0 else cubic
-            if (terminal.e, tuple(sorted(terminal.a))) != (target.e, tuple(sorted(target.a))):
-                raise CheckFailure(f"{start} reduced to {terminal}")
+            _expect((terminal.e, tuple(sorted(terminal.a))) == (target.e, tuple(sorted(target.a))),
+                    "{} reduced to {}", start, terminal)
             checked += 1
-    _expect(checked == 243, f"covered {checked} ordered classes")
+    _expect(checked == 243, "covered {} ordered classes", checked)
     return "all 243 ordered classes reduce to the conic or cubic class; genus and tangency preserved stepwise"
 
 
 def check_torsion_division() -> str:
     sizes = torsion.stratum_sizes()
-    _expect(
-        (sizes[torsion.Stratum.T1], sizes[torsion.Stratum.T2], sizes[torsion.Stratum.T3])
-        == (9, 27, 108),
-        f"stratum sizes {sizes}",
-    )
+    _expect(tuple(sizes[s] for s in torsion.Stratum) == (9, 27, 108), "stratum sizes {}", sizes)
     _expect(census.stratum_point_count(census.NONFLEX_NINE) == 72, "order-9 non-flex count")
     for e, multiset, _p_a, _count in EXPECTED_TABLE:
         for ordering in set(permutations(multiset)):
             cls = lattice.DivisorClass(e, ordering)
             c = torsion.restriction_class(cls)
-            # failures are raised inline: a passing class renders no message
-            if not (3 * c).is_zero:
-                raise CheckFailure(f"restriction of {cls} is not 3-torsion")
+            _expect((3 * c).is_zero, "restriction of {} is not 3-torsion", cls)
             sols = torsion.solve_division(c, 4)
-            if len(sols) != 16:
-                raise CheckFailure(f"{cls}: {len(sols)} solutions")
+            _expect(len(sols) == 16, "{}: {} solutions", cls, len(sols))
             # list.count matches members by identity: no enum __hash__ per point
             strata = [torsion.stratify(p) for p in sols]
-            if tuple(map(strata.count, torsion.Stratum)) != (1, 3, 12):
-                split = {s: 0 for s in torsion.Stratum}
-                for s in strata:
-                    split[s] += 1  # None, a point in no stratum, raises KeyError as before
-                raise CheckFailure(f"{cls}: split {split}")
+            split = tuple(map(strata.count, torsion.Stratum))
+            _expect(split == (1, 3, 12), "{}: split T1/T2/T3 = {}", cls, split)
     return "strata sizes 9/27/108; every ordered class splits its 16 division points 1/3/12"
 
 
 def check_aggregate_counts() -> str:
     totals = census.aggregate_N()
-    _expect(
-        tuple(totals[s] for s in torsion.Stratum) == (216, 1134, 5184),
-        f"aggregate N = {totals}",
-    )
+    _expect(tuple(totals[s] for s in torsion.Stratum) == (216, 1134, 5184),
+            "aggregate N = {}", totals)
     per_point = tuple(census.count_M4(s) for s in torsion.Stratum)
-    _expect(per_point == (8, 14, 16), f"per-point counts {per_point}")
+    _expect(per_point == (8, 14, 16), "per-point counts {}", per_point)
     # the stratum sizes from the 144 points themselves, not from the count
     # that count_M4 divides by, so the two sides are derived apart
     strata = [torsion.stratify(p) for p in torsion.torsion_points(12)]
     weighted = sum(strata.count(s) * census.count_M4(s) for s in torsion.Stratum)
-    _expect(weighted == 2178, f"weighted sum {weighted}")
+    _expect(weighted == 2178, "weighted sum {}", weighted)
     _expect(sum(totals.values()) // 3 == 2178, "N total / 3")
     return "N = (216, 1134, 5184); per point (8, 14, 16); both sides of the cross-check give 2178"
 
@@ -185,13 +166,11 @@ def check_invariant_ledgers() -> str:
     ledgers = {}
     for degree, value in expected.items():
         ledger = ledgers[degree] = assembly.assemble_invariant(degree)
-        _expect(ledger.total == value, f"I_{degree} = {ledger.total}")
+        _expect(ledger.total == value, "I_{} = {}", degree, ledger.total)
         recomputed = sum((l.points * l.per_point for l in ledger.lines), Fraction(0))
-        _expect(recomputed == value, f"ledger lines of degree {degree} do not re-sum")
-        _expect(
-            all(l.provenance for l in ledger.lines),
-            f"degree {degree} has a line without provenance",
-        )
+        _expect(recomputed == value, "ledger lines of degree {} do not re-sum", degree)
+        _expect(all(l.provenance for l in ledger.lines),
+                "degree {} has a line without provenance", degree)
     _expect(assembly.pair_contribution(3, 9, 3) == 3, "pair rule min(3, 9)")
     _expect(
         any("pair" in line.provenance for line in ledgers[4].lines),
@@ -210,12 +189,10 @@ def check_local_invariants() -> str:
     }
     for degree, value in expected.items():
         got = assembly.local_invariant(degree)
-        _expect(got == value, f"K_{degree} = {got}")
+        _expect(got == value, "K_{} = {}", degree, got)
         sign = -1 if degree % 2 == 0 else 1
-        _expect(
-            sign * 3 * degree * got == assembly.reference_invariant(degree),
-            f"K_{degree} does not invert back to I_{degree}",
-        )
+        _expect(sign * 3 * degree * got == assembly.reference_invariant(degree),
+                "K_{0} does not invert back to I_{0}", degree)
     return "K_1..K_4 = 3, -45/8, 244/9, -12333/64, consistent with the I_d"
 
 
@@ -231,29 +208,23 @@ def check_degeneration_trees() -> str:
         for r in range(1, 5):
             shapes = trees.enumerate_types(n, r)
             count = expected_counts[n, r]
-            # failures are raised inline: a passing cell or shape builds no message
-            if len(shapes) != count:
-                raise CheckFailure(f"|G_({n},{r})| = {len(shapes)}, expected {count}")
+            _expect(len(shapes) == count, "|G_({},{})| = {}, expected {}", n, r, len(shapes), count)
             for shape in shapes:
-                if shape.violations():
-                    raise CheckFailure(f"enumerated type invalid: {shape}")
-                for weights in product(range(1, 6), repeat=r):
-                    if trees.propagate_weights(shape, weights).top_weight != sum(weights):
-                        raise CheckFailure(f"weight leak on {shape} with {weights}")
+                _expect(not shape.violations(), "enumerated type invalid: {}", shape)
+                leaks = [weights for weights in product(range(1, 6), repeat=r)
+                         if trees.propagate_weights(shape, weights).top_weight != sum(weights)]
+                _expect(not leaks, "weight leak on {} with {}", shape, *leaks[:1])
     start = time.monotonic()
     big = trees.enumerate_types(4, 5)
     elapsed = time.monotonic() - start
-    _expect(elapsed < 10.0, f"enumerate_types(4, 5) took {elapsed:.1f}s")
-    _expect(len(big) == 180, f"|G_(4,5)| = {len(big)}")
+    _expect(elapsed < 10.0, "enumerate_types(4, 5) took {:.1f}s", elapsed)
+    _expect(len(big) == 180, "|G_(4,5)| = {}", len(big))
     return "counts match (|G_(2,3)| = 3 among them); weights conserve for (n, r) <= (3, 4); (4, 5) enumerates 180 types fast"
 
 
 def check_instanton_census() -> str:
     values = {s: assembly.instanton_census(s) for s in torsion.Stratum}
-    _expect(
-        all(v == 16 for v in values.values()),
-        f"instanton census {values}",
-    )
+    _expect(all(v == 16 for v in values.values()), "instanton census {}", values)
     return "16 instantons per contact point, uniformly across T1, T2, T3"
 
 

@@ -1,15 +1,19 @@
+import argparse
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from tangentia import assembly, covers, lattice, torsion, trees, verify
-from tangentia.cli import main
+from tangentia import assembly, census, covers, lattice, torsion, trees, verify
+from tangentia.cli import build_parser, main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -374,6 +378,89 @@ def test_class_table_failures_keep_their_messages(monkeypatch):
         verify.check_class_table()
 
 
+def _stratum_map(value):
+    return {s: value for s in torsion.Stratum}
+
+
+# at least one failure of every check, with its exact text (a pattern where
+# the class named depends on set order): an f-string left in a lazily
+# formatted call, or a message whose argument holds braces, shows here as a
+# changed text or an escaping exception.  Each fake replaces module.name; a
+# default argument holds the real function where the fake calls it.
+FAILURES = [
+    ("multiple-cover-values", covers, "multiple_cover", lambda w, d: Fraction(1),
+     "M_3[2] = 1, expected 3/4"),
+    ("multiple-cover-values", covers, "multiple_cover",
+     lambda w, d, real=covers.multiple_cover: real(w, d) if d > 1 else Fraction(2),
+     "M_1[1] != 1"),
+    ("instanton-inversion", covers, "instanton_numbers",
+     lambda w, d: dict.fromkeys(range(1, d + 1), 0),
+     "m_3[1..6] = [0, 0, 0, 0, 0, 0]"),
+    ("instanton-inversion", covers, "multiple_cover",
+     lambda w, d, real=covers.multiple_cover: real(w, d) + (d == 2),
+     "round trip failed at w=1, d=2"),
+    ("instanton-inversion", covers, "integrality_report",
+     lambda w, d: [covers.IntegralityRow(3, 2, Fraction(1, 2), False, True, False)],
+     "integrality failures: [IntegralityRow(w=3, d=2, value=Fraction(1, 2), "
+     "is_integer=False, is_positive=True, extrapolated=False)]"),
+    ("cremona-reduction", lattice, "arithmetic_genus", lambda c: c.e,
+     re.compile(r"genus changed along reduction of 3H(-\d?E\d)+")),
+    ("cremona-reduction", lattice, "tangency_degree", lambda c: c.e,
+     re.compile(r"tangency degree changed along reduction of 3H(-\d?E\d)+")),
+    ("cremona-reduction", lattice, "cremona_steps", lambda c: iter((c,)),
+     re.compile(r"(3H(-\d?E\d)+) reduced to \1")),
+    ("torsion-division", torsion, "stratum_sizes", lambda: _stratum_map(0),
+     "stratum sizes {<Stratum.T1: 'T1'>: 0, <Stratum.T2: 'T2'>: 0, <Stratum.T3: 'T3'>: 0}"),
+    ("torsion-division", census, "stratum_point_count", lambda s: 0,
+     "order-9 non-flex count"),
+    ("torsion-division", torsion, "restriction_class", lambda c: torsion._point(1, 0, 4),
+     re.compile(r"restriction of 2H(-E\d){2} is not 3-torsion")),
+    ("torsion-division", torsion, "stratify",
+     lambda p, real=torsion.stratify: real(p) and torsion.Stratum.T1,
+     re.compile(r"2H(-E\d){2}: split T1/T2/T3 = \(16, 0, 0\)")),
+    # a point in no stratum is counted in none, and fails as a split
+    ("torsion-division", torsion, "stratify",
+     lambda p, real=torsion.stratify: None if p.is_zero else real(p),
+     re.compile(r"2H(-E\d){2}: split T1/T2/T3 = \(0, 3, 12\)")),
+    ("aggregate-counts", census, "aggregate_N", lambda: _stratum_map(0),
+     "aggregate N = {<Stratum.T1: 'T1'>: 0, <Stratum.T2: 'T2'>: 0, <Stratum.T3: 'T3'>: 0}"),
+    ("aggregate-counts", census, "count_M4", lambda s: 0,
+     "per-point counts (0, 0, 0)"),
+    ("aggregate-counts", torsion, "torsion_points", lambda n: [],
+     "weighted sum 0"),
+    ("invariant-ledgers", assembly, "assemble_invariant",
+     lambda d, real=assembly.assemble_invariant: real(d)._replace(lines=real(d).lines[1:]),
+     "I_1 = 0"),
+    ("invariant-ledgers", assembly, "assemble_invariant",
+     lambda d, real=assembly.assemble_invariant: real(d)._replace(note=None),
+     "degree 4 misprint note missing"),
+    ("local-invariants", assembly, "local_invariant", lambda d: Fraction(0),
+     "K_1 = 0"),
+    ("degeneration-trees", trees, "enumerate_types",
+     lambda n, r, real=trees.enumerate_types: real(n, r)[(n, r) == (4, 5):],
+     "|G_(4,5)| = 179"),
+    ("instanton-census", assembly, "instanton_census", lambda s: 15,
+     "instanton census {<Stratum.T1: 'T1'>: 15, <Stratum.T2: 'T2'>: 15, <Stratum.T3: 'T3'>: 15}"),
+]
+
+
+@pytest.mark.parametrize("name, module, attr, fake, message", FAILURES,
+                         ids=[f"{f[0]}-{[g[0] for g in FAILURES[:i]].count(f[0])}"
+                              for i, f in enumerate(FAILURES)])
+def test_every_check_fails_with_its_message(capsys, monkeypatch, name, module, attr, fake, message):
+    monkeypatch.setattr(module, attr, fake)
+    check = dict(verify.ALL_CHECKS)[name]
+    with pytest.raises(verify.CheckFailure) as failure:
+        check()
+    if isinstance(message, str):
+        assert str(failure.value) == message
+    else:
+        assert message.fullmatch(str(failure.value))
+    monkeypatch.setattr(verify, "ALL_CHECKS", ((name, check),))
+    code, out, _ = run(capsys, "verify-all")
+    assert (code, out.splitlines()[0]) == (2, f"FAIL {name}: {failure.value}")
+
+
 def test_verify_all_passes_without_asserts():
     # under -O every assert is stripped, so no check may rely on one
     env = {k: v for k, v in os.environ.items() if not k.startswith("TANGENTIA_")}
@@ -617,6 +704,68 @@ def test_past_the_work_budgets(capsys, monkeypatch, argv, module, heavy, message
 
 
 # ---------------------------------------------------------------------------
+# the exit-code contract
+# ---------------------------------------------------------------------------
+
+# integers at the edges of each option: signs, small cells, one past each work
+# budget (layers, class degree, division order, instanton degree, contact
+# order) and 10**30; the budgets themselves are timed above, not swept
+BOUNDARY_INTEGERS = ("-1", "0", "1", "2", "3", "4", "7", "21", "257", "1001", "4097", str(10**30))
+# class literals, strata and weights, well and badly formed
+OPTION_STRINGS = ("2H-E1-E2", "3H-E1-E2-E3-E4-E5-E6", "4H-E1-E2-2E3", "H", "0H", "2H-E7",
+                  "T1", "T2", "T3", "NF9", "T4", "1,2,3", "1,0", "", "x")
+
+
+def _subcommand_options():
+    """Each subcommand of the parser with its options; verify-all, whose only
+    options are formats and whose exits the tests above pin, is left out."""
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {name: [a for a in p._actions if a.dest != "help"]
+            for name, p in sub.choices.items() if name != "verify-all"}
+
+
+def _argv(name, actions):
+    def words(action):
+        if action.nargs == 0:
+            return st.just([action.option_strings[0]])
+        values = (*action.choices, "yaml") if action.choices else (
+            BOUNDARY_INTEGERS if action.type is int else OPTION_STRINGS)
+        return st.sampled_from(values).map(lambda v: [action.option_strings[0], v])
+
+    # the required options come along in three argv of four, so most reach a handler
+    required = [a for a in actions if a.required]
+    optional = st.lists(st.sampled_from(actions), unique=True, max_size=3)
+    chosen = st.tuples(st.sampled_from((required, required, required, [])), optional).flatmap(
+        lambda pair: st.permutations(list(dict.fromkeys(pair[0] + pair[1]))))
+    return chosen.flatmap(lambda acts: st.tuples(*map(words, acts))).map(
+        lambda parts: [name, *(w for part in parts for w in part)])
+
+
+ARGVS = st.one_of([_argv(name, actions) for name, actions in _subcommand_options().items()])
+
+
+def _run_quietly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(ARGVS)
+def test_every_argv_keeps_the_exit_code_contract(argv):
+    code, out, err = result = _run_quietly(argv)
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert out == ""
+        assert re.fullmatch(r"(usage )?error: [^\n]*\n", err)
+    if code == 0:
+        assert err == ""
+    assert _run_quietly(argv) == result
+
+
+# ---------------------------------------------------------------------------
 # determinism
 # ---------------------------------------------------------------------------
 
@@ -637,24 +786,44 @@ def test_output_is_deterministic(capsys, argv):
 # work counts
 # ---------------------------------------------------------------------------
 
-# torsion points built per subcommand, an upper bound with no clock: the
-# stratum sizes, the quadrisection split and the census counts read the
-# order table, so only verify-all (division, and its own 144-point
-# cross-check) builds points
-POINT_BUILDS = {
-    "torsion --strata": 0,
-    "census --aggregate": 0,
-    "census --degree 4 --stratum T1": 0,
-    "check-gw --degree 4": 0,
-    "verify-all --json": 11_322,
+# kernel calls per subcommand, upper bounds with no clock, each run from an
+# empty aggregate_N cache as in a fresh process; a kernel not listed is not
+# called.  The stratum sizes, the quadrisection split and the census counts
+# read the order table, so only verify-all (division, and its own 144-point
+# cross-check) and torsion --solve build torsion points
+KERNEL_CALLS = {
+    "torsion --strata": {},
+    "census --aggregate": {"_least_spend": 55},
+    "census --degree 4 --stratum T1": {"_least_spend": 55, "boundary_census": 1},
+    "check-gw --degree 4": {"boundary_census": 3, "_least_spend": 55, "binomial": 2},
+    "verify-all --json": {"binomial": 329, "_least_spend": 110, "_point": 11_322,
+                          "boundary_census": 19, "CombType": 218, "propagate_weights": 20_530},
+    "integrality --wmax 8 --dmax 8": {"binomial": 60},
+    "graphs --n 2 --r 3 --weights 1,2,3": {"CombType": 3, "propagate_weights": 3},
+    "torsion --solve --class 2H-E1-E2": {"_point": 45},
 }
 
 
-@pytest.mark.parametrize("argv", list(POINT_BUILDS))
+def _counted(calls, name, fn):
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    return counted
+
+
+@pytest.mark.parametrize("argv", list(KERNEL_CALLS))
 def test_points_built_per_subcommand(capsys, monkeypatch, argv):
-    built = []
-    point = torsion._point
-    monkeypatch.setattr(torsion, "_point", lambda *args: built.append(args) or point(*args))
+    calls = dict.fromkeys(["_point", "CombType", "propagate_weights", "_least_spend",
+                           "binomial", "boundary_census"], 0)
+    for module, name in [(torsion, "_point"), (trees, "propagate_weights"),
+                         (lattice, "_least_spend"), (covers, "binomial")]:
+        monkeypatch.setattr(module, name, _counted(calls, name, getattr(module, name)))
+    monkeypatch.setattr(trees.CombType, "__new__",
+                        staticmethod(_counted(calls, "CombType", trees.CombType.__new__)))
+    census_entry = _counted(calls, "boundary_census", census.boundary_census)
+    monkeypatch.setattr(census, "boundary_census", census_entry)
+    monkeypatch.setattr(assembly, "boundary_census", census_entry)  # imported there by name
+    census.aggregate_N.cache_clear()
     code, _, err = run(capsys, *argv.split())
     assert (code, err) == (0, "")
-    assert len(built) <= POINT_BUILDS[argv]
+    assert {k: v for k, v in calls.items() if v > KERNEL_CALLS[argv].get(k, 0)} == {}
