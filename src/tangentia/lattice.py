@@ -174,6 +174,26 @@ def _least_spend(total: int, parts: int) -> int:
     return r * _spend(q + 1) + (parts - r) * _spend(q)
 
 
+def _grow(prefix: tuple[int, ...], total: int, budget: int, d: int,
+          found: list[tuple[tuple[int, ...], int]]) -> bool:
+    """Complete the ascending ``prefix`` with parts in [prefix[-1], d]
+    summing to ``total`` within the genus ``budget`` left, largest next
+    part first, appending each (multiset, genus) to ``found``; False if even
+    the least spend exceeds the budget."""
+    parts = NUM_POINTS - len(prefix)
+    if not parts:
+        found.append((prefix, budget))
+        return True
+    if _least_spend(total, parts) > budget:
+        return False
+    low = max(prefix[-1] if prefix else 0, total - (parts - 1) * d)
+    for a in range(min(d, total // parts), low - 1, -1):
+        # spend(a) plus the least of the rest only grows as a falls
+        if not _grow(prefix + (a,), total - a, budget - _spend(a), d, found):
+            break
+    return True
+
+
 def enumerate_classes(target_degree: int = 4) -> list[ClassTableRow]:
     """All unordered classes with tangency degree ``target_degree``, p_a >= 0.
 
@@ -185,7 +205,9 @@ def enumerate_classes(target_degree: int = 4) -> list[ClassTableRow]:
     budget; that least is a valid completion, so every branch kept ends in
     a row, and what is left of the budget is the row's genus.  Larger parts
     are tried first, so a branch's next part stops at the first cut, and
-    each e's rows, reversed, come out in (e, multiset) order.  No
+    each e's rows, reversed, come out in (e, multiset) order.  The search
+    is the module-level :func:`_grow`, which reaches itself by name, not
+    through a closure, so a call leaves no cycle for the collector.  No
     ``DivisorClass`` is built for a candidate.  The degree is read by the
     integer rule of :mod:`~tangentia.rationals` with floor 0 (4.0 is 4;
     2.5 and -1 raise ValueError) and bounded to MAX_CLASS_DEGREE before
@@ -197,33 +219,12 @@ def enumerate_classes(target_degree: int = 4) -> list[ClassTableRow]:
         raise ValueError(
             f"class search is budgeted to degree <= {MAX_CLASS_DEGREE}, got {d}"
         )
+    rows: list[ClassTableRow] = []
     found: list[tuple[tuple[int, ...], int]] = []  # (multiset, genus) for one e
-
-    def grow(prefix: tuple[int, ...], total: int, budget: int) -> bool:
-        """Complete the ascending ``prefix`` with parts in [prefix[-1], d]
-        summing to ``total`` within the genus ``budget`` left, largest next
-        part first; False if even the least spend exceeds the budget."""
-        parts = NUM_POINTS - len(prefix)
-        if not parts:
-            found.append((prefix, budget))
-            return True
-        if _least_spend(total, parts) > budget:
-            return False
-        low = max(prefix[-1] if prefix else 0, total - (parts - 1) * d)
-        for a in range(min(d, total // parts), low - 1, -1):
-            # spend(a) plus the least of the rest only grows as a falls
-            if not grow(prefix + (a,), total - a, budget - _spend(a)):
-                break
-        return True
-
-    rows = []
-    try:
-        for e in range(-(-d // 3), 7 * d // 3 + 1):
-            grow((), 3 * e - d, _spend(e - 1))
-            rows += [ClassTableRow(e, a, genus, ordered_count(a)) for a, genus in reversed(found)]
-            found.clear()
-    finally:  # grow reaches itself through its closure: unbinding it breaks that cycle
-        del grow
+    for e in range(-(-d // 3), 7 * d // 3 + 1):
+        _grow((), 3 * e - d, _spend(e - 1), d, found)
+        rows += [ClassTableRow(e, a, genus, ordered_count(a)) for a, genus in reversed(found)]
+        found.clear()
     return rows
 
 

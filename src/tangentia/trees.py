@@ -14,23 +14,23 @@ are arranged in layers 1 (top) through n+1 (bottom), subject to:
 Identifying each vertex with the set of bottom labels below it shows that
 such trees are exactly the chains of set partitions of {1, ..., r} from the
 discrete partition (bottom) to the one-block partition (top) that coarsen
-strictly at every step.  :func:`enumerate_types` lists those chains by one
-memoised recursion down from the one-block partition, over (partition,
-steps left), that walks each partition's strict refinements in sorted order
-and builds each tree as it goes: a partition's vertex ids are fixed by its
-layer, and a block's parent is the vertex owning its labels one layer up,
-so each memo entry carries its chains' layers and parent links, as two
-parallel tuples.  A partition's refinements are the products of its blocks'
-set partitions; each block's, each (child, parent) link pair (n * r * r at
-most) and each distinct layers tuple is made once per call and shared.  All
-of it is freed when the call returns: the recursion refers to itself, so
-the call unbinds it rather than leave a cycle for the collector.
-The chains come out in sorted order (top first) and each one's links
-sorted by child, so nothing is sorted afterwards.  Every refinement adds a block, so a
-partition with k blocks reaches the discrete one in at most r - k steps,
-and a branch with more steps left ends before any refinement is made.  The
-chains count the types: none once n > r - 1, one for (n, r) = (0, 1) or
-(1, r >= 2), and three for (2, 3).
+strictly at every step.  :func:`enumerate_types` pushes those chains up
+from the discrete partition one layer at a time and builds each tree as it
+goes: a partition's vertex ids are fixed by its layer, and a block's parent
+is the vertex owning its labels one layer up, so each partition of a layer
+carries its chains' layers and parent links, as two parallel lists.  A
+partition is held as the block of each label, blocks numbered by least
+label; a merge is a pattern on block indices (a set partition of
+``range(k)`` into fewer blocks, numbered alike), read at each label's
+block.  The patterns of each block count, each (child, parent) link pair
+(n * r * r at most) and each distinct layers tuple are made once per call
+and shared.  Nothing refers back to itself, so reference counting frees
+each layer's chains as the next is built, and the rest as the call returns.
+Merging each layer in sorted order hands every partition its chains sorted
+(top first), each one's links sorted by child, so nothing is sorted after.
+A merge into layer j keeps at least j blocks (layer 1 exactly one), so
+every chain built reaches the top.  The chains count the types: none once
+n > r - 1, one for (n, r) = (0, 1) or (1, r >= 2), and three for (2, 3).
 
 The tree is the stored form: a :class:`CombType` is a read-only named tuple
 of its five fields.  Everything else is read off one map, built once per
@@ -46,7 +46,7 @@ total contact order.
 from __future__ import annotations
 
 import functools
-from itertools import chain, product
+from itertools import chain
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
 
@@ -56,8 +56,6 @@ MAX_LAYERS = 6
 MAX_LABELS = 6
 
 Partition = tuple[tuple[int, ...], ...]
-# chains as two parallel tuples: their layers' vertex ids, top first, and parent links
-_Chains = tuple[tuple[tuple[tuple[str, ...], ...], ...], tuple[tuple[tuple[str, str], ...], ...]]
 
 
 def _canon_partition(blocks) -> Partition:
@@ -79,22 +77,27 @@ def _set_partitions(items: Sequence) -> list[list[list]]:
     return partitions
 
 
-def _strict_refinements(
-    partition: Partition, splits: dict[tuple[int, ...], list[Partition]]
-) -> tuple[Partition, ...]:
-    """Partitions obtained by splitting at least one block of ``partition``,
-    canonical and in sorted order.  ``splits`` maps a block to its canonical
-    set partitions; each is made once, on first need, and read by every
-    partition that holds the block."""
-    for block in partition:
-        if block not in splits:
-            splits[block] = [_canon_partition(s) for s in _set_partitions(block)]
-    out = []
-    for split in product(*map(splits.__getitem__, partition)):
-        blocks = [block for parts in split for block in parts]
-        if len(blocks) > len(partition):  # something split
-            out.append(tuple(sorted(blocks)))
-    return tuple(sorted(out))
+def _coarsening_patterns(k: int) -> list[list[tuple[int, ...]]]:
+    """The strict coarsenings of a partition with k blocks, as patterns on
+    its block indices: entry m lists each set partition of ``range(k)`` into
+    m < k blocks, as the block of each index, blocks numbered by first index."""
+    by_count: list[list[tuple[int, ...]]] = [[] for _ in range(k)]
+    for grouping in _set_partitions(range(k)):
+        if len(grouping) < k:  # something merged
+            to = [0] * k
+            for j, group in enumerate(sorted(grouping)):
+                for i in group:
+                    to[i] = j
+            by_count[len(grouping)].append(tuple(to))
+    return by_count
+
+
+def _blocks(owner: tuple[int, ...]) -> Partition:
+    """The canonical partition of 1..r in which label x is in block ``owner[x - 1]``."""
+    blocks: list[list[int]] = [[] for _ in range(max(owner) + 1)]
+    for x, block in enumerate(owner, start=1):
+        blocks[block].append(x)
+    return tuple(map(tuple, blocks))
 
 
 class _CombFields(NamedTuple):
@@ -111,9 +114,12 @@ class CombType(_CombFields):
     ``layers[j - 1]`` holds the vertex ids of layer j, ``parents`` maps each
     non-top vertex to its parent, and ``leaf_order[i]`` is the bottom vertex
     labeled i + 1.  Construction, on every path (``_make`` and ``_replace``
-    included), only checks that the ids are coherent, by set operations:
-    the layers' ids are distinct (the first repeat is named), and the
-    parent links and the leaf order use only those ids.  Whether the axioms
+    included), reads n and r by the integer rule of
+    :mod:`~tangentia.rationals` (1.0 is 1 and True is 1; 2.5, "1" or None
+    raises ``ValueError``), and otherwise only checks that the ids are
+    coherent, by set operations: the layers' ids are distinct (the first
+    repeat is named), and the parent links and the leaf order use only
+    those ids.  Whether the axioms
     hold is the business of :meth:`violations`, so that broken candidates
     can be built and diagnosed.  The types of one :func:`enumerate_types`
     call may share their (immutable) layers and link pairs.
@@ -129,6 +135,8 @@ class CombType(_CombFields):
 
     def __new__(cls, n: int, r: int, layers: tuple[tuple[str, ...], ...],
                 parents: tuple[tuple[str, str], ...], leaf_order: tuple[str, ...]) -> CombType:
+        if type(n) is not int or type(r) is not int:  # the integer rule, skipped for exact ints
+            n, r = _integer(n, "n"), _integer(r, "r")
         if n < 0 or r < 1:
             raise ValueError("need n >= 0 and r >= 1")
         if len(layers) != n + 1:
@@ -230,59 +238,47 @@ def enumerate_types(n: int, r: int) -> list[CombType]:
     to n <= 6 and r <= 6; by the integer rule of :mod:`~tangentia.rationals`,
     2.0 reads as 2, and 2.5, inf or nan raises ``ValueError``.
 
-    The trees are built inside one recursion down from the one-block
-    partition over (partition, steps left), memoised for this call only like
-    the refinements it walks and the blocks' set partitions those are made
-    of; walked in sorted order, they yield the chains sorted.  Its types
-    share one tuple per parent link pair and per distinct layers.  Reference
-    counting frees everything else as the call returns, because the
-    self-referring recursion is unbound first.  A partition more than its
-    steps left short of r blocks ends at once, so a cell with n > r - 1 is
-    empty without a lattice walk.  Every type still passes the
-    :class:`CombType` constructor's checks."""
+    The chains are pushed up from the discrete partition a layer at a time,
+    as the module docstring tells, with the patterns of each block count
+    built once for the call; nothing needs unbinding.  A cell with
+    n > r - 1 is empty and returns before any pattern is built.  Every type
+    still passes the :class:`CombType` constructor's checks."""
     n, r = _integer(n, "n", 0), _integer(r, "r", 1)
     if n > MAX_LAYERS or r > MAX_LABELS:
         raise ValueError(
             f"enumeration is budgeted to n <= {MAX_LAYERS}, r <= {MAX_LABELS}"
         )
+    if n > r - 1:
+        return []  # each step up merges a block: r blocks reach one in at most r - 1
     # the vertex ids of each layer; "j:i" has one digit each under the budget,
     # so string order is (j, i) order and links built by layer come out sorted
     names = [tuple(f"{j}:{i}" for i in range(r)) for j in range(1, n + 2)]
     # pairs[j][i][k] links vertex i of layer j + 2 to vertex k of layer j + 1
     pairs = [[[(v, u) for u in upper] for v in lower] for upper, lower in zip(names, names[1:])]
-    splits: dict = {}  # block -> its canonical set partitions, for this call only
-    refinements = functools.cache(lambda q: _strict_refinements(q, splits))  # like down's
-    stacked: dict = {}  # (block count, id(layers below)) -> the one layers tuple on them
-
-    @functools.cache  # one memo per call, freed as the call returns
-    def down(q: Partition, steps: int) -> _Chains:
-        """Every chain from q down to the discrete partition in ``steps``
-        strict refinements, as two parallel tuples: the chains' layers' ids
-        and their parent links sorted by child; q is layer ``n + 1 - steps``."""
-        if r - len(q) < steps:
-            return (), ()  # each refinement adds a block: q cannot reach r blocks
-        ids = names[n - steps][: len(q)]
-        if steps == 0:
-            return (((ids,),), ((),)) if len(q) == r else ((), ())
-        owner = {x: k for k, block in enumerate(q) for x in block}
-        row = pairs[n - steps]
-        layers, links = [], []
-        for p in refinements(q):
-            lowers, ups = down(p, steps - 1)
-            if lowers:
-                own = tuple(row[i][owner[block[0]]] for i, block in enumerate(p))
-                links += [own + up for up in ups]
-                for lower in lowers:  # the memo keeps lower alive, so its id is a key
-                    key = (len(q), id(lower))
-                    layers.append(stacked.get(key) or stacked.setdefault(key, (ids,) + lower))
-        return tuple(layers), tuple(links)
-
-    top = (tuple(range(1, r + 1)),)
-    try:
-        chains = down(top, n)
-    finally:  # down reaches itself through its closure: unbinding it breaks that cycle
-        del down
-    return [CombType(n, r, layers, links, names[n]) for layers, links in zip(*chains)]
+    patterns = {k: _coarsening_patterns(k) for k in range(2, r + 1)}
+    # each partition of the current layer, held as the block of each label,
+    # -> its chains down to the discrete partition, as two parallel lists:
+    # their layers' ids, top first, and their links sorted by child
+    level = {tuple(range(r)): ([(names[n],)], [()])}
+    for depth in range(n - 1, -1, -1):
+        ids, row, upper = names[depth], pairs[depth], {}
+        stacked: dict = {}  # block count -> id(layers below) -> the one layers tuple on them
+        for p in sorted(level, key=_blocks):  # so each q's chains arrive in chain order
+            lowers, downs = level[p]
+            size = max(p) + 1
+            for k in range(depth + 1, size) if depth else (1,):
+                lift = stacked.setdefault(k, {})  # level keeps each lower alive: its id is a key
+                layers = [lift.get(id(lower)) or lift.setdefault(id(lower), (ids[:k],) + lower)
+                          for lower in lowers]
+                for to in patterns[size][k]:
+                    q = tuple(map(to.__getitem__, p))
+                    own = tuple(map(list.__getitem__, row, to))  # block i of p -> block to[i]
+                    chains = upper.get(q) or upper.setdefault(q, ([], []))
+                    chains[0].extend(layers)
+                    chains[1].extend([own + link for link in downs])
+        level = upper
+    tops, links = level.get((0,) * r, ((), ()))
+    return [CombType(n, r, layers, parents, names[n]) for layers, parents in zip(tops, links)]
 
 
 class WeightedCombType(NamedTuple):

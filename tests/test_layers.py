@@ -172,7 +172,7 @@ def test_the_integer_rule_scan_sees_isinstance_and_operator_index():
 
 # a positivity floor is the integer rule's third argument, _integer(value, name,
 # least), not a refusal in a module's own words; the list-level weights check
-# and CombType's coherence check, which takes no integer rule, keep theirs
+# and CombType's joint check of n and r, read with no floor, keep theirs
 OWN_FLOOR_REFUSALS = {
     ("cli", "cmd_graphs", "weights must be positive integers"),
     ("trees", "propagate_weights", "weights must be positive integers"),

@@ -16,9 +16,10 @@ from tangentia.trees import (
     MAX_LABELS,
     MAX_LAYERS,
     CombType,
+    _blocks,
     _canon_partition,
+    _coarsening_patterns,
     _set_partitions,
-    _strict_refinements,
     enumerate_types,
     propagate_weights,
 )
@@ -26,8 +27,8 @@ from tangentia.trees import (
 # ---------------------------------------------------------------------------
 # independent counting oracle: chains in the partition lattice, generated
 # from restricted growth strings and counted top-down by a refinement test
-# on sets (the implementation splits canonical blocks, so the two share no
-# code path)
+# on sets (the implementation merges blocks up from the discrete partition,
+# so the two share no code path)
 # ---------------------------------------------------------------------------
 
 def _rgs_partitions(r):
@@ -164,19 +165,25 @@ def test_strict_coarsenings_against_refinement_oracle():
             assert set(got) == expected, fine
 
 
-def test_strict_refinements_invert_the_coarsenings():
-    # over every partition of 1..r, r <= 6: sorted, no duplicates, and
-    # exactly the partitions that have it among their strict coarsenings
+def test_coarsening_patterns_merge_to_the_strict_coarsenings():
+    # over every partition p of 1..r, r <= 6, held as enumerate_types holds
+    # it (the block of each label): merging by each pattern of len(p) blocks
+    # (the pattern read at each label's block) gives every strict coarsening
+    # of p once, canonical, with the pattern's block count, and each pattern
+    # sends a block of p to the merged block that holds it
     for r in range(1, MAX_LABELS + 1):
-        partitions = sorted(_canonical(p) for p in _rgs_partitions(r))
-        finer = {p: [] for p in partitions}
-        for p in partitions:
-            for q in _strict_coarsenings(p):
-                finer[q].append(p)
-        for q in partitions:
-            got = _strict_refinements(q, {})
-            assert list(got) == sorted(set(got)) == sorted(finer[q]), q
-    assert len(_strict_refinements(((1, 2, 3, 4, 5, 6),), {})) == 202  # Bell(6) - 1
+        for p in sorted(_canonical(p) for p in _rgs_partitions(r)):
+            owner = tuple(b for x in range(1, r + 1) for b, block in enumerate(p) if x in block)
+            assert _blocks(owner) == p
+            got = []
+            for m, patterns in enumerate(_coarsening_patterns(len(p))):
+                for to in patterns:
+                    q = _blocks(tuple(to[b] for b in owner))
+                    assert q == _canonical(q) and len(q) == m, (p, to)
+                    assert all(set(block) <= set(q[to[i]]) for i, block in enumerate(p)), (p, to)
+                    got.append(q)
+            assert sorted(got) == sorted(set(got)) == sorted(_strict_coarsenings(p)), p
+    assert sum(map(len, _coarsening_patterns(6))) == 202  # Bell(6) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -220,8 +227,9 @@ def test_enumeration_matches_grow_then_filter_oracle(n, r):
 # build oracle: an earlier enumerator, which recurses up from the discrete
 # partition over (partition, steps left) by coarsening, with no memo and no
 # bound, sorts the chains, then builds each type afterwards from its chain
-# with _from_partition_chain; enumerate_types recurses down by refinement in
-# sorted order and builds the trees inside its memoised recursion instead
+# with _from_partition_chain; enumerate_types instead pushes every chain up
+# one layer at a time, merging in sorted order so that no sort is needed,
+# and builds the trees' layers and links as it goes
 # ---------------------------------------------------------------------------
 
 def _recursive_chains(p, steps):
@@ -241,40 +249,39 @@ def test_enumeration_matches_chain_then_build_oracle(n, r):
 
 
 def test_cells_past_the_last_step_walk_no_lattice(monkeypatch):
-    # one block reaches r blocks in at most r - 1 steps: every cell with
-    # n > r - 1 is empty, and is known to be so before any refinement
-    def refuse(partition, splits):
-        raise AssertionError(f"walked the lattice from {partition}")
+    # r blocks merge down to one in at most r - 1 steps: every cell with
+    # n > r - 1 is empty, and is known to be so before any pattern is built
+    def refuse(k):
+        raise AssertionError(f"built the patterns of {k} blocks")
 
-    monkeypatch.setattr(trees, "_strict_refinements", refuse)
-    with pytest.raises(AssertionError, match="walked the lattice"):
-        enumerate_types(1, 2)  # the patch is the helper the recursion calls
+    monkeypatch.setattr(trees, "_coarsening_patterns", refuse)
+    with pytest.raises(AssertionError, match="built the patterns"):
+        enumerate_types(1, 2)  # the patch is the helper the push merges by
     empty = [(n, r) for n, r in _ALL_CELLS if n > r - 1]
     assert {(6, 6), (5, 3), (1, 1)} <= set(empty)
     for n, r in empty:
         assert enumerate_types(n, r) == [], (n, r)
 
 
-def test_refinements_are_computed_once_per_partition_per_call(monkeypatch):
-    computed = []
-    refinements = trees._strict_refinements
+def test_coarsening_patterns_are_built_once_per_block_count_per_call(monkeypatch):
+    built = []
+    patterns = trees._coarsening_patterns
 
-    def counted(partition, splits):
-        computed.append(partition)
-        return refinements(partition, splits)
+    def counted(k):
+        built.append(k)
+        return patterns(k)
 
-    monkeypatch.setattr(trees, "_strict_refinements", counted)
-    # every partition of 1..r with fewer than r blocks is refined, once
-    for n, r, distinct in [(5, 6, 202), (4, 6, 202), (2, 3, 4), (0, 1, 0)]:
-        computed.clear()
+    monkeypatch.setattr(trees, "_coarsening_patterns", counted)
+    # once for each block count a partition that merges can have, 2 to r
+    for n, r in [(5, 6), (4, 6), (2, 3), (1, 2), (0, 1)]:
+        built.clear()
         enumerate_types(n, r)
-        assert len(computed) == len(set(computed)) == distinct, (n, r)
-    # the memo dies with the call: a second call computes them afresh
-    computed.clear()
+        assert built == list(range(2, r + 1)), (n, r)
+    # the patterns die with the call: a second call builds them afresh
+    built.clear()
     enumerate_types(3, 5)
     enumerate_types(3, 5)
-    half = len(computed) // 2
-    assert half and computed[:half] == computed[half:] and len(set(computed)) == half
+    assert built == [2, 3, 4, 5] * 2
 
 
 def test_each_call_has_its_own_memo():
@@ -286,15 +293,16 @@ def test_each_call_has_its_own_memo():
 
 
 def test_each_call_frees_its_memos_when_it_returns():
-    # the recursion refers to itself through its closure; left bound, it would
-    # keep every memo of the call alive as cyclic garbage until a full
-    # collection (44,860 objects after (4, 6)).  No clock: the collector's
-    # count of unreachable objects.  With automatic collection paused, all
-    # that a call makes stays in the youngest generation, so collecting that
-    # one finds all of the call's garbage.  The class search's recursion
-    # (126 objects over degrees 0..20 when left bound) and the CLI's tree
-    # rendering (91,263 objects for graphs --n 4 --r 6 as a recursive
-    # closure) are held to the same bound
+    # a call's patterns and each layer's chains are plain dicts and lists
+    # that nothing refers back to, so reference counting frees them as the
+    # push moves up a layer and as the call returns; a self-referring
+    # closure would leave them to the collector (44,860 objects after
+    # (4, 6) for a memoised recursion).  No clock: the collector's count of
+    # unreachable objects.  With automatic collection paused, all that a call
+    # makes stays in the youngest generation, so collecting that one finds
+    # all of the call's garbage.  The class search (126 objects over degrees
+    # 0..20 as a self-referring closure) and the CLI's tree rendering (91,263
+    # objects for graphs --n 4 --r 6 as one) are held to the same bound
     enabled = gc.isenabled()
     gc.collect()
     gc.disable()
@@ -328,8 +336,10 @@ def test_a_call_shares_its_layers_and_link_pairs():
 
 def test_enumeration_peak_memory_is_pinned():
     # a ratchet with no clock: on Python 3.11 the traced peak of (4, 6) is
-    # 2.58 MB with the layers and link pairs shared, and was 3.87 MB with a
-    # tuple of each per chain
+    # 2.41 MB pushing up a layer at a time, which frees each layer's chains
+    # as the next is built; it was 2.58 MB with a memo of every (partition,
+    # steps left) kept to the end, and 3.87 MB with a layers tuple and link
+    # pairs of their own for each chain
     gc.collect()
     tracemalloc.start()
     try:
@@ -337,7 +347,7 @@ def test_enumeration_peak_memory_is_pinned():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3_200_000
+    assert peak < 2_800_000
 
 
 def test_every_enumerated_type_passes_the_constructor(monkeypatch):
@@ -764,13 +774,16 @@ _MALFORMED = [
      "parent table mentions an unknown vertex"),
     (dict(n=1, r=1, layers=(("1:0",), ("2:0",)), parents=(("2:0", "1:0"),), leaf_order=("2:9",)),
      "leaf order mentions an unknown vertex"),
+    (dict(n=2.5, r=1, layers=(), parents=(), leaf_order=()), "n must be an integer, got 2.5"),
+    (dict(n=1, r="1", layers=(), parents=(), leaf_order=()), "r must be an integer, got '1'"),
+    (dict(n=None, r=1, layers=(), parents=(), leaf_order=()), "n must be an integer, got None"),
 ]
 
 
 @pytest.mark.parametrize("fields, message", _MALFORMED, ids=[
     "negative-n", "zero-r", "too-few-layers", "too-few-layers-before-duplicate",
     "duplicate-across-layers", "first-duplicate-named", "duplicate-in-a-layer",
-    "unknown-parent", "unknown-child", "unknown-leaf"])
+    "unknown-parent", "unknown-child", "unknown-leaf", "fractional-n", "string-r", "none-n"])
 def test_constructor_errors_are_the_same_on_every_path(fields, message):
     # the exact text, whichever way the fields arrive
     base = enumerate_types(1, 2)[0]
@@ -781,7 +794,17 @@ def test_constructor_errors_are_the_same_on_every_path(fields, message):
         assert str(caught.value) == message
 
 
-def test_block_splits_are_generated_once_per_block_per_call(monkeypatch):
+def test_constructor_reads_n_and_r_by_the_integer_rule():
+    # an integral n or r is stored as an int, so no float or bool reaches
+    # violations() or partition_chain() to fail there with a bare TypeError
+    shape = enumerate_types(1, 2)[0]
+    for n, r in [(1.0, 2), (True, 2), (1, 2.0), (Fraction(1), Fraction(2))]:
+        for built in (CombType(n, r, *shape[2:]), shape._replace(n=n, r=r)):
+            assert built == shape and type(built.n) is type(built.r) is int, (n, r)
+            assert built.violations() == [] and built.partition_chain() == shape.partition_chain()
+
+
+def test_set_partitions_run_once_per_block_count_per_call(monkeypatch):
     entries = []
     real = trees._set_partitions
 
@@ -791,10 +814,11 @@ def test_block_splits_are_generated_once_per_block_per_call(monkeypatch):
 
     monkeypatch.setattr(trees, "_set_partitions", counted)
     assert [len(p) for p in trees._set_partitions((1, 2, 3))] == [1, 2, 2, 2, 3]
-    assert entries == [(1, 2, 3)]  # one entry per partitioned block, however large
+    assert entries == [(1, 2, 3)]  # one entry per partitioned sequence, however large
     entries.clear()
     types = enumerate_types(4, 6)
-    # every nonempty subset of 1..6 is a block of some refined partition
-    assert len(types) == 4245 and len(entries) == len(set(entries)) == 2 ** 6 - 1
-    enumerate_types(4, 6)  # the memo dies with the call: the same blocks again
-    assert entries[63:] == entries[:63]
+    # the block indices of each block count 2..6 that a merge starts from:
+    # 5 runs, where splitting every nonempty block of 1..6 took 2 ** 6 - 1
+    assert len(types) == 4245 and entries == [tuple(range(k)) for k in range(2, 7)]
+    enumerate_types(4, 6)  # the patterns die with the call: the same runs again
+    assert entries[5:] == entries[:5]
