@@ -29,8 +29,10 @@ each layer's chains as the next is built, and the rest as the call returns.
 Merging each layer in sorted order hands every partition its chains sorted
 (top first), each one's links sorted by child, so nothing is sorted after.
 A merge into layer j keeps at least j blocks (layer 1 exactly one), so
-every chain built reaches the top.  The chains count the types: none once
-n > r - 1, one for (n, r) = (0, 1) or (1, r >= 2), and three for (2, 3).
+every chain built reaches the top, and is a type coherent by construction:
+none is re-checked by the constructor, and the tests check all 9,486 types
+of the budget.  The chains count the types: none once n > r - 1, one for
+(n, r) = (0, 1) or (1, r >= 2), and three for (2, 3).
 
 The tree is the stored form: a :class:`CombType` is a read-only named tuple
 of its five fields.  Everything else is read off one map, built once per
@@ -46,9 +48,10 @@ total contact order.
 from __future__ import annotations
 
 import functools
+from collections.abc import Sequence
 from itertools import chain
 from types import MappingProxyType
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple
 
 from .rationals import _integer, _integers
 
@@ -56,6 +59,7 @@ MAX_LAYERS = 6
 MAX_LABELS = 6
 
 Partition = tuple[tuple[int, ...], ...]
+_record = tuple.__new__  # a named tuple from its fields, without the class's own __new__
 
 
 def _canon_partition(blocks) -> Partition:
@@ -113,16 +117,16 @@ class CombType(_CombFields):
 
     ``layers[j - 1]`` holds the vertex ids of layer j, ``parents`` maps each
     non-top vertex to its parent, and ``leaf_order[i]`` is the bottom vertex
-    labeled i + 1.  Construction, on every path (``_make`` and ``_replace``
-    included), reads n and r by the integer rule of
+    labeled i + 1.  Construction by hand (``_make`` and ``_replace``
+    included) reads n and r by the integer rule of
     :mod:`~tangentia.rationals` (1.0 is 1 and True is 1; 2.5, "1" or None
     raises ``ValueError``), and otherwise only checks that the ids are
     coherent, by set operations: the layers' ids are distinct (the first
     repeat is named), and the parent links and the leaf order use only
-    those ids.  Whether the axioms
-    hold is the business of :meth:`violations`, so that broken candidates
-    can be built and diagnosed.  The types of one :func:`enumerate_types`
-    call may share their (immutable) layers and link pairs.
+    those ids.  Whether the axioms hold is the business of :meth:`violations`,
+    so that broken candidates can be built and diagnosed.  The types of
+    :func:`enumerate_types` are coherent by construction and skip these
+    checks; one call's types may share their (immutable) layers and links.
 
     These fields are the whole type.  The partition chain and every vertex
     weight of a :class:`WeightedCombType` (which stores only this shape and
@@ -135,8 +139,7 @@ class CombType(_CombFields):
 
     def __new__(cls, n: int, r: int, layers: tuple[tuple[str, ...], ...],
                 parents: tuple[tuple[str, str], ...], leaf_order: tuple[str, ...]) -> CombType:
-        if type(n) is not int or type(r) is not int:  # the integer rule, skipped for exact ints
-            n, r = _integer(n, "n"), _integer(r, "r")
+        n, r = _integer(n, "n"), _integer(r, "r")
         if n < 0 or r < 1:
             raise ValueError("need n >= 0 and r >= 1")
         if len(layers) != n + 1:
@@ -241,8 +244,8 @@ def enumerate_types(n: int, r: int) -> list[CombType]:
     The chains are pushed up from the discrete partition a layer at a time,
     as the module docstring tells, with the patterns of each block count
     built once for the call; nothing needs unbinding.  A cell with
-    n > r - 1 is empty and returns before any pattern is built.  Every type
-    still passes the :class:`CombType` constructor's checks."""
+    n > r - 1 is empty and returns before any pattern is built.  The types
+    are coherent by construction and skip the constructor's checks."""
     n, r = _integer(n, "n", 0), _integer(r, "r", 1)
     if n > MAX_LAYERS or r > MAX_LABELS:
         raise ValueError(
@@ -278,7 +281,8 @@ def enumerate_types(n: int, r: int) -> list[CombType]:
                     chains[1].extend([own + link for link in downs])
         level = upper
     tops, links = level.get((0,) * r, ((), ()))
-    return [CombType(n, r, layers, parents, names[n]) for layers, parents in zip(tops, links)]
+    leaves = names[n]  # each type is coherent by construction: no per-type re-check
+    return [_record(CombType, (n, r, layers, parents, leaves)) for layers, parents in zip(tops, links)]
 
 
 class WeightedCombType(NamedTuple):
@@ -315,8 +319,12 @@ def propagate_weights(
     """Attach ``root_weights[i]`` to bottom label i + 1; every vertex then
     weighs the total weight of the bottom labels below it.  The weights are
     stored as ints, read by the integer rule of :mod:`~tangentia.rationals`;
-    one that is not integral, or is no number, raises ValueError."""
+    one that is not integral, or is no number, raises ValueError, and so do
+    weights that are no sequence (an iterator, a set, a dict or a number)."""
     shape._labels_below  # validates the shape: a broken type raises ValueError
+    kind = type(root_weights)  # a tuple or a list skips the slower ABC check
+    if kind is not tuple and kind is not list and not isinstance(root_weights, Sequence):
+        raise ValueError(f"weights must be a sequence of integers, got {root_weights!r}")
     if len(root_weights) != shape.r:
         raise ValueError(f"expected {shape.r} weights, got {len(root_weights)}")
     try:
@@ -327,4 +335,4 @@ def propagate_weights(
     bottom = _integers(root_weights)
     if bottom is None:
         raise ValueError(f"weights must be integers, got {root_weights!r}")
-    return tuple.__new__(WeightedCombType, (shape, bottom))  # a plain record: no checks skipped
+    return _record(WeightedCombType, (shape, bottom))  # a plain record: no checks skipped

@@ -790,16 +790,18 @@ def test_output_is_deterministic(capsys, argv):
 # empty aggregate_N cache as in a fresh process; a kernel not listed is not
 # called.  The stratum sizes, the quadrisection split and the census counts
 # read the order table, so only verify-all (division, and its own 144-point
-# cross-check) and torsion --solve build torsion points
+# cross-check) and torsion --solve build torsion points.  No subcommand calls
+# the CombType constructor: enumerated types are coherent by construction
 KERNEL_CALLS = {
     "torsion --strata": {},
     "census --aggregate": {"_least_spend": 55},
     "census --degree 4 --stratum T1": {"_least_spend": 55, "boundary_census": 1},
     "check-gw --degree 4": {"boundary_census": 3, "_least_spend": 55, "binomial": 2},
     "verify-all --json": {"binomial": 329, "_least_spend": 110, "_point": 11_322,
-                          "boundary_census": 19, "CombType": 218, "propagate_weights": 20_530},
+                          "boundary_census": 19, "propagate_weights": 20_530},
     "integrality --wmax 8 --dmax 8": {"binomial": 60},
-    "graphs --n 2 --r 3 --weights 1,2,3": {"CombType": 3, "propagate_weights": 3},
+    "graphs --n 2 --r 3 --weights 1,2,3": {"propagate_weights": 3},
+    "graphs --n 4 --r 6": {},
     "torsion --solve --class 2H-E1-E2": {"_point": 45},
 }
 

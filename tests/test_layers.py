@@ -170,6 +170,61 @@ def test_the_integer_rule_scan_sees_isinstance_and_operator_index():
     assert operator_index_lines(body) == [2, 4]
 
 
+# exactness: the package computes in ints and Fractions, so no module writes
+# a float constant, calls float(), round(), math.sqrt or math.log, or divides
+# with "/", which turns two ints into a float.  Each exception is listed once
+# with its reason, and a new one fails the suite until it is listed here
+INEXACT_ALLOWED = {
+    ("assembly", "local_invariant", "/"):
+        "ledger.total is a Fraction, and a Fraction divided by an int is exact",
+    ("verify", "check_degeneration_trees", "10.0"):
+        "a wall-clock bound in seconds inside a check, not a computed number",
+}
+_INEXACT_CALLS = {"float", "round", "math.sqrt", "math.log"}
+
+
+def inexact_nodes(nodes, scope=()):
+    """(enclosing definition, what) of each float constant, float(), round(),
+    math.sqrt or math.log call and true division under ``nodes``."""
+    found = []
+    for node in nodes:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found += inexact_nodes(ast.iter_child_nodes(node), scope + (node.name,))
+            continue
+        if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+            found.append((".".join(scope), repr(node.value)))
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+            found.append((".".join(scope), "/"))
+        elif isinstance(node, ast.Call) and ast.unparse(node.func) in _INEXACT_CALLS:
+            found.append((".".join(scope), ast.unparse(node.func)))
+        found += inexact_nodes(ast.iter_child_nodes(node), scope)
+    return found
+
+
+def test_the_package_computes_exactly():
+    found = [(name, *hit) for name in LAYERS for hit in inexact_nodes(_body(name))]
+    assert sorted(found) == sorted(INEXACT_ALLOWED)
+
+
+def test_the_exactness_scan_sees_floats_calls_and_true_division():
+    body = ast.parse(
+        "import math\n"
+        "X = 0.5\n"
+        "def f(a, b):\n"
+        "    return round(a) + a / b + float(b)\n"
+        "class C:\n"
+        "    def g(self, x):\n"
+        "        x /= 2\n"
+        "        return math.sqrt(x) + math.log(x)\n"
+        "def exact(a, b):\n"
+        "    return a // b + int(a) + math.floor(b) + math.isqrt(a)\n"
+    ).body
+    assert sorted(inexact_nodes(body)) == [
+        ("", "0.5"), ("C.g", "/"), ("C.g", "math.log"), ("C.g", "math.sqrt"),
+        ("f", "/"), ("f", "float"), ("f", "round"),
+    ]
+
+
 # a positivity floor is the integer rule's third argument, _integer(value, name,
 # least), not a refusal in a module's own words; the list-level weights check
 # and CombType's joint check of n and r, read with no floor, keep theirs
