@@ -223,7 +223,7 @@ def cmd_integrality(args) -> Output:
 def cmd_torsion(args) -> Output:
     if args.strata and (args.class_literal is not None or args.m is not None):
         raise UsageError("--class and --m apply only to --solve")
-    if args.solve and not args.class_literal:
+    if args.solve and args.class_literal is None:
         raise UsageError("--solve requires --class")
     from . import torsion
 

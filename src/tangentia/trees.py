@@ -19,13 +19,13 @@ from the discrete partition one layer at a time and builds each tree as it
 goes: a partition's vertex ids are fixed by its layer, and a block's parent
 is the vertex owning its labels one layer up, so each partition of a layer
 carries its chains' layers and parent links, as two parallel lists.  A
-partition is held as the block of each label, blocks numbered by least
-label; a merge is a pattern on block indices (a set partition of
-``range(k)`` into fewer blocks, numbered alike), read at each label's
-block.  The patterns of each block count, each (child, parent) link pair
-(n * r * r at most) and each distinct layers tuple are made once per call
-and shared.  Nothing refers back to itself, so reference counting frees
-each layer's chains as the next is built, and the rest as the call returns.
+partition is held as a restricted growth string, the block of each label
+(blocks numbered by least label), and a merge is one on block indices, of
+length k with fewer than k blocks, read at each label's block.  The
+patterns of each block count, each (child, parent) link pair (n * r * r at
+most) and each distinct layers tuple are made once per call and shared.
+Nothing refers back to itself, so reference counting frees each layer's
+chains as the next is built, and the rest as the call returns.
 Merging each layer in sorted order hands every partition its chains sorted
 (top first), each one's links sorted by child, so nothing is sorted after.
 A merge into layer j keeps at least j blocks (layer 1 exactly one), so
@@ -66,34 +66,19 @@ def _canon_partition(blocks) -> Partition:
     return tuple(sorted(tuple(sorted(b)) for b in blocks))
 
 
-def _set_partitions(items: Sequence) -> list[list[list]]:
-    """All set partitions of ``items``: each item, last first, joins every
-    block of each partition of the items after it, or starts a block of its
-    own."""
-    partitions: list[list[list]] = [[]]
-    for first in reversed(items):
-        grown = []
-        for smaller in partitions:
-            for i in range(len(smaller)):
-                grown.append(smaller[:i] + [[first] + smaller[i]] + smaller[i + 1 :])
-            grown.append([[first]] + smaller)
-        partitions = grown
-    return partitions
-
-
 def _coarsening_patterns(k: int) -> list[list[tuple[int, ...]]]:
     """The strict coarsenings of a partition with k blocks, as patterns on
     its block indices: entry m lists each set partition of ``range(k)`` into
-    m < k blocks, as the block of each index, blocks numbered by first index."""
-    by_count: list[list[tuple[int, ...]]] = [[] for _ in range(k)]
-    for grouping in _set_partitions(range(k)):
-        if len(grouping) < k:  # something merged
-            to = [0] * k
-            for j, group in enumerate(sorted(grouping)):
-                for i in group:
-                    to[i] = j
-            by_count[len(grouping)].append(tuple(to))
-    return by_count
+    m < k blocks as a restricted growth string, the block of each index,
+    blocks numbered by first index.  Each index joins a block already named
+    or opens the next one."""
+    strings = [()]
+    for _ in range(k):
+        strings = [s + (b,) for s in strings for b in range(max(s, default=-1) + 2)]
+    by_count: list[list[tuple[int, ...]]] = [[] for _ in range(k + 1)]
+    for s in strings:
+        by_count[max(s) + 1].append(s)
+    return by_count[:k]  # the one string with k blocks merges nothing
 
 
 def _blocks(owner: tuple[int, ...]) -> Partition:
@@ -144,13 +129,11 @@ class CombType(_CombFields):
             raise ValueError("need n >= 0 and r >= 1")
         if len(layers) != n + 1:
             raise ValueError(f"expected {n + 1} layers, got {len(layers)}")
-        ids = set().union(*layers)
-        if len(ids) != sum(map(len, layers)):
-            seen: set[str] = set()
-            for v in chain.from_iterable(layers):  # name the first repeat
-                if v in seen:
-                    raise ValueError(f"duplicate vertex id {v!r}")
-                seen.add(v)
+        ids: set[str] = set()
+        for v in chain.from_iterable(layers):  # name the first repeat
+            if v in ids:
+                raise ValueError(f"duplicate vertex id {v!r}")
+            ids.add(v)
         if not ids.issuperset(chain.from_iterable(parents)):
             raise ValueError("parent table mentions an unknown vertex")
         if not ids.issuperset(leaf_order):

@@ -3,6 +3,7 @@ import io
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -15,7 +16,8 @@ from hypothesis import given, settings, strategies as st
 from tangentia import assembly, census, covers, lattice, torsion, trees, verify
 from tangentia.cli import build_parser, main
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 
 @pytest.fixture(autouse=True)
@@ -551,6 +553,12 @@ def test_solve_requires_class(capsys):
     assert "--class" in err
 
 
+def test_solve_with_an_empty_class_refuses_the_literal(capsys):
+    # --class was given, so the option is not missing: the literal is empty
+    code, out, err = run(capsys, "torsion", "--solve", "--class", "")
+    assert (code, out, err) == (1, "", "error: empty class literal\n")
+
+
 def test_census_needs_selection(capsys):
     code, _, err = run(capsys, "census")
     assert code == 1
@@ -621,9 +629,8 @@ def test_an_option_the_mode_ignores_is_refused(capsys, argv, message):
 
 
 def test_graphs_over_budget(capsys):
-    code, _, err = run(capsys, "graphs", "--n", "9", "--r", "2")
-    assert code == 1
-    assert err.startswith("error:")
+    code, out, err = run(capsys, "graphs", "--n", "9", "--r", "2")
+    assert (code, out, err) == (1, "", "error: enumeration is budgeted to n <= 6, r <= 6\n")
 
 
 def test_torsion_solve_at_the_division_budget(capsys):
@@ -688,13 +695,20 @@ def _refuse(*args):
      "instanton numbers are budgeted to dmax <= 1000, got 1001"),
     (("integrality", "--wmax", "17", "--dmax", "241"), covers, "instanton_numbers",
      "the integrality box is budgeted to wmax * dmax <= 4096, got 17 * 241 = 4097"),
+    (("integrality", "--wmax", "1", "--dmax", "1001"), covers, "binomial",
+     "instanton numbers are budgeted to dmax <= 1000, got 1001"),
     (("mcover", "--w", "3", "--d", "1001"), covers, "binomial",
      "multiple covers are budgeted to w <= 4096 and d <= 1000, got w = 3, d = 1001"),
     (("mcover", "--w", "4097", "--d", "1"), covers, "binomial",
      "multiple covers are budgeted to w <= 4096 and d <= 1000, got w = 4097, d = 1"),
     (("instantons", "--w", "4097", "--dmax", "1"), covers, "binomial",
      "multiple covers are budgeted to w <= 4096 and d <= 1000, got w = 4097, d = 1"),
-], ids=["classes", "instantons", "integrality", "mcover-d", "mcover-w", "instantons-w"])
+    (("graphs", "--n", "7", "--r", "6"), trees, "_coarsening_patterns",
+     "enumeration is budgeted to n <= 6, r <= 6"),
+    (("graphs", "--n", "5", "--r", "7"), trees, "_coarsening_patterns",
+     "enumeration is budgeted to n <= 6, r <= 6"),
+], ids=["classes", "instantons", "integrality", "integrality-dmax", "mcover-d", "mcover-w",
+        "instantons-w", "graphs-n", "graphs-r"])
 def test_past_the_work_budgets(capsys, monkeypatch, argv, module, heavy, message):
     monkeypatch.setattr(module, heavy, _refuse)
     code, out, err = run(capsys, *argv)
@@ -709,7 +723,7 @@ def test_past_the_work_budgets(capsys, monkeypatch, argv, module, heavy, message
 
 # integers at the edges of each option: signs, small cells, one past each work
 # budget (layers, class degree, division order, instanton degree, contact
-# order) and 10**30; the budgets themselves are timed above, not swept
+# order) and 10**30; the budgets themselves are counted below, not swept
 BOUNDARY_INTEGERS = ("-1", "0", "1", "2", "3", "4", "7", "21", "257", "1001", "4097", str(10**30))
 # class literals, strata and weights, well and badly formed
 OPTION_STRINGS = ("2H-E1-E2", "3H-E1-E2-E3-E4-E5-E6", "4H-E1-E2-2E3", "H", "0H", "2H-E7",
@@ -786,24 +800,105 @@ def test_output_is_deterministic(capsys, argv):
 # work counts
 # ---------------------------------------------------------------------------
 
-# kernel calls per subcommand, upper bounds with no clock, each run from an
+# kernel calls per command line, upper bounds with no clock, each run from an
 # empty aggregate_N cache as in a fresh process; a kernel not listed is not
-# called.  The stratum sizes, the quadrisection split and the census counts
-# read the order table, so only verify-all (division, and its own 144-point
-# cross-check) and torsion --solve build torsion points.  No subcommand calls
-# the CombType constructor: enumerated types are coherent by construction
-KERNEL_CALLS = {
-    "torsion --strata": {},
-    "census --aggregate": {"_least_spend": 55},
-    "census --degree 4 --stratum T1": {"_least_spend": 55, "boundary_census": 1},
-    "check-gw --degree 4": {"boundary_census": 3, "_least_spend": 55, "binomial": 2},
-    "verify-all --json": {"binomial": 329, "_least_spend": 110, "_point": 11_322,
-                          "boundary_census": 19, "propagate_weights": 20_530},
-    "integrality --wmax 8 --dmax 8": {"binomial": 60},
-    "graphs --n 2 --r 3 --weights 1,2,3": {"propagate_weights": 3},
-    "graphs --n 4 --r 6": {},
-    "torsion --solve --class 2H-E1-E2": {"_point": 45},
+# called.  Every cli entry of perfbench/golden.json and every README command
+# has a row, written as its words joined by single spaces, and so does the
+# argv at each work budget.  The stratum sizes, the quadrisection split and
+# the census counts read the order table, so only verify-all (division, and
+# its own 144-point cross-check) and torsion --solve build torsion points.  No
+# command calls the CombType constructor: enumerated types are coherent by
+# construction.  Each enumerate_types call builds the merge patterns of each
+# block count 2..r once.  Refused input exits 1 before any work, except that
+# boundary_census is the entry that refuses a census it does not cover
+REFUSED = {
+    "instantons --w 3": {},
+    "mcover --w 0 --d 1": {},
+    "mcover --w 3 --d 4 --csv": {},
+    "TANGENTIA_FORMAT=csv mcover --w 3 --d 4": {},
+    "TANGENTIA_FORMAT=xml classes --degree 4": {},
+    "torsion --solve": {},
+    "torsion --solve --class 2H-Q": {},
+    "census --degree 2": {},
+    "census --degree 4 --stratum T1 --special-cubic": {"boundary_census": 1},
+    "census --degree 5 --stratum T1": {"boundary_census": 1},
+    "check-gw --degree 5": {},
+    "graphs --n 2 --r 3 --weights 1,x": {},
 }
+KERNEL_CALLS = {
+    "mcover --w 1 --d 3": {"binomial": 1},
+    "mcover --w 3 --d 4": {"binomial": 1},
+    "mcover --w 3 --d 4 --json": {"binomial": 1},
+    "mcover --w 3 --d 4 --format json": {"binomial": 1},
+    "mcover --w 6 --d 2": {"binomial": 1},
+    "TANGENTIA_FORMAT=json mcover --w 3 --d 4": {"binomial": 1},
+    "TANGENTIA_FORMAT=json mcover --w 3 --d 4 --format text": {"binomial": 1},
+    "instantons --w 3 --dmax 6": {"binomial": 4},
+    "instantons --w 3 --dmax 6 --json": {"binomial": 4},
+    "instantons --w 6 --dmax 4": {"binomial": 4},
+    "TANGENTIA_FORMAT=json instantons --w 3 --dmax 6": {"binomial": 4},
+    "integrality --wmax 3 --dmax 5 --format csv": {"binomial": 14},
+    "integrality --wmax 8 --dmax 8": {"binomial": 60},
+    "integrality --wmax 8 --dmax 8 --csv": {"binomial": 60},
+    "integrality --wmax 8 --dmax 8 --json": {"binomial": 60},
+    "TANGENTIA_FORMAT=csv integrality --wmax 8 --dmax 8": {"binomial": 60},
+    "torsion --strata": {},
+    "torsion --strata --json": {},
+    "TANGENTIA_FORMAT=json torsion --strata": {},
+    "torsion --solve --class 2H-E1-E2": {"_point": 45},
+    "torsion --solve --class 2H-E1-E2 --json": {"_point": 45},
+    "TANGENTIA_FORMAT=json torsion --solve --class 2H-E1-E2": {"_point": 45},
+    "torsion --solve --class 4H-E1-E2-2E3 --m 3": {"_point": 31},
+    "classes --degree 3": {"_least_spend": 42},
+    "classes --degree 4": {"_least_spend": 55},
+    "classes --degree 4 --csv": {"_least_spend": 55},
+    "classes --degree 4 --json": {"_least_spend": 55},
+    "TANGENTIA_FORMAT=csv classes --degree 4": {"_least_spend": 55},
+    "census --aggregate": {"_least_spend": 55},
+    "census --aggregate --json": {"_least_spend": 55},
+    "TANGENTIA_FORMAT=json census --aggregate": {"_least_spend": 55},
+    "census --degree 2 --stratum T2 --json": {"boundary_census": 1},
+    "census --degree 3 --stratum NF9": {"boundary_census": 1},
+    "census --degree 3 --stratum T1 --special-cubic": {"boundary_census": 1},
+    "census --degree 4 --stratum T1": {"_least_spend": 55, "boundary_census": 1},
+    "census --degree 4 --stratum T1 --json": {"_least_spend": 55, "boundary_census": 1},
+    "check-gw --degree 1": {"boundary_census": 1},
+    "check-gw --degree 3": {"boundary_census": 2, "binomial": 1},
+    "check-gw --degree 4": {"boundary_census": 3, "_least_spend": 55, "binomial": 2},
+    "check-gw --degree 4 --json": {"boundary_census": 3, "_least_spend": 55, "binomial": 2},
+    "TANGENTIA_FORMAT=json check-gw --degree 4": {"boundary_census": 3, "_least_spend": 55,
+                                                  "binomial": 2},
+    "graphs --n 1 --r 2": {"_coarsening_patterns": 1},
+    "graphs --n 2 --r 3 --weights 1,2,3": {"_coarsening_patterns": 2, "propagate_weights": 3},
+    "graphs --n 2 --r 3 --weights 1,2,3 --json": {"_coarsening_patterns": 2,
+                                                  "propagate_weights": 3},
+    "TANGENTIA_FORMAT=json graphs --n 2 --r 3 --weights 1,2,3": {"_coarsening_patterns": 2,
+                                                                 "propagate_weights": 3},
+    "graphs --n 4 --r 6": {"_coarsening_patterns": 5},
+    "verify-all": {"binomial": 329, "_least_spend": 110, "_point": 11_322,
+                   "boundary_census": 19, "propagate_weights": 20_530, "_coarsening_patterns": 24},
+    "verify-all --json": {"binomial": 329, "_least_spend": 110, "_point": 11_322,
+                          "boundary_census": 19, "propagate_weights": 20_530,
+                          "_coarsening_patterns": 24},
+    **REFUSED,
+    # at each work budget; one past it is refused in test_past_the_work_budgets
+    "classes --degree 20": {"_least_spend": 21_186},
+    "instantons --w 3 --dmax 1000": {"binomial": 4},
+    "integrality --wmax 64 --dmax 64": {"binomial": 3851},
+    "torsion --solve --class 2H-E1-E2 --m 256": {"_point": 131_085},
+    "graphs --n 5 --r 6": {"_coarsening_patterns": 5},
+}
+
+
+def _words(line):
+    return " ".join(shlex.split(line, comments=True))
+
+
+def test_every_golden_and_readme_command_has_a_work_count():
+    golden = json.loads((ROOT / "perfbench" / "golden.json").read_text())["cli"]
+    readme = re.findall(r"^tangentia (.*)$", (ROOT / "README.md").read_text(), re.M)
+    assert {_words(line) for line in readme} | set(map(_words, golden)) <= KERNEL_CALLS.keys()
+    assert {_words(entry) for entry, want in golden.items() if want["exit"] == 1} == REFUSED.keys()
 
 
 def _counted(calls, name, fn):
@@ -816,9 +911,10 @@ def _counted(calls, name, fn):
 @pytest.mark.parametrize("argv", list(KERNEL_CALLS))
 def test_points_built_per_subcommand(capsys, monkeypatch, argv):
     calls = dict.fromkeys(["_point", "CombType", "propagate_weights", "_least_spend",
-                           "binomial", "boundary_census"], 0)
+                           "binomial", "boundary_census", "_coarsening_patterns"], 0)
     for module, name in [(torsion, "_point"), (trees, "propagate_weights"),
-                         (lattice, "_least_spend"), (covers, "binomial")]:
+                         (lattice, "_least_spend"), (covers, "binomial"),
+                         (trees, "_coarsening_patterns")]:
         monkeypatch.setattr(module, name, _counted(calls, name, getattr(module, name)))
     monkeypatch.setattr(trees.CombType, "__new__",
                         staticmethod(_counted(calls, "CombType", trees.CombType.__new__)))
@@ -826,6 +922,12 @@ def test_points_built_per_subcommand(capsys, monkeypatch, argv):
     monkeypatch.setattr(census, "boundary_census", census_entry)
     monkeypatch.setattr(assembly, "boundary_census", census_entry)  # imported there by name
     census.aggregate_N.cache_clear()
-    code, _, err = run(capsys, *argv.split())
-    assert (code, err) == (0, "")
+    words = argv.split()
+    while "=" in words[0] and not words[0].startswith("-"):  # NAME=value settings in front
+        monkeypatch.setenv(*words.pop(0).split("=", 1))
+    code, out, err = run(capsys, *words)
+    if argv in REFUSED:
+        assert (code, out) == (1, "") and re.fullmatch(r"(usage )?error: [^\n]*\n", err)
+    else:
+        assert (code, err) == (0, "")
     assert {k: v for k, v in calls.items() if v > KERNEL_CALLS[argv].get(k, 0)} == {}

@@ -20,7 +20,6 @@ from tangentia.trees import (
     _blocks,
     _canon_partition,
     _coarsening_patterns,
-    _set_partitions,
     enumerate_types,
     propagate_weights,
 )
@@ -120,10 +119,32 @@ def _canonical(part):
     return tuple(sorted(tuple(sorted(block)) for block in part))
 
 
+BELL = (1, 1, 2, 5, 15, 52, 203)  # set partitions of k items, k = 0..6
+
+
+def _groupings(items):
+    """Every set partition of ``items``, as lists of blocks: each item in
+    turn goes into each block opened so far, or opens a new one.  The
+    library writes partitions as restricted growth strings instead."""
+    groupings = [[]]
+    for item in items:
+        joined = [g[:i] + [g[i] + [item]] + g[i + 1:] for g in groupings for i in range(len(g))]
+        groupings = joined + [g + [[item]] for g in groupings]
+    return groupings
+
+
+def test_groupings_are_the_set_partitions():
+    for k in range(1, MAX_LABELS + 1):
+        got = _groupings(range(k))
+        assert len(got) == BELL[k], k
+        assert len({_canonical(g) for g in got}) == BELL[k], k
+        assert all(sorted(x for block in g for x in block) == list(range(k)) for g in got), k
+
+
 def _strict_coarsenings(partition):
     """Partitions obtained by merging at least two blocks of ``partition``:
     the step of the bottom-up build oracle below."""
-    for grouping in _set_partitions(partition):
+    for grouping in _groupings(partition):
         if len(grouping) < len(partition):  # something merged
             yield _canon_partition(sum(group, ()) for group in grouping)
 
@@ -184,7 +205,9 @@ def test_coarsening_patterns_merge_to_the_strict_coarsenings():
                     assert all(set(block) <= set(q[to[i]]) for i, block in enumerate(p)), (p, to)
                     got.append(q)
             assert sorted(got) == sorted(set(got)) == sorted(_strict_coarsenings(p)), p
-    assert sum(map(len, _coarsening_patterns(6))) == 202  # Bell(6) - 1
+    # every set partition of range(k) but the one that merges nothing
+    counts = [sum(map(len, _coarsening_patterns(k))) for k in range(1, MAX_LABELS + 1)]
+    assert counts == [b - 1 for b in BELL[1:]]
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +219,7 @@ def test_coarsening_patterns_merge_to_the_strict_coarsenings():
 
 def _indexed_coarsenings(partition):
     blocks = list(partition)
-    for grouping in _set_partitions(range(len(blocks))):
+    for grouping in _groupings(range(len(blocks))):
         if len(grouping) == len(blocks):
             continue  # nothing merged
         yield _canon_partition([x for g in group for x in blocks[g]] for group in grouping)
@@ -822,23 +845,3 @@ def test_constructor_reads_n_and_r_by_the_integer_rule():
         for built in (CombType(n, r, *shape[2:]), shape._replace(n=n, r=r)):
             assert built == shape and type(built.n) is type(built.r) is int, (n, r)
             assert built.violations() == [] and built.partition_chain() == shape.partition_chain()
-
-
-def test_set_partitions_run_once_per_block_count_per_call(monkeypatch):
-    entries = []
-    real = trees._set_partitions
-
-    def counted(items):
-        entries.append(tuple(items))
-        return real(items)
-
-    monkeypatch.setattr(trees, "_set_partitions", counted)
-    assert [len(p) for p in trees._set_partitions((1, 2, 3))] == [1, 2, 2, 2, 3]
-    assert entries == [(1, 2, 3)]  # one entry per partitioned sequence, however large
-    entries.clear()
-    types = enumerate_types(4, 6)
-    # the block indices of each block count 2..6 that a merge starts from:
-    # 5 runs, where splitting every nonempty block of 1..6 took 2 ** 6 - 1
-    assert len(types) == 4245 and entries == [tuple(range(k)) for k in range(2, 7)]
-    enumerate_types(4, 6)  # the patterns die with the call: the same runs again
-    assert entries[5:] == entries[:5]
