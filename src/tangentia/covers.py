@@ -98,7 +98,7 @@ def instanton_numbers(w: int, d_max: int) -> dict[int, Fraction]:
 
     Bounded to d_max <= MAX_INSTANTON_DEGREE and w <= MAX_CONTACT_ORDER.
     """
-    w, d_max = _integer(w, "w", 1), _integer(d_max, "d_max", 1)
+    w, d_max = _integer(w, "w", 1), _integer(d_max, "dmax", 1)
     if d_max > MAX_INSTANTON_DEGREE:
         raise ValueError(
             f"instanton numbers are budgeted to dmax <= {MAX_INSTANTON_DEGREE}, got {d_max}"
@@ -147,7 +147,7 @@ def integrality_report(w_max: int, d_max: int) -> list[IntegralityRow]:
     outside the user-supplied bounds is claimed.  Bounded to
     w_max * d_max <= MAX_INTEGRALITY_CELLS.
     """
-    w_max, d_max = _integer(w_max, "w_max", 1), _integer(d_max, "d_max", 1)
+    w_max, d_max = _integer(w_max, "wmax", 1), _integer(d_max, "dmax", 1)
     if w_max * d_max > MAX_INTEGRALITY_CELLS:
         raise ValueError(
             f"the integrality box is budgeted to wmax * dmax <= {MAX_INTEGRALITY_CELLS}, "

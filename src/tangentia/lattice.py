@@ -123,17 +123,10 @@ def parse_class_literal(text: str) -> DivisorClass:
 
 def class_literal(c: DivisorClass) -> str:
     """Inverse of :func:`parse_class_literal`, e.g. ``"4H-E1-E2-2E3"``."""
-    if c.e == 0 and not any(c.a):
-        return "0"
-    parts = []
-    if c.e != 0:
-        parts.append(("+" if c.e > 0 else "-") + (str(abs(c.e)) if abs(c.e) != 1 else "") + "H")
-    for i, ai in enumerate(c.a, start=1):
-        if ai == 0:
-            continue
-        parts.append(("-" if ai > 0 else "+") + (str(abs(ai)) if abs(ai) != 1 else "") + f"E{i}")
-    text = "".join(parts)
-    return text[1:] if text.startswith("+") else text
+    terms = [(c.e, "H")] + [(-ai, f"E{i}") for i, ai in enumerate(c.a, start=1)]
+    text = "".join([("+" if k > 0 else "-") + (str(abs(k)) if abs(k) != 1 else "") + name
+                    for k, name in terms if k])
+    return text.removeprefix("+") or "0"
 
 
 def ordered_count(multiset: Sequence[int]) -> int:

@@ -35,15 +35,15 @@ of the budget.  The chains count the types: none once n > r - 1, one for
 (n, r) = (0, 1) or (1, r >= 2), and three for (2, 3).
 
 The tree is the stored form: a :class:`CombType` is a read-only named tuple
-of its five fields.  Everything else is read off one map, built once per
-type on first use by a single bottom-up walk and kept by the type: each
-vertex's sorted bottom labels.  Grouped by layer, that map is the partition
-chain (:meth:`CombType.partition_chain`).  A weighted type
-(:func:`propagate_weights`) is a named tuple of only the shape and the
-weights of the bottom labels (contact orders of the degenerate pieces); the
-weight of any other vertex, and the full ``weights`` table, is derived by
-summing those bottom weights over the map, so the top vertex carries the
-total contact order.
+of its five fields.  Everything else is read off two maps, each built once
+per type on first use and kept by the type: each vertex's sorted children,
+and, by one bottom-up walk over those, its sorted bottom labels, which,
+grouped by layer, are the partition chain (:meth:`CombType.partition_chain`).
+A weighted type (:func:`propagate_weights`) is a named tuple of only the
+shape and the weights of the bottom labels (contact orders of the degenerate
+pieces); the weight of any other vertex, and the full ``weights`` table, is
+derived by summing those bottom weights over the labels, so the top vertex
+carries the total contact order.
 """
 from __future__ import annotations
 
@@ -60,10 +60,6 @@ MAX_LABELS = 6
 
 Partition = tuple[tuple[int, ...], ...]
 _record = tuple.__new__  # a named tuple from its fields, without the class's own __new__
-
-
-def _canon_partition(blocks) -> Partition:
-    return tuple(sorted(tuple(sorted(b)) for b in blocks))
 
 
 def _coarsening_patterns(k: int) -> list[list[tuple[int, ...]]]:
@@ -104,29 +100,28 @@ class CombType(_CombFields):
     non-top vertex to its parent, and ``leaf_order[i]`` is the bottom vertex
     labeled i + 1.  Construction by hand (``_make`` and ``_replace``
     included) reads n and r by the integer rule of
-    :mod:`~tangentia.rationals` (1.0 is 1 and True is 1; 2.5, "1" or None
-    raises ``ValueError``), and otherwise only checks that the ids are
-    coherent, by set operations: the layers' ids are distinct (the first
-    repeat is named), and the parent links and the leaf order use only
-    those ids.  Whether the axioms hold is the business of :meth:`violations`,
-    so that broken candidates can be built and diagnosed.  The types of
-    :func:`enumerate_types` are coherent by construction and skip these
-    checks; one call's types may share their (immutable) layers and links.
+    :mod:`~tangentia.rationals` with the floors n >= 0 and r >= 1 (1.0 is 1
+    and True is 1; 2.5, "1", None, n = -1 or r = 0 raises ``ValueError``),
+    and otherwise only checks that the ids are coherent, by set operations:
+    the layers' ids are distinct (the first repeat is named), and the parent
+    links and the leaf order use only those ids.  Whether the axioms hold is
+    the business of :meth:`violations`, so that broken candidates can be
+    built and diagnosed.  The types of :func:`enumerate_types` are coherent
+    by construction and skip these checks; one call's types may share their
+    (immutable) layers and links.
 
     These fields are the whole type.  The partition chain and every vertex
     weight of a :class:`WeightedCombType` (which stores only this shape and
     its bottom weights) come from one labels-below map (vertex -> sorted
     bottom labels), derived on first use and kept by the instance for its
-    lifetime; deriving it runs :meth:`violations` once and raises
-    ``ValueError`` for a broken type.  Nothing can be assigned to an
-    instance, neither a field nor a derived map.
+    lifetime, but not pickled or copied; deriving it runs :meth:`violations`
+    once and raises ``ValueError`` for a broken type.  Nothing can be
+    assigned to an instance, neither a field nor a derived map.
     """
 
     def __new__(cls, n: int, r: int, layers: tuple[tuple[str, ...], ...],
                 parents: tuple[tuple[str, str], ...], leaf_order: tuple[str, ...]) -> CombType:
-        n, r = _integer(n, "n"), _integer(r, "r")
-        if n < 0 or r < 1:
-            raise ValueError("need n >= 0 and r >= 1")
+        n, r = _integer(n, "n", 0), _integer(r, "r", 1)
         if len(layers) != n + 1:
             raise ValueError(f"expected {n + 1} layers, got {len(layers)}")
         ids: set[str] = set()
@@ -140,9 +135,10 @@ class CombType(_CombFields):
             raise ValueError("leaf order mentions an unknown vertex")
         return tuple.__new__(cls, (n, r, layers, parents, leaf_order))
 
-    @classmethod
-    def _make(cls, iterable) -> CombType:
-        return cls(*iterable)
+    _make = classmethod(lambda cls, fields: cls(*fields))  # through __new__, and so _replace
+
+    def __reduce__(self):  # the five fields: a copy derives its maps again on use
+        return type(self), tuple(self)
 
     # the derived maps live in the instance __dict__, which only
     # functools.cached_property writes to
@@ -215,7 +211,7 @@ class CombType(_CombFields):
     def partition_chain(self) -> tuple[Partition, ...]:
         """The chain of bottom-label partitions, one per layer, top first."""
         below = self._labels_below
-        return tuple(_canon_partition(below[v] for v in layer) for layer in self.layers)
+        return tuple(tuple(sorted(below[v] for v in layer)) for layer in self.layers)
 
 
 def enumerate_types(n: int, r: int) -> list[CombType]:
@@ -268,18 +264,29 @@ def enumerate_types(n: int, r: int) -> list[CombType]:
     return [_record(CombType, (n, r, layers, parents, leaves)) for layers, parents in zip(tops, links)]
 
 
-class WeightedCombType(NamedTuple):
+class _WeightedFields(NamedTuple):
+    shape: CombType
+    bottom: tuple[int, ...]
+
+
+class WeightedCombType(_WeightedFields):
     """A shape with a positive weight on each bottom label.
 
     The stored form is the shape plus ``bottom``, where ``bottom[i]`` is the
     weight of label i + 1.  Every other weight is derived: a vertex weighs
     the sum of the bottom weights below it, read off the shape's
     labels-below map, and :attr:`weights` lists all of them as
-    ``(vertex id, weight)`` pairs in sorted vertex order.
+    ``(vertex id, weight)`` pairs in sorted vertex order.  Every way of
+    building one (the class call, ``_make`` and ``_replace``) makes the
+    checks of :func:`propagate_weights`, and refuses in its words.
     """
 
-    shape: CombType
-    bottom: tuple[int, ...]
+    __slots__ = ()
+
+    def __new__(cls, shape: CombType, bottom: Sequence[int]) -> WeightedCombType:
+        return propagate_weights(shape, bottom)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # through __new__, and so _replace
 
     def weight(self, v: str) -> int:
         total, bottom = 0, self.bottom

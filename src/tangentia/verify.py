@@ -94,6 +94,13 @@ EXPECTED_TABLE = (
 )
 
 
+def _ordered_classes():
+    """Each of the 243 ordered classes of the table, with its genus."""
+    for e, multiset, p_a, _count in EXPECTED_TABLE:
+        for ordering in set(permutations(multiset)):
+            yield lattice.DivisorClass(e, ordering), p_a
+
+
 def check_class_table() -> str:
     rows = lattice.enumerate_classes(4)
     got = tuple((r.e, r.a_multiset, r.p_a, r.ordered_count) for r in rows)
@@ -108,20 +115,18 @@ def check_cremona_reduction() -> str:
     conic = lattice.DivisorClass(2, (1, 1, 0, 0, 0, 0))
     cubic = lattice.DivisorClass(3, (1, 1, 1, 1, 1, 0))
     checked = 0
-    for e, multiset, p_a, _count in EXPECTED_TABLE:
-        for ordering in set(permutations(multiset)):
-            start = lattice.DivisorClass(e, ordering)
-            path = list(lattice.cremona_steps(start))
-            for prev, cur in zip(path, path[1:]):
-                _expect(lattice.arithmetic_genus(prev) == lattice.arithmetic_genus(cur),
-                        "genus changed along reduction of {}", start)
-                _expect(lattice.tangency_degree(prev) == lattice.tangency_degree(cur),
-                        "tangency degree changed along reduction of {}", start)
-            terminal = path[-1]
-            target = conic if p_a == 0 else cubic
-            _expect((terminal.e, tuple(sorted(terminal.a))) == (target.e, tuple(sorted(target.a))),
-                    "{} reduced to {}", start, terminal)
-            checked += 1
+    for start, p_a in _ordered_classes():
+        path = list(lattice.cremona_steps(start))
+        for prev, cur in zip(path, path[1:]):
+            _expect(lattice.arithmetic_genus(prev) == lattice.arithmetic_genus(cur),
+                    "genus changed along reduction of {}", start)
+            _expect(lattice.tangency_degree(prev) == lattice.tangency_degree(cur),
+                    "tangency degree changed along reduction of {}", start)
+        terminal = path[-1]
+        target = conic if p_a == 0 else cubic
+        _expect((terminal.e, tuple(sorted(terminal.a))) == (target.e, tuple(sorted(target.a))),
+                "{} reduced to {}", start, terminal)
+        checked += 1
     _expect(checked == 243, "covered {} ordered classes", checked)
     return "all 243 ordered classes reduce to the conic or cubic class; genus and tangency preserved stepwise"
 
@@ -130,17 +135,15 @@ def check_torsion_division() -> str:
     sizes = torsion.stratum_sizes()
     _expect(tuple(sizes[s] for s in torsion.Stratum) == (9, 27, 108), "stratum sizes {}", sizes)
     _expect(census.stratum_point_count(census.NONFLEX_NINE) == 72, "order-9 non-flex count")
-    for e, multiset, _p_a, _count in EXPECTED_TABLE:
-        for ordering in set(permutations(multiset)):
-            cls = lattice.DivisorClass(e, ordering)
-            c = torsion.restriction_class(cls)
-            _expect((3 * c).is_zero, "restriction of {} is not 3-torsion", cls)
-            sols = torsion.solve_division(c, 4)
-            _expect(len(sols) == 16, "{}: {} solutions", cls, len(sols))
-            # list.count matches members by identity: no enum __hash__ per point
-            strata = [torsion.stratify(p) for p in sols]
-            split = tuple(map(strata.count, torsion.Stratum))
-            _expect(split == (1, 3, 12), "{}: split T1/T2/T3 = {}", cls, split)
+    for cls, _p_a in _ordered_classes():
+        c = torsion.restriction_class(cls)
+        _expect((3 * c).is_zero, "restriction of {} is not 3-torsion", cls)
+        sols = torsion.solve_division(c, 4)
+        _expect(len(sols) == 16, "{}: {} solutions", cls, len(sols))
+        # list.count matches members by identity: no enum __hash__ per point
+        strata = [torsion.stratify(p) for p in sols]
+        split = tuple(map(strata.count, torsion.Stratum))
+        _expect(split == (1, 3, 12), "{}: split T1/T2/T3 = {}", cls, split)
     return "strata sizes 9/27/108; every ordered class splits its 16 division points 1/3/12"
 
 
@@ -204,16 +207,14 @@ def check_degeneration_trees() -> str:
         (0, 3): 0, (1, 3): 1, (2, 3): 3, (3, 3): 0,
         (0, 4): 0, (1, 4): 1, (2, 4): 13, (3, 4): 18,
     }
-    for n in range(0, 4):
-        for r in range(1, 5):
-            shapes = trees.enumerate_types(n, r)
-            count = expected_counts[n, r]
-            _expect(len(shapes) == count, "|G_({},{})| = {}, expected {}", n, r, len(shapes), count)
-            for shape in shapes:
-                _expect(not shape.violations(), "enumerated type invalid: {}", shape)
-                leaks = [weights for weights in product(range(1, 6), repeat=r)
-                         if trees.propagate_weights(shape, weights).top_weight != sum(weights)]
-                _expect(not leaks, "weight leak on {} with {}", shape, *leaks[:1])
+    for (n, r), count in expected_counts.items():
+        shapes = trees.enumerate_types(n, r)
+        _expect(len(shapes) == count, "|G_({},{})| = {}, expected {}", n, r, len(shapes), count)
+        for shape in shapes:
+            _expect(not shape.violations(), "enumerated type invalid: {}", shape)
+            leaks = [weights for weights in product(range(1, 6), repeat=r)
+                     if trees.propagate_weights(shape, weights).top_weight != sum(weights)]
+            _expect(not leaks, "weight leak on {} with {}", shape, *leaks[:1])
     start = time.monotonic()
     big = trees.enumerate_types(4, 5)
     elapsed = time.monotonic() - start
@@ -246,11 +247,8 @@ def run_all_checks() -> list[CheckResult]:
     results = []
     for name, fn in ALL_CHECKS:
         try:
-            detail = fn()
-            results.append(CheckResult(name, True, detail))
-        except CheckFailure as exc:
-            results.append(CheckResult(name, False, str(exc)))
-        except Exception as exc:  # a crashing check fails; the rest still run
-            detail = f"{type(exc).__name__}: {exc}"
+            results.append(CheckResult(name, True, fn()))
+        except Exception as exc:  # a crashing check fails too; the rest still run
+            detail = str(exc) if isinstance(exc, CheckFailure) else f"{type(exc).__name__}: {exc}"
             results.append(CheckResult(name, False, detail))
     return results

@@ -114,6 +114,8 @@ def test_stratum_point_counts():
     assert stratum_point_count("T2") == 27
     assert stratum_point_count("T3") == 108
     assert stratum_point_count(NONFLEX_NINE) == 72
+    with pytest.raises(ValueError, match="^no census stratum 'X'$"):
+        stratum_point_count("X")
 
 
 def _refuse(*args):

@@ -187,6 +187,8 @@ def test_an_unknown_name_raises_attribute_error():
 
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         tangentia.no_such_name
+    names = dir(tangentia)  # the lazy names, resolved or not, and no unknown one
+    assert set(tangentia.__all__) <= set(names) and "no_such_name" not in names
     with pytest.raises(ImportError):
         from tangentia import no_such_name  # noqa: F401
 

@@ -80,9 +80,9 @@ ENTRY_POINTS = [
     ("local_cover", lambda v: local_cover(3, v), "d"),
     ("divisors", divisors, "d"),
     ("instanton_numbers", lambda v: instanton_numbers(v, 3), "w"),
-    ("instanton_numbers", lambda v: instanton_numbers(3, v), "d_max"),
-    ("integrality_report", lambda v: integrality_report(v, 3), "w_max"),
-    ("integrality_report", lambda v: integrality_report(3, v), "d_max"),
+    ("instanton_numbers", lambda v: instanton_numbers(3, v), "dmax"),
+    ("integrality_report", lambda v: integrality_report(v, 3), "wmax"),
+    ("integrality_report", lambda v: integrality_report(3, v), "dmax"),
 ]
 
 

@@ -226,12 +226,11 @@ def test_the_exactness_scan_sees_floats_calls_and_true_division():
 
 
 # a positivity floor is the integer rule's third argument, _integer(value, name,
-# least), not a refusal in a module's own words; the list-level weights check
-# and CombType's joint check of n and r, read with no floor, keep theirs
+# least), not a refusal in a module's own words; only the list-level weights
+# check keeps its own
 OWN_FLOOR_REFUSALS = {
     ("cli", "cmd_graphs", "weights must be positive integers"),
     ("trees", "propagate_weights", "weights must be positive integers"),
-    ("trees", "CombType.__new__", "need n >= 0 and r >= 1"),
 }
 _OWN_FLOOR = re.compile(r"must be positive|must be nonnegative|need n >= 0")
 

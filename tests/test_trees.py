@@ -1,7 +1,9 @@
 import argparse
+import copy
 import gc
 import hashlib
 import math
+import pickle
 import re
 import time
 import tracemalloc
@@ -18,7 +20,6 @@ from tangentia.trees import (
     MAX_LAYERS,
     CombType,
     _blocks,
-    _canon_partition,
     _coarsening_patterns,
     enumerate_types,
     propagate_weights,
@@ -146,7 +147,7 @@ def _strict_coarsenings(partition):
     the step of the bottom-up build oracle below."""
     for grouping in _groupings(partition):
         if len(grouping) < len(partition):  # something merged
-            yield _canon_partition(sum(group, ()) for group in grouping)
+            yield _canonical(sum(group, ()) for group in grouping)
 
 
 def _from_partition_chain(chain):
@@ -222,11 +223,11 @@ def _indexed_coarsenings(partition):
     for grouping in _groupings(range(len(blocks))):
         if len(grouping) == len(blocks):
             continue  # nothing merged
-        yield _canon_partition([x for g in group for x in blocks[g]] for group in grouping)
+        yield _canonical([x for g in group for x in blocks[g]] for group in grouping)
 
 
 def _grow_then_filter_chains(n, r):
-    discrete = _canon_partition([(i,) for i in range(1, r + 1)])
+    discrete = _canonical([(i,) for i in range(1, r + 1)])
     chains_up = [[discrete]]
     for _ in range(n):
         chains_up = [
@@ -234,7 +235,7 @@ def _grow_then_filter_chains(n, r):
             for chain in chains_up
             for coarser in _indexed_coarsenings(chain[-1])
         ]
-    total = _canon_partition([tuple(range(1, r + 1))])
+    total = _canonical([tuple(range(1, r + 1))])
     return sorted(tuple(reversed(c)) for c in chains_up if c[-1] == total)
 
 
@@ -700,6 +701,15 @@ def test_validate_axiom_one():
         leaf_order=("2:0", "2:0"),
     )
     assert broken.violations() == [1]
+    # two top vertices, each with one child, so layer 1 does not branch either
+    two_tops = CombType(
+        n=1,
+        r=2,
+        layers=(("1:0", "1:1"), ("2:0", "2:1")),
+        parents=(("2:0", "1:0"), ("2:1", "1:1")),
+        leaf_order=("2:0", "2:1"),
+    )
+    assert two_tops.violations() == [1, 3]
 
 
 def test_validate_axiom_two():
@@ -721,6 +731,25 @@ def test_validate_axiom_two():
         leaf_order=("3:0", "3:1"),
     )
     assert 2 in skipping.violations()
+    # the top vertex has a parent
+    rooted_below = CombType(
+        n=1,
+        r=2,
+        layers=(("1:0",), ("2:0", "2:1")),
+        parents=(("2:0", "1:0"), ("2:1", "1:0"), ("1:0", "2:0")),
+        leaf_order=("2:0", "2:1"),
+    )
+    assert rooted_below.violations() == [2]
+    # a bottom vertex with two parents, each one layer up
+    two_parents = CombType(
+        n=2,
+        r=3,
+        layers=(("1:0",), ("2:0", "2:1"), ("3:0", "3:1", "3:2")),
+        parents=(("2:0", "1:0"), ("2:1", "1:0"), ("3:0", "2:0"), ("3:1", "2:1"),
+                 ("3:2", "2:1"), ("3:0", "2:1")),
+        leaf_order=("3:0", "3:1", "3:2"),
+    )
+    assert two_parents.violations() == [2]
 
 
 def test_validate_axiom_three():
@@ -763,6 +792,36 @@ def test_a_type_is_read_only_before_and_after_its_maps_are_derived():
     assert propagate_weights(shape, (1, 2, 3)).top_weight == 6
 
 
+def test_every_way_of_building_a_weighted_type_checks_it():
+    shape = enumerate_types(1, 2)[0]
+    weighted = propagate_weights(shape, (1, 2))
+    assert trees.WeightedCombType(shape, [1.0, 2]) == weighted._replace() == weighted
+    for bottom, message in [((-3, 0), "weights must be positive integers"),
+                            ((1.5, "x"), "weights must be integers, got (1.5, 'x')"),
+                            ((1,), "expected 2 weights, got 1"),
+                            (3, "weights must be a sequence of integers, got 3")]:
+        for build in (lambda: trees.WeightedCombType(shape, bottom),
+                      lambda: trees.WeightedCombType._make((shape, bottom)),
+                      lambda: weighted._replace(bottom=bottom)):
+            with pytest.raises(ValueError) as caught:
+                build()
+            assert str(caught.value) == message
+    chain = CombType(1, 1, (("1:0",), ("2:0",)), (("2:0", "1:0"),), ("2:0",))
+    with pytest.raises(ValueError, match="violates axioms"):
+        weighted._replace(shape=chain)
+
+
+def test_used_and_weighted_types_survive_pickle_and_copy():
+    shape = enumerate_types(2, 4)[5]
+    weighted = propagate_weights(shape, (1, 2, 3, 4))
+    chain = shape.partition_chain()  # every derived map is now read
+    for copy_of in (lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy, copy.copy):
+        again, heavy = copy_of(shape), copy_of(weighted)
+        assert (again, heavy) == (shape, weighted)
+        assert type(again) is CombType and type(heavy) is trees.WeightedCombType
+        assert again.partition_chain() == chain and heavy.weights == weighted.weights
+
+
 def test_reprs_are_unchanged():
     shape = enumerate_types(0, 1)[0]
     assert repr(shape) == str(shape) == (
@@ -799,8 +858,9 @@ def test_constructor_rejects_malformed_structures():
 
 
 _MALFORMED = [
-    (dict(n=-1, r=1, layers=(), parents=(), leaf_order=()), "need n >= 0 and r >= 1"),
-    (dict(n=0, r=0, layers=(("1:0",),), parents=(), leaf_order=("1:0",)), "need n >= 0 and r >= 1"),
+    (dict(n=-1, r=1, layers=(), parents=(), leaf_order=()), "n must be an integer >= 0, got -1"),
+    (dict(n=0, r=0, layers=(("1:0",),), parents=(), leaf_order=("1:0",)),
+     "r must be a positive integer, got 0"),
     (dict(n=1, r=1, layers=(("1:0",),), parents=(), leaf_order=("1:0",)),
      "expected 2 layers, got 1"),
     (dict(n=2, r=1, layers=(("v",), ("v",)), parents=(("u", "v"),), leaf_order=("u",)),
@@ -817,9 +877,9 @@ _MALFORMED = [
      "parent table mentions an unknown vertex"),
     (dict(n=1, r=1, layers=(("1:0",), ("2:0",)), parents=(("2:0", "1:0"),), leaf_order=("2:9",)),
      "leaf order mentions an unknown vertex"),
-    (dict(n=2.5, r=1, layers=(), parents=(), leaf_order=()), "n must be an integer, got 2.5"),
-    (dict(n=1, r="1", layers=(), parents=(), leaf_order=()), "r must be an integer, got '1'"),
-    (dict(n=None, r=1, layers=(), parents=(), leaf_order=()), "n must be an integer, got None"),
+    (dict(n=2.5, r=1, layers=(), parents=(), leaf_order=()), "n must be an integer >= 0, got 2.5"),
+    (dict(n=1, r="1", layers=(), parents=(), leaf_order=()), "r must be a positive integer, got '1'"),
+    (dict(n=None, r=1, layers=(), parents=(), leaf_order=()), "n must be an integer >= 0, got None"),
 ]
 
 
