@@ -50,7 +50,7 @@ from types import MappingProxyType
 from typing import Mapping, NamedTuple, Optional, Union
 
 from .lattice import enumerate_classes
-from .rationals import _integer
+from .rationals import _Record, _integer
 from .torsion import STRATUM_ORDERS, Stratum, _exact_order_count
 
 # census-only stratum label for the 72 points of exact order 9 (degree 3)
@@ -163,18 +163,17 @@ class _ComponentFields(NamedTuple):
     meeting_at_p: Optional[int] = None
 
 
-class Component(_ComponentFields):
-    """One shape of curve in a census entry.
+class Component(_Record, _ComponentFields):
+    """One shape of curve in a census entry, a checked record.
 
     ``count`` is how many such curves exist per point of the stratum.
     Covers carry the degree of the underlying curve and how many times it
     is traversed; pairs carry the contact orders of their two pieces and
     ``meeting_at_p``, the local intersection (C1.C2)_P of the pieces at the
-    contact point.  Every construction path (``_make`` and ``_replace``
-    included) validates: the count, degrees, contact orders and (C1.C2)_P
-    are positive integers, a multiplicity is at least 2, and a field the
-    kind does not carry is None.  Numbers are read by the integer rule of
-    :mod:`~tangentia.rationals` and stored as ints: 2.0 is stored as 2.
+    contact point.  The count, degrees, contact orders and (C1.C2)_P are
+    positive integers, a multiplicity is at least 2, and a field the kind
+    does not carry is None.  Numbers are read by the integer rule and
+    stored as ints: 2.0 is stored as 2.
     """
 
     __slots__ = ()
@@ -206,10 +205,6 @@ class Component(_ComponentFields):
             if name not in carried and getattr(self, name) is not None:
                 raise ValueError(f"{self.kind} components carry no {name}")
         return tuple.__new__(cls, (self.kind, count, *map(carried.get, self._fields[2:])))
-
-    @classmethod
-    def _make(cls, iterable) -> Component:
-        return cls(*iterable)
 
 
 class CensusEntry(NamedTuple):

@@ -19,7 +19,7 @@ import math
 import re
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .rationals import _integer, _integers
+from .rationals import _Record, _integer, _integers
 
 NUM_POINTS = 6
 
@@ -29,13 +29,13 @@ class _DivisorFields(NamedTuple):
     a: tuple[int, int, int, int, int, int]
 
 
-class DivisorClass(_DivisorFields):
-    """The class e*H - a1*E1 - ... - a6*E6, with ``e`` stored as an int and
-    ``a`` as six ints on every construction path (``_make`` and ``_replace``
-    included), read by the integer rule of :mod:`~tangentia.rationals`: a
-    value that is not integral raises ValueError, while 1.0 and True are
-    stored as 1.  A class is a lattice vector, not a sequence:
-    it has no order, and ``+`` and ``*`` do not concatenate."""
+class DivisorClass(_Record, _DivisorFields):
+    """The class e*H - a1*E1 - ... - a6*E6, a checked record, with ``e``
+    stored as an int and ``a`` as six ints, read by the integer rule of
+    :mod:`~tangentia.rationals`: a value that is not integral raises
+    ValueError, while 1.0 and True are stored as 1.  A class is a lattice
+    vector, not a sequence: it has no order, and ``+`` and ``*`` do not
+    concatenate."""
 
     __slots__ = ()
 
@@ -48,10 +48,6 @@ class DivisorClass(_DivisorFields):
         if len(a) != NUM_POINTS:
             raise ValueError(f"expected {NUM_POINTS} multiplicities, got {len(a)}")
         return tuple.__new__(cls, (e, a))
-
-    @classmethod
-    def _make(cls, iterable) -> DivisorClass:
-        return cls(*iterable)
 
     def _not_a_sequence(self, other):
         return NotImplemented

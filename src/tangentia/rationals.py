@@ -1,4 +1,4 @@
-"""Exact number rules: the generalized binomial and the integer rule.
+"""Exact number rules: the generalized binomial, the integer rule, records.
 
 Rationals throughout this package are :class:`fractions.Fraction`: values
 are always stored in lowest terms with a positive denominator, so equality
@@ -10,6 +10,11 @@ every size: degrees, torsion orders, class coefficients, a tree's layers,
 labels and weights, the w, d and bounds of :mod:`~tangentia.covers`, and
 the numbers of a census ``Component``.  A value equal to an int is that int,
 so 4.0 is 4 and True is 1; 2.5, inf, nan, a string or None is refused.
+
+A checked record (a ``DivisorClass``, ``TorsionPoint``, ``Component``,
+``CombType`` or ``WeightedCombType``) derives from :class:`_Record`: it never
+changes, and is rebuilt only by its checked class call, which ``_make``,
+``_replace``, pickle and copy all go through.
 """
 from __future__ import annotations
 
@@ -52,3 +57,18 @@ def _integer(value, name: str, least: Optional[int] = None) -> int:
         what = {None: "an integer", 1: "a positive integer"}.get(least, f"an integer >= {least}")
         raise ValueError(f"{name} must be {what}, got {value!r}")
     return ints[0]
+
+
+class _Record:
+    """A checked record: read-only, and rebuilt only by its class call."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # and so _replace
+
+    def __reduce__(self):  # pickle and copy call the class on the fields
+        return type(self), tuple(self)
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"cannot set or delete {name!r}: {type(self).__name__} is read-only")
+
+    __delattr__ = __setattr__

@@ -41,7 +41,7 @@ from operator import index
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Iterable, Mapping, Optional
 
-from .rationals import _integer
+from .rationals import _Record, _integer
 
 if TYPE_CHECKING:
     from .lattice import DivisorClass
@@ -52,11 +52,11 @@ MAX_DIVISION_ORDER = 256
 
 
 @functools.total_ordering
-class TorsionPoint:
-    """A point (x, y) of (Q/Z)^2, stored as integers: x = a/n, y = b/n with
-    0 <= a, b < n and gcd(a, b, n) = 1, so n is the exact order and the
-    triple is canonical.  ``x`` and ``y`` are read-only ``Fraction`` views in
-    [0, 1); points compare lexicographically by (x, y).
+class TorsionPoint(_Record):
+    """A point (x, y) of (Q/Z)^2, a checked record stored as integers:
+    x = a/n, y = b/n with 0 <= a, b < n and gcd(a, b, n) = 1, so n is the
+    exact order and the triple is canonical.  ``x`` and ``y`` are
+    ``Fraction`` views in [0, 1); points compare lexicographically by (x, y).
 
     ``TorsionPoint(x, y)`` takes ints, ``Fraction``s or strings such as
     ``"1/3"`` mod 1, but no float (inexact); ``TorsionPoint(a, b, n)`` is
@@ -78,12 +78,7 @@ class TorsionPoint:
     def __init__(self, x, y, n: int = 1) -> None:
         """Nothing: ``__new__`` builds the point.  Kept for profilers that wrap it."""
 
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"TorsionPoint is immutable; cannot set or delete {name!r}")
-
-    __delattr__ = __setattr__
-
-    def __reduce__(self):
+    def __reduce__(self):  # not a tuple: the fields by name
         return TorsionPoint, (self.a, self.b, self.n)
 
     @property

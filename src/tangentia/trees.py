@@ -53,7 +53,7 @@ from itertools import chain
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
-from .rationals import _integer, _integers
+from .rationals import _Record, _integer, _integers
 
 MAX_LAYERS = 6
 MAX_LABELS = 6
@@ -93,15 +93,14 @@ class _CombFields(NamedTuple):
     leaf_order: tuple[str, ...]
 
 
-class CombType(_CombFields):
-    """A layered tree; see the module docstring for the axioms.
+class CombType(_Record, _CombFields):
+    """A checked record, a layered tree; see the module docstring for axioms.
 
     ``layers[j - 1]`` holds the vertex ids of layer j, ``parents`` maps each
     non-top vertex to its parent, and ``leaf_order[i]`` is the bottom vertex
-    labeled i + 1.  Construction by hand (``_make`` and ``_replace``
-    included) reads n and r by the integer rule of
-    :mod:`~tangentia.rationals` with the floors n >= 0 and r >= 1 (1.0 is 1
-    and True is 1; 2.5, "1", None, n = -1 or r = 0 raises ``ValueError``),
+    labeled i + 1.  Construction by hand reads n and r by the integer rule
+    of :mod:`~tangentia.rationals` with the floors n >= 0 and r >= 1 (1.0 is
+    1 and True is 1; 2.5, "1", None, n = -1 or r = 0 raises ``ValueError``),
     and otherwise only checks that the ids are coherent, by set operations:
     the layers' ids are distinct (the first repeat is named), and the parent
     links and the leaf order use only those ids.  Whether the axioms hold is
@@ -115,8 +114,9 @@ class CombType(_CombFields):
     its bottom weights) come from one labels-below map (vertex -> sorted
     bottom labels), derived on first use and kept by the instance for its
     lifetime, but not pickled or copied; deriving it runs :meth:`violations`
-    once and raises ``ValueError`` for a broken type.  Nothing can be
-    assigned to an instance, neither a field nor a derived map.
+    once and raises ``ValueError`` for a broken type.  The derived maps live
+    in an instance ``__dict__`` that only ``functools.cached_property``
+    writes to.
     """
 
     def __new__(cls, n: int, r: int, layers: tuple[tuple[str, ...], ...],
@@ -134,18 +134,6 @@ class CombType(_CombFields):
         if not ids.issuperset(leaf_order):
             raise ValueError("leaf order mentions an unknown vertex")
         return tuple.__new__(cls, (n, r, layers, parents, leaf_order))
-
-    _make = classmethod(lambda cls, fields: cls(*fields))  # through __new__, and so _replace
-
-    def __reduce__(self):  # the five fields: a copy derives its maps again on use
-        return type(self), tuple(self)
-
-    # the derived maps live in the instance __dict__, which only
-    # functools.cached_property writes to
-    def __setattr__(self, name: str, value=None) -> None:
-        raise AttributeError(f"cannot set or delete {name!r}: CombType is read-only")
-
-    __delattr__ = __setattr__
 
     # -- structure helpers ------------------------------------------------
 
@@ -269,24 +257,21 @@ class _WeightedFields(NamedTuple):
     bottom: tuple[int, ...]
 
 
-class WeightedCombType(_WeightedFields):
-    """A shape with a positive weight on each bottom label.
+class WeightedCombType(_Record, _WeightedFields):
+    """A shape with a positive weight on each bottom label, a checked record
+    whose class call makes the checks of :func:`propagate_weights`.
 
     The stored form is the shape plus ``bottom``, where ``bottom[i]`` is the
     weight of label i + 1.  Every other weight is derived: a vertex weighs
     the sum of the bottom weights below it, read off the shape's
     labels-below map, and :attr:`weights` lists all of them as
-    ``(vertex id, weight)`` pairs in sorted vertex order.  Every way of
-    building one (the class call, ``_make`` and ``_replace``) makes the
-    checks of :func:`propagate_weights`, and refuses in its words.
+    ``(vertex id, weight)`` pairs in sorted vertex order.
     """
 
     __slots__ = ()
 
     def __new__(cls, shape: CombType, bottom: Sequence[int]) -> WeightedCombType:
         return propagate_weights(shape, bottom)
-
-    _make = classmethod(lambda cls, fields: cls(*fields))  # through __new__, and so _replace
 
     def weight(self, v: str) -> int:
         total, bottom = 0, self.bottom
@@ -310,8 +295,12 @@ def propagate_weights(
     weighs the total weight of the bottom labels below it.  The weights are
     stored as ints, read by the integer rule of :mod:`~tangentia.rationals`;
     one that is not integral, or is no number, raises ValueError, and so do
-    weights that are no sequence (an iterator, a set, a dict or a number)."""
-    shape._labels_below  # validates the shape: a broken type raises ValueError
+    weights that are no sequence (an iterator, a set, a dict or a number)
+    and a shape that is not a :class:`CombType`."""
+    try:
+        shape._labels_below  # validates the shape: a broken type raises ValueError
+    except AttributeError:  # no test on the valid path: only a non-type lacks the map
+        raise ValueError(f"shape must be a CombType, got {shape!r}") from None
     kind = type(root_weights)  # a tuple or a list skips the slower ABC check
     if kind is not tuple and kind is not list and not isinstance(root_weights, Sequence):
         raise ValueError(f"weights must be a sequence of integers, got {root_weights!r}")

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from math import factorial
 
@@ -184,6 +185,14 @@ def test_instanton_census_uniform():
     assert instanton_census("T2") == 16
     with pytest.raises(ValueError):
         instanton_census("NF9")
+
+
+@pytest.mark.parametrize("m", [Fraction(1, 2), -100])
+def test_instanton_census_refuses_a_count_that_is_not_a_nonnegative_integer(monkeypatch, m):
+    # the flex census has one cover; priced at m, the count is 2 * 3 + 8 + m
+    monkeypatch.setattr(assembly, "instanton_numbers", lambda w, d: {d: m})
+    with pytest.raises(ArithmeticError, match=re.escape(f"instanton count {14 + m} is not")):
+        instanton_census("T1")
 
 
 # ---------------------------------------------------------------------------

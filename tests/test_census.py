@@ -92,6 +92,13 @@ def test_count_M4_takes_a_stratum_label():
         count_M4(NONFLEX_NINE)
 
 
+def test_count_M4_refuses_a_count_it_cannot_divide(monkeypatch):
+    # 217 flex quartics over 3 * 9 flex points: the division is not exact
+    monkeypatch.setattr(census, "aggregate_N", lambda: {Stratum.T1: 217})
+    with pytest.raises(ArithmeticError, match="aggregate count 217 for T1 is not divisible by 27"):
+        count_M4(Stratum.T1)
+
+
 def test_count_cross_check():
     total = sum(aggregate_N().values())
     weighted = 9 * count_M4(Stratum.T1) + 27 * count_M4(Stratum.T2) \

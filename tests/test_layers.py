@@ -270,6 +270,88 @@ def test_the_floor_scan_sees_strings_and_f_strings_by_definition():
     ]
 
 
+# a checked record never changes and is rebuilt only by its class call, and
+# that rule is written once, on the base in rationals; TorsionPoint, which
+# is no tuple, keeps its own __reduce__.  Every class that builds its
+# instances in __new__ is a checked record, and verify compares with its
+# own frozen values, never the library's reference table
+RECORD_BASE = "_Record"
+RECORD_RULE = {
+    ("rationals", "_Record", "_make"), ("rationals", "_Record", "__reduce__"),
+    ("rationals", "_Record", "__setattr__"), ("rationals", "_Record", "__delattr__"),
+    ("torsion", "TorsionPoint", "__reduce__"),
+}
+_RULE_MEMBERS = {"_make", "__reduce__", "__setattr__", "__delattr__"}
+_LIBRARY_REFERENCE = {"reference_invariant", "REFERENCE_INVARIANTS"}
+
+
+def _class_members(body):
+    """(class, name, bases) of each name a class under ``body`` defines or assigns."""
+    found = []
+    for node in _nodes(body):
+        if isinstance(node, ast.ClassDef):
+            bases = [ast.unparse(b) for b in node.bases]
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    found.append((node.name, item.name, bases))
+                elif isinstance(item, (ast.Assign, ast.AnnAssign)):
+                    targets = item.targets if isinstance(item, ast.Assign) else [item.target]
+                    found += [(node.name, t.id, bases) for t in targets if isinstance(t, ast.Name)]
+    return found
+
+
+def record_rule_definitions(body):
+    """(class, member) of each definition of a member of the record rule."""
+    return [(cls, name) for cls, name, _ in _class_members(body) if name in _RULE_MEMBERS]
+
+
+def records_off_the_base(body):
+    """Classes that define ``__new__`` without the record base first among their bases."""
+    return [cls for cls, name, bases in _class_members(body)
+            if name == "__new__" and bases[:1] != [RECORD_BASE]]
+
+
+def names_read(body, names):
+    """Lines that read one of ``names``, as a name or an attribute."""
+    return [node.lineno for node in _nodes(body)
+            if getattr(node, "id", getattr(node, "attr", None)) in names
+            and isinstance(node, (ast.Name, ast.Attribute))]
+
+
+def test_the_record_rule_is_written_once():
+    found = {(name, *hit) for name in LAYERS for hit in record_rule_definitions(_body(name))}
+    assert found == RECORD_RULE
+    assert not [(name, cls) for name in LAYERS for cls in records_off_the_base(_body(name))]
+    assert names_read(_body("verify"), _LIBRARY_REFERENCE) == []
+
+
+def test_the_record_scans_see_stray_definitions():
+    body = ast.parse(
+        "class A(_Record, _Fields):\n"
+        "    def __new__(cls, x):\n"
+        "        return tuple.__new__(cls, (x,))\n"
+        "    _make = classmethod(lambda cls, fields: cls(*fields))\n"
+        "class B(_Fields, _Record):\n"
+        "    def __new__(cls):\n"
+        "        pass\n"
+        "    def __setattr__(self, name, value=None):\n"
+        "        raise AttributeError(name)\n"
+        "    __delattr__ = __setattr__\n"
+        "    def __reduce__(self):\n"
+        "        return B, ()\n"
+        "class C:\n"
+        "    __new__ = object.__new__\n"
+        "def f():\n"
+        "    _make = 1\n"
+        "    return assembly.reference_invariant(4), REFERENCE_INVARIANTS, reference_invariant\n"
+    ).body
+    assert record_rule_definitions(body) == [
+        ("A", "_make"), ("B", "__setattr__"), ("B", "__delattr__"), ("B", "__reduce__"),
+    ]
+    assert records_off_the_base(body) == ["B", "C"]
+    assert names_read(body, _LIBRARY_REFERENCE) == [17, 17, 17]
+
+
 # the only module-level memos: functools caches of derived read-only tables.
 # A memo that serves one call lives in that call, not in a module global, and
 # is freed when that call returns, by reference counting, not left for the

@@ -169,6 +169,12 @@ def test_solve_division_is_sorted_and_complete():
     assert all(4 * p == c for p in sols)
 
 
+def test_solve_division_refuses_solutions_that_do_not_multiply_back(monkeypatch):
+    monkeypatch.setattr(TorsionPoint, "__rmul__", lambda p, k: p)  # m * P is P
+    with pytest.raises(ArithmeticError, match=re.escape("of 4 * P = (1/3, 0) does not multiply back")):
+        solve_division(P(Fraction(1, 3), 0), 4)
+
+
 def test_division_points_split_one_three_twelve():
     for row_class in ["2H-E1-E2", "3H-E1-E2-E3-E4-E5", "4H-E1-E2-E3-E4-2E5-2E6"]:
         c = restriction_class(parse_class_literal(row_class))
@@ -337,6 +343,10 @@ def test_floats_and_non_points_are_refused():
     assert True * p == p and p * False == ZERO  # bool is an integer
     for other in (1, 0, Fraction(1, 3), (1, 0), "x"):
         assert p.__add__(other) is NotImplemented and p.__sub__(other) is NotImplemented
+        assert p.__eq__(other) is NotImplemented and p.__lt__(other) is NotImplemented
+        assert p != other and not p == other
+        with pytest.raises(TypeError):
+            p < other
         for op in (lambda: p + other, lambda: other + p, lambda: p - other, lambda: other - p):
             with pytest.raises(TypeError):
                 op()

@@ -809,6 +809,14 @@ def test_every_way_of_building_a_weighted_type_checks_it():
     chain = CombType(1, 1, (("1:0",), ("2:0",)), (("2:0", "1:0"),), ("2:0",))
     with pytest.raises(ValueError, match="violates axioms"):
         weighted._replace(shape=chain)
+    for stray in ("x", None, shape.layers, 3):  # no type at all: refused, not AttributeError
+        for build in (lambda: propagate_weights(stray, (1,)),
+                      lambda: trees.WeightedCombType(stray, (1,)),
+                      lambda: trees.WeightedCombType._make((stray, (1,))),
+                      lambda: weighted._replace(shape=stray)):
+            with pytest.raises(ValueError) as caught:
+                build()
+            assert str(caught.value) == f"shape must be a CombType, got {stray!r}"
 
 
 def test_used_and_weighted_types_survive_pickle_and_copy():
