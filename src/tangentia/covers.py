@@ -49,11 +49,12 @@ from typing import NamedTuple
 
 from .rationals import _integer, binomial
 
-# work budgets, checked before any work: multiple_cover makes one binomial
-# of size d * w; instanton_numbers a fresh binomial per degree d <= (w-1)^2
-# (every d if w <= 2), a multiply and an exact divide by products of w - 1
-# and w - 2 small ints per later degree, and O(d_max log d_max) integer
-# additions; integrality_report one such solve per w
+# work budgets, read with each size by the integer rule before any work:
+# multiple_cover makes one binomial of size d * w; instanton_numbers a fresh
+# binomial per degree d <= (w-1)^2 (every d if w <= 2), a multiply and an
+# exact divide by products of w - 1 and w - 2 small ints per later degree,
+# and O(d_max log d_max) integer additions; integrality_report one such
+# solve per w, and checks its box, a product of two sizes, itself
 MAX_INSTANTON_DEGREE = 1000
 MAX_CONTACT_ORDER = 4096
 MAX_INTEGRALITY_CELLS = 4096
@@ -64,8 +65,8 @@ def multiple_cover(w: int, d: int) -> Fraction:
 
     Bounded to w <= MAX_CONTACT_ORDER and d <= MAX_INSTANTON_DEGREE.
     """
-    w, d = _integer(w, "w", 1), _integer(d, "d", 1)
-    _require_cover_budget(w, d)
+    w = _integer(w, "w", 1, MAX_CONTACT_ORDER)
+    d = _integer(d, "d", 1, MAX_INSTANTON_DEGREE)
     return Fraction(binomial(d * (w - 1) - 1, d - 1), d * d)
 
 
@@ -98,12 +99,8 @@ def instanton_numbers(w: int, d_max: int) -> dict[int, Fraction]:
 
     Bounded to d_max <= MAX_INSTANTON_DEGREE and w <= MAX_CONTACT_ORDER.
     """
-    w, d_max = _integer(w, "w", 1), _integer(d_max, "dmax", 1)
-    if d_max > MAX_INSTANTON_DEGREE:
-        raise ValueError(
-            f"instanton numbers are budgeted to dmax <= {MAX_INSTANTON_DEGREE}, got {d_max}"
-        )
-    _require_cover_budget(w, 1)
+    w = _integer(w, "w", 1, MAX_CONTACT_ORDER)
+    d_max = _integer(d_max, "dmax", 1, MAX_INSTANTON_DEGREE)
     s = w - 1
     pushed = [0] * (d_max + 1)  # pushed[e]: the signed n[d1] summed over d1 | e, d1 < e
     m: dict[int, Fraction] = {}
@@ -159,11 +156,3 @@ def integrality_report(w_max: int, d_max: int) -> list[IntegralityRow]:
         rows += [IntegralityRow(w, d, v, v.denominator == 1, v.numerator > 0, extrapolated)
                  for d, v in instanton_numbers(w, d_max).items()]
     return rows
-
-
-def _require_cover_budget(w: int, d: int) -> None:
-    if w > MAX_CONTACT_ORDER or d > MAX_INSTANTON_DEGREE:
-        raise ValueError(
-            f"multiple covers are budgeted to w <= {MAX_CONTACT_ORDER} and "
-            f"d <= {MAX_INSTANTON_DEGREE}, got w = {w}, d = {d}"
-        )

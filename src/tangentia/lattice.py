@@ -198,16 +198,12 @@ def enumerate_classes(target_degree: int = 4) -> list[ClassTableRow]:
     is the module-level :func:`_grow`, which reaches itself by name, not
     through a closure, so a call leaves no cycle for the collector.  No
     ``DivisorClass`` is built for a candidate.  The degree is read by the
-    integer rule of :mod:`~tangentia.rationals` with floor 0 (4.0 is 4;
-    2.5 and -1 raise ValueError) and bounded to MAX_CLASS_DEGREE before
-    the search.  For target degree 4 this is a census of 9 rows whose
+    integer rule of :mod:`~tangentia.rationals` with floor 0 and budget
+    MAX_CLASS_DEGREE, before the search (4.0 is 4; 2.5, -1 and 21 raise
+    ValueError).  For target degree 4 this is a census of 9 rows whose
     ordered classes total 216 of genus 0 and 27 of genus 1.
     """
-    d = _integer(target_degree, "target degree", 0)
-    if d > MAX_CLASS_DEGREE:
-        raise ValueError(
-            f"class search is budgeted to degree <= {MAX_CLASS_DEGREE}, got {d}"
-        )
+    d = _integer(target_degree, "degree", 0, MAX_CLASS_DEGREE)
     rows: list[ClassTableRow] = []
     found: list[tuple[tuple[int, ...], int]] = []  # (multiset, genus) for one e
     for e in range(-(-d // 3), 7 * d // 3 + 1):

@@ -9,7 +9,9 @@ The integer rule is the package's one rule for what an integer is.  It reads
 every size: degrees, torsion orders, class coefficients, a tree's layers,
 labels and weights, the w, d and bounds of :mod:`~tangentia.covers`, and
 the numbers of a census ``Component``.  A value equal to an int is that int,
-so 4.0 is 4 and True is 1; 2.5, inf, nan, a string or None is refused.
+so 4.0 is 4 and True is 1; 2.5, inf, nan, a string or None is refused.  The
+rule also reads each size's floor and, where it has one, its work budget:
+the largest size its kernel takes, refused before any work in one wording.
 
 A checked record (a ``DivisorClass``, ``TorsionPoint``, ``Component``,
 ``CombType`` or ``WeightedCombType``) derives from :class:`_Record`: it never
@@ -50,12 +52,15 @@ def _integers(values: Sequence) -> Optional[tuple[int, ...]]:
     return ints if ints == tuple(values) else None
 
 
-def _integer(value, name: str, least: Optional[int] = None) -> int:
-    """``value`` read by the integer rule, and at least ``least`` if given; else ValueError."""
+def _integer(value, name: str, least: Optional[int] = None, most: Optional[int] = None) -> int:
+    """``value`` read by the integer rule, at least ``least`` if given, and
+    then at most ``most``, its work budget, if given; else ValueError."""
     ints = _integers((value,))
     if ints is None or (least is not None and ints[0] < least):
         what = {None: "an integer", 1: "a positive integer"}.get(least, f"an integer >= {least}")
         raise ValueError(f"{name} must be {what}, got {value!r}")
+    if most is not None and ints[0] > most:
+        raise ValueError(f"{name} is budgeted to at most {most}, got {ints[0]}")
     return ints[0]
 
 

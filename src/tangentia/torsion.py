@@ -161,9 +161,7 @@ def torsion_points(n: int) -> list[TorsionPoint]:
     by the integer rule of :mod:`~tangentia.rationals` (2.0 is 2, and 2.5
     raises ValueError) and bounded to n <= MAX_DIVISION_ORDER, both checked
     before any point."""
-    n = _integer(n, "n", 1)
-    if n > MAX_DIVISION_ORDER:
-        raise ValueError(f"torsion points are budgeted to n <= {MAX_DIVISION_ORDER}, got {n}")
+    n = _integer(n, "n", 1, MAX_DIVISION_ORDER)
     return [_point(i, j, n) for i in range(n) for j in range(n)]
 
 
@@ -207,9 +205,7 @@ def solve_division(c: TorsionPoint, m: int) -> list[TorsionPoint]:
     [0, N).  m is read by the integer rule of :mod:`~tangentia.rationals`
     (4.0 is 4, 1.5 raises ValueError) and bounded to m <=
     MAX_DIVISION_ORDER, both checked before any point."""
-    m = _integer(m, "m", 1)
-    if m > MAX_DIVISION_ORDER:
-        raise ValueError(f"division is budgeted to m <= {MAX_DIVISION_ORDER}, got {m}")
+    m = _integer(m, "m", 1, MAX_DIVISION_ORDER)
     n = c.n * m
     sols = [_point(x, y, n) for x in range(c.a, n, c.n) for y in range(c.b, n, c.n)]
     if any(m * p != c for p in sols):

@@ -213,11 +213,7 @@ def enumerate_types(n: int, r: int) -> list[CombType]:
     built once for the call; nothing needs unbinding.  A cell with
     n > r - 1 is empty and returns before any pattern is built.  The types
     are coherent by construction and skip the constructor's checks."""
-    n, r = _integer(n, "n", 0), _integer(r, "r", 1)
-    if n > MAX_LAYERS or r > MAX_LABELS:
-        raise ValueError(
-            f"enumeration is budgeted to n <= {MAX_LAYERS}, r <= {MAX_LABELS}"
-        )
+    n, r = _integer(n, "n", 0, MAX_LAYERS), _integer(r, "r", 1, MAX_LABELS)
     if n > r - 1:
         return []  # each step up merges a block: r blocks reach one in at most r - 1
     # the vertex ids of each layer; "j:i" has one digit each under the budget,

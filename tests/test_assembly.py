@@ -4,7 +4,7 @@ from math import factorial
 
 import pytest
 
-from tangentia import assembly
+from tangentia import assembly, census
 from tangentia.assembly import (
     AssemblyMismatch,
     GwLedger,
@@ -16,7 +16,18 @@ from tangentia.assembly import (
     pair_contribution,
     reference_invariant,
 )
-from tangentia.census import CUSPIDAL, IMMERSED, NONFLEX_NINE, CensusEntry, Component
+from tangentia.census import (
+    COVER,
+    CUSPIDAL,
+    IMMERSED,
+    NONFLEX_NINE,
+    PAIR,
+    CensusEntry,
+    Component,
+    boundary_census,
+    census_strata,
+)
+from tangentia.covers import instanton_numbers, multiple_cover
 from tangentia.torsion import Stratum
 
 
@@ -273,3 +284,66 @@ def test_mirror_sign_convention_is_pinned():
     right, wrong = mirror_local_invariants(4), mirror_local_invariants(4, sign=-1)
     assert [right[d] > 0 for d in range(1, 5)] == [True, False, True, False]
     assert [wrong[d] > 0 for d in range(1, 5)] == [False, False, False, False]
+
+
+def _solve_from_the_mirror(degree, kind):
+    """The one census line of ``kind`` at ``degree``, and its value per
+    curve as the mirror fixes it: I_d = (-1)^(d-1) 3d K_d, less the other
+    lines priced by the one per-component rule, over the line's points
+    times its count."""
+    entries = [boundary_census(degree, label) for label in census_strata(degree)]
+    lines = [(e.points, c) for e in entries for c in e.components]
+    (points, unknown), = [(p, c) for p, c in lines if c.kind == kind]
+    rest = sum(p * assembly._per_point(c, multiple_cover) for p, c in lines if c.kind != kind)
+    total = (-1) ** (degree - 1) * 3 * degree * mirror_local_invariants(degree)[degree]
+    return unknown, (total - rest) / (points * unknown.count)
+
+
+def _check_the_pair_rule_against_the_mirror():
+    pair, value = _solve_from_the_mirror(4, PAIR)
+    assert (pair.count, pair.tangencies, pair.meeting_at_p) == (2, (3, 9), 3)
+    assert value == 3 == min(pair.tangencies)
+    assert value == assembly.pair_contribution(3, 9, 3)
+
+
+def test_the_mirror_fixes_the_pair_rule():
+    _check_the_pair_rule_against_the_mirror()
+
+
+@pytest.mark.parametrize("rule", [lambda w1, w2, meeting: Fraction(max(w1, w2)),
+                                  lambda w1, w2, meeting: Fraction(1)], ids=["max", "one"])
+def test_the_mirror_refuses_another_pair_rule(monkeypatch, rule):
+    monkeypatch.setattr(assembly, "pair_contribution", rule)
+    with pytest.raises(AssertionError):
+        _check_the_pair_rule_against_the_mirror()
+
+
+@pytest.mark.parametrize("degree, value", [(2, Fraction(3, 4)), (3, Fraction(10, 9))])
+def test_the_mirror_fixes_the_cover_value(degree, value):
+    cover, solved = _solve_from_the_mirror(degree, COVER)
+    assert (cover.base_degree, cover.multiplicity) == (1, degree)
+    assert solved == value == multiple_cover(3, degree)
+
+
+def _instanton_counts(degree):
+    """(points, count per point) of each stratum at ``degree``, the covers
+    priced by m_w[d] in place of M_w[d], as instanton_census prices degree 4."""
+    entries = [boundary_census(degree, label) for label in census_strata(degree)]
+    return [(e.points, sum((assembly._per_point(c, lambda w, d: instanton_numbers(w, d)[d])
+                            for c in e.components), Fraction(0))) for e in entries]
+
+
+@pytest.mark.parametrize("degree, count", [(1, 1), (2, 1), (3, 3), (4, 16)])
+def test_the_census_counts_the_bps_numbers(degree, count):
+    # the count per point is the same at every stratum, and the points times
+    # it are (-1)^(d+1) 3d n_d: 9, 36, 243 and 2304
+    counts = _instanton_counts(degree)
+    assert {per_point for _, per_point in counts} == {count}
+    total = sum(points * per_point for points, per_point in counts)
+    assert total == (-1) ** (degree + 1) * 3 * degree * CKYZ_BPS[degree - 1]
+
+
+def test_the_bps_numbers_refuse_a_changed_census(monkeypatch):
+    monkeypatch.setitem(census._CENSUS, (3, NONFLEX_NINE), (Component(IMMERSED, 4),))
+    total = sum(points * per_point for points, per_point in _instanton_counts(3))
+    assert total == 9 * 3 + 72 * 4 != 3 * 3 * CKYZ_BPS[2]

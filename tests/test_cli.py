@@ -630,7 +630,7 @@ def test_an_option_the_mode_ignores_is_refused(capsys, argv, message):
 
 def test_graphs_over_budget(capsys):
     code, out, err = run(capsys, "graphs", "--n", "9", "--r", "2")
-    assert (code, out, err) == (1, "", "error: enumeration is budgeted to n <= 6, r <= 6\n")
+    assert (code, out, err) == (1, "", "error: n is budgeted to at most 6, got 9\n")
 
 
 def test_torsion_solve_at_the_division_budget(capsys):
@@ -649,7 +649,7 @@ def test_torsion_solve_past_the_division_budget(capsys, monkeypatch):
     code, out, err = run(capsys, "torsion", "--solve", "--class", "2H-E1-E2", "--m", "257")
     assert code == 1
     assert out == ""
-    assert err == "error: division is budgeted to m <= 256, got 257\n"
+    assert err == "error: m is budgeted to at most 256, got 257\n"
 
 
 def test_classes_at_the_degree_budget(capsys):
@@ -690,25 +690,28 @@ def _refuse(*args):
 
 @pytest.mark.parametrize("argv, module, heavy, message", [
     (("classes", "--degree", "21"), lattice, "_least_spend",
-     "class search is budgeted to degree <= 20, got 21"),
+     "degree is budgeted to at most 20, got 21"),
     (("instantons", "--w", "3", "--dmax", "1001"), covers, "binomial",
-     "instanton numbers are budgeted to dmax <= 1000, got 1001"),
+     "dmax is budgeted to at most 1000, got 1001"),
     (("integrality", "--wmax", "17", "--dmax", "241"), covers, "instanton_numbers",
      "the integrality box is budgeted to wmax * dmax <= 4096, got 17 * 241 = 4097"),
     (("integrality", "--wmax", "1", "--dmax", "1001"), covers, "binomial",
-     "instanton numbers are budgeted to dmax <= 1000, got 1001"),
+     "dmax is budgeted to at most 1000, got 1001"),
     (("mcover", "--w", "3", "--d", "1001"), covers, "binomial",
-     "multiple covers are budgeted to w <= 4096 and d <= 1000, got w = 3, d = 1001"),
+     "d is budgeted to at most 1000, got 1001"),
     (("mcover", "--w", "4097", "--d", "1"), covers, "binomial",
-     "multiple covers are budgeted to w <= 4096 and d <= 1000, got w = 4097, d = 1"),
+     "w is budgeted to at most 4096, got 4097"),
     (("instantons", "--w", "4097", "--dmax", "1"), covers, "binomial",
-     "multiple covers are budgeted to w <= 4096 and d <= 1000, got w = 4097, d = 1"),
+     "w is budgeted to at most 4096, got 4097"),
+    # w is refused by its own budget, whatever dmax is
+    (("instantons", "--w", "4097", "--dmax", "5"), covers, "binomial",
+     "w is budgeted to at most 4096, got 4097"),
     (("graphs", "--n", "7", "--r", "6"), trees, "_coarsening_patterns",
-     "enumeration is budgeted to n <= 6, r <= 6"),
+     "n is budgeted to at most 6, got 7"),
     (("graphs", "--n", "5", "--r", "7"), trees, "_coarsening_patterns",
-     "enumeration is budgeted to n <= 6, r <= 6"),
+     "r is budgeted to at most 6, got 7"),
 ], ids=["classes", "instantons", "integrality", "integrality-dmax", "mcover-d", "mcover-w",
-        "instantons-w", "graphs-n", "graphs-r"])
+        "instantons-w", "instantons-w-dmax", "graphs-n", "graphs-r"])
 def test_past_the_work_budgets(capsys, monkeypatch, argv, module, heavy, message):
     monkeypatch.setattr(module, heavy, _refuse)
     code, out, err = run(capsys, *argv)

@@ -329,12 +329,12 @@ def test_class_search_reads_its_degree_as_an_integer():
     assert all(type(r.e) is int for r in enumerate_classes(3.0))
     inf, nan = float("inf"), float("nan")
     for value in (2.5, inf, -inf, nan, "4", "four", 20.5, None, [2], 1j):
-        message = f"target degree must be an integer >= 0, got {value!r}"
+        message = f"degree must be an integer >= 0, got {value!r}"
         with pytest.raises(ValueError, match=re.escape(message)):
             enumerate_classes(value)
-    with pytest.raises(ValueError, match=r"^class search is budgeted to degree <= 20, got 21$"):
+    with pytest.raises(ValueError, match=r"^degree is budgeted to at most 20, got 21$"):
         enumerate_classes(21.0)
-    with pytest.raises(ValueError, match=r"^target degree must be an integer >= 0, got -1.0$"):
+    with pytest.raises(ValueError, match=r"^degree must be an integer >= 0, got -1.0$"):
         enumerate_classes(-1.0)
 
 

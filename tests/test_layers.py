@@ -235,23 +235,24 @@ OWN_FLOOR_REFUSALS = {
 _OWN_FLOOR = re.compile(r"must be positive|must be nonnegative|need n >= 0")
 
 
-def own_floor_refusals(nodes, scope=()):
+def worded_constants(nodes, pattern, scope=()):
     """(enclosing definition, text) of each string constant under ``nodes``
-    that words a positivity floor of its own."""
+    that ``pattern`` finds."""
     found = []
     for node in nodes:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            found += own_floor_refusals(node.body, scope + (node.name,))
+            found += worded_constants(node.body, pattern, scope + (node.name,))
         elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
-                and _OWN_FLOOR.search(node.value):
+                and pattern.search(node.value):
             found.append((".".join(scope), node.value))
         else:
-            found += own_floor_refusals(ast.iter_child_nodes(node), scope)
+            found += worded_constants(ast.iter_child_nodes(node), pattern, scope)
     return found
 
 
 def test_positivity_floors_are_read_by_the_integer_rule():
-    found = {(name, *refusal) for name in LAYERS for refusal in own_floor_refusals(_body(name))}
+    found = {(name, *refusal) for name in LAYERS
+             for refusal in worded_constants(_body(name), _OWN_FLOOR)}
     assert found == OWN_FLOOR_REFUSALS
 
 
@@ -264,9 +265,37 @@ def test_the_floor_scan_sees_strings_and_f_strings_by_definition():
         "    return 'need n >= 0 and r >= 1', 'must be nonnegative'\n"
         "X = 'weights must be positive'\n"
     ).body
-    assert own_floor_refusals(body) == [
+    assert worded_constants(body, _OWN_FLOOR) == [
         ("A.f", "n must be positive, got "), ("g", "need n >= 0 and r >= 1"),
         ("g", "must be nonnegative"), ("", "weights must be positive"),
+    ]
+
+
+# a work budget is the integer rule's fourth argument, _integer(value, name,
+# least, most), refused in its one wording; only the integrality box, a
+# product of two sizes, keeps its own
+BUDGET_REFUSALS = {
+    ("rationals", "_integer", " is budgeted to at most "),
+    ("covers", "integrality_report", "the integrality box is budgeted to wmax * dmax <= "),
+}
+_BUDGETED = re.compile("budgeted")
+
+
+def test_work_budgets_are_read_by_the_integer_rule():
+    found = {(name, *refusal) for name in LAYERS
+             for refusal in worded_constants(_body(name), _BUDGETED)}
+    assert found == BUDGET_REFUSALS
+
+
+def test_the_budget_scan_sees_a_stray_f_string_refusal():
+    planted = ast.parse(
+        "def multiple_cover(w, d):\n"
+        "    if d > MAX_INSTANTON_DEGREE:\n"
+        "        raise ValueError(f\"covers are budgeted to d <= {MAX_INSTANTON_DEGREE}, got {d}\")\n"
+    ).body
+    assert worded_constants(_body("covers") + planted, _BUDGETED) == [
+        ("integrality_report", "the integrality box is budgeted to wmax * dmax <= "),
+        ("multiple_cover", "covers are budgeted to d <= "),
     ]
 
 

@@ -115,19 +115,26 @@ def _floor_phrase(least):
     return "a positive integer" if least == 1 else f"an integer >= {least}"
 
 
-@given(st.lists(sizes, max_size=4), st.one_of(st.none(), st.integers(-3, 3)))
-def test_integer_rule_matches_fraction_oracle(values, least):
+bounds = st.one_of(st.none(), st.integers(-3, 3))
+
+
+@given(st.lists(sizes, max_size=4), bounds, bounds)
+def test_integer_rule_matches_fraction_oracle(values, least, most):
     ints = _integers(values)
     if all(map(_integral_by_fraction, values)):
         assert ints == tuple(values) and all(type(i) is int for i in ints)
     else:
         assert ints is None
-    floor = () if least is None else (least,)  # no floor is the default
+    # no floor and no budget are the defaults
+    given_bounds = {k: v for k, v in (("least", least), ("most", most)) if v is not None}
     for value in values:
-        if _integral_by_fraction(value) and (least is None or value >= least):
-            read = _integer(value, "size", *floor)
-            assert read == value and type(read) is int
-        else:
+        if not (_integral_by_fraction(value) and (least is None or value >= least)):
             message = f"size must be {_floor_phrase(least)}, got {value!r}"
-            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-                _integer(value, "size", *floor)
+        elif most is not None and value > most:  # the budget is read after the floor
+            message = f"size is budgeted to at most {most}, got {int(value)}"
+        else:
+            read = _integer(value, "size", **given_bounds)
+            assert read == value and type(read) is int
+            continue
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            _integer(value, "size", **given_bounds)

@@ -401,7 +401,7 @@ def test_torsion_points_budget_is_checked_before_any_point(monkeypatch):
 
     monkeypatch.setattr(torsion_module, "_point", refuse)
     for value in (257, 257.0, 10**40, 1e20):
-        with pytest.raises(ValueError, match=rf"^torsion points are budgeted to n <= 256, got {int(value)}$"):
+        with pytest.raises(ValueError, match=rf"^n is budgeted to at most 256, got {int(value)}$"):
             torsion_points(value)
     with pytest.raises(AssertionError, match="built a point"):
         torsion_points(MAX_DIVISION_ORDER)  # inside the budget: the patch is reached
@@ -432,7 +432,7 @@ def test_sizes_are_read_as_integers():
         TorsionPoint(1, 0, -3)
     with pytest.raises(ValueError, match=r"^m must be a positive integer, got 0\.0$"):
         solve_division(c, 0.0)
-    with pytest.raises(ValueError, match=r"^division is budgeted to m <= 256, got 257$"):
+    with pytest.raises(ValueError, match=r"^m is budgeted to at most 256, got 257$"):
         solve_division(c, 257.0)
     with pytest.raises(ValueError, match=r"^m must be a positive integer, got 256\.5$"):
         solve_division(c, 256.5)
