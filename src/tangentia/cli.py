@@ -15,9 +15,10 @@ Subcommands:
 Formats: text (default), json everywhere, csv for the tabular commands
 (classes, integrality).  Select with --format / --json / --csv or the
 TANGENTIA_FORMAT environment variable; an explicit flag wins over the
-environment.  Each handler returns an :class:`Output` record and
-``_emit`` renders it in the selected format.  Exit codes: 0 success,
-1 usage or input error, 2 verification failure.
+environment.  Each handler does its checking and kernel work and returns
+an :class:`Output` record; ``_emit`` builds only the selected format and
+writes it as it is made, a text line or a json chunk at a time.  Exit
+codes: 0 success, 1 usage or input error, 2 verification failure.
 
 Examples:
 
@@ -33,9 +34,10 @@ Examples:
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import sys
-from typing import TYPE_CHECKING, Any, NamedTuple, Optional
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, NamedTuple, Optional
 
 if TYPE_CHECKING:
     from . import census, torsion, trees
@@ -143,12 +145,15 @@ def _resolve_format(args: argparse.Namespace) -> str:
 
 
 class Output(NamedTuple):
-    """A handler's result: the json payload, the text lines, the csv table
-    (header row first, only for CSV_COMMANDS) and the exit code."""
+    """A handler's result: one zero-argument callable per format, each
+    building only its own rendering (the json value, the text lines, and for
+    CSV_COMMANDS the csv rows, header first), and the exit code.  The
+    handler has done its checking and kernel work; ``_emit`` calls only the
+    selected callable and writes what it makes as it is made."""
 
-    payload: Any
-    lines: list[str]
-    table: Optional[list[list]] = None
+    json: Callable[[], Any]
+    text: Callable[[], Iterable[str]]
+    csv: Optional[Callable[[], Iterable[list]]] = None
     code: int = 0
 
 
@@ -156,13 +161,14 @@ def _emit(out: Output, fmt: str) -> int:
     if fmt == "json":
         import json
 
-        print(json.dumps(out.payload, indent=2))
+        json.dump(out.json(), sys.stdout, indent=2)
+        sys.stdout.write("\n")
     elif fmt == "csv":
         import csv
 
-        csv.writer(sys.stdout, lineterminator="\n").writerows(out.table)
+        csv.writer(sys.stdout, lineterminator="\n").writerows(out.csv())
     else:
-        print("\n".join(out.lines))
+        sys.stdout.writelines(f"{line}\n" for line in out.text())
     return out.code
 
 
@@ -179,8 +185,8 @@ def cmd_mcover(args) -> Output:
     from . import covers
 
     value = covers.multiple_cover(args.w, args.d)
-    return Output({"w": args.w, "d": args.d, "value": str(value)},
-                  [f"M_{args.w}[{args.d}] = {value}"])
+    return Output(lambda: {"w": args.w, "d": args.d, "value": str(value)},
+                  lambda: [f"M_{args.w}[{args.d}] = {value}"])
 
 
 def cmd_instantons(args) -> Output:
@@ -189,8 +195,8 @@ def cmd_instantons(args) -> Output:
     numbers = covers.instanton_numbers(args.w, args.dmax)
     degrees = range(1, args.dmax + 1)
     return Output(
-        {"w": args.w, "dmax": args.dmax, "values": [str(numbers[d]) for d in degrees]},
-        [f"m_{args.w}[{d}] = {numbers[d]}" for d in degrees],
+        lambda: {"w": args.w, "dmax": args.dmax, "values": [str(numbers[d]) for d in degrees]},
+        lambda: (f"m_{args.w}[{d}] = {numbers[d]}" for d in degrees),
     )
 
 
@@ -200,24 +206,23 @@ def cmd_integrality(args) -> Output:
     report = covers.integrality_report(args.wmax, args.dmax)
     all_pass = all(r.passes for r in report)
     header = ["w", "d", "value", "integer", "positive", "extrapolated", "pass"]
-    rows = [
-        [r.w, r.d, str(r.value), r.is_integer, r.is_positive, r.extrapolated, r.passes]
-        for r in report
-    ]
-    lines = [
-        f"m_{r.w}[{r.d}] = {r.value}  {'ok' if r.passes else 'FAIL'}"
-        + (" (extrapolated)" if r.extrapolated else "")
-        for r in report
-    ]
-    verdict = "all rows pass" if all_pass else "some rows FAIL"
-    lines.append(f"{len(report)} rows, w <= {args.wmax}, d <= {args.dmax}: {verdict}")
-    payload = {
-        "wmax": args.wmax,
-        "dmax": args.dmax,
-        "rows": [dict(zip(header, row)) for row in rows],
-        "all_pass": all_pass,
-    }
-    return Output(payload, lines, [header, *rows], 0 if all_pass else 2)
+
+    def rows():
+        for r in report:
+            yield [r.w, r.d, str(r.value), r.is_integer, r.is_positive, r.extrapolated, r.passes]
+
+    def lines():
+        for r in report:
+            yield (f"m_{r.w}[{r.d}] = {r.value}  {'ok' if r.passes else 'FAIL'}"
+                   + (" (extrapolated)" if r.extrapolated else ""))
+        verdict = "all rows pass" if all_pass else "some rows FAIL"
+        yield f"{len(report)} rows, w <= {args.wmax}, d <= {args.dmax}: {verdict}"
+
+    return Output(
+        lambda: {"wmax": args.wmax, "dmax": args.dmax,
+                 "rows": [dict(zip(header, row)) for row in rows()], "all_pass": all_pass},
+        lines, lambda: itertools.chain([header], rows()), 0 if all_pass else 2,
+    )
 
 
 def cmd_torsion(args) -> Output:
@@ -229,38 +234,30 @@ def cmd_torsion(args) -> Output:
 
     if args.strata:
         sizes = torsion.stratum_sizes()
-        payload = {s.value: sizes[s] for s in torsion.Stratum}
-        return Output(payload, [
+        return Output(lambda: {s.value: sizes[s] for s in torsion.Stratum}, lambda: (
             f"{s.value}: {sizes[s]} points, order {' or '.join(map(str, orders))}"
             + (" (flexes)" if s is torsion.Stratum.T1 else "")
             for s, orders in torsion.STRATUM_ORDERS.items()
-        ])
+        ))
 
     from . import lattice
 
     m = 4 if args.m is None else args.m
     cls = lattice.parse_class_literal(args.class_literal)
-    c = torsion.restriction_class(cls)
-    annotated = []
-    for p in torsion.solve_division(c, m):
-        stratum = torsion.stratify(p)
-        annotated.append((p, stratum.value if stratum else None))
-    payload = {
-        "class": lattice.class_literal(cls),
-        "restriction": _point_payload(c),
-        "m": m,
-        "solutions": [dict(_point_payload(p), stratum=s) for p, s in annotated],
-    }
-    lines = [
-        f"class {lattice.class_literal(cls)} restricts to {c}, "
-        f"order {c.n}",
-        f"{len(annotated)} solutions of {m}*P = c:",
-    ]
-    lines += [
-        f"  {p}  order {p.n:>2}  stratum {s or '-'}"
-        for p, s in annotated
-    ]
-    return Output(payload, lines)
+    literal, c = lattice.class_literal(cls), torsion.restriction_class(cls)
+    solutions = torsion.solve_division(c, m)
+    strata = [s.value if s else None for s in map(torsion.stratify, solutions)]
+
+    def lines():
+        yield f"class {literal} restricts to {c}, order {c.n}"
+        yield f"{len(solutions)} solutions of {m}*P = c:"
+        for p, s in zip(solutions, strata):
+            yield f"  {p}  order {p.n:>2}  stratum {s or '-'}"
+
+    return Output(lambda: {
+        "class": literal, "restriction": _point_payload(c), "m": m,
+        "solutions": [dict(_point_payload(p), stratum=s) for p, s in zip(solutions, strata)],
+    }, lines)
 
 
 def cmd_classes(args) -> Output:
@@ -271,32 +268,32 @@ def cmd_classes(args) -> Output:
     totals: dict[int, int] = {}
     for r in rows:
         totals[r.p_a] = totals.get(r.p_a, 0) + r.ordered_count
-    payload = {
+    genera = sorted(totals)
+
+    def lines():
+        for r in rows:
+            yield (f"e={r.e} a={list(r.a_multiset)} p_a={r.p_a} "
+                   f"ordered={r.ordered_count:>3}  {lattice.class_literal(r.representative)}")
+        parts = [f"genus {g}: {totals[g]}" for g in genera]
+        yield f"{len(rows)} rows; ordered classes: {', '.join(parts)}"
+        if not validated:
+            yield "note: only the degree-4 table is cross-checked; this output is unvalidated"
+
+    def table():
+        yield ["e", "a1", "a2", "a3", "a4", "a5", "a6", "p_a", "ordered_count"]
+        for r in rows:
+            yield [r.e, *r.a_multiset, r.p_a, r.ordered_count]
+
+    return Output(lambda: {
         "degree": args.degree,
         "validated": validated,
         "rows": [
-            {
-                "e": r.e, "a": list(r.a_multiset), "p_a": r.p_a,
-                "ordered_count": r.ordered_count,
-                "class": lattice.class_literal(r.representative),
-            }
+            {"e": r.e, "a": list(r.a_multiset), "p_a": r.p_a, "ordered_count": r.ordered_count,
+             "class": lattice.class_literal(r.representative)}
             for r in rows
         ],
-        "totals": {str(g): totals[g] for g in sorted(totals)},
-    }
-    lines = [
-        f"e={r.e} a={list(r.a_multiset)} p_a={r.p_a} "
-        f"ordered={r.ordered_count:>3}  {lattice.class_literal(r.representative)}"
-        for r in rows
-    ]
-    parts = [f"genus {g}: {totals[g]}" for g in sorted(totals)]
-    lines.append(f"{len(rows)} rows; ordered classes: {', '.join(parts)}")
-    if not validated:
-        lines.append("note: only the degree-4 table is cross-checked; "
-                     "this output is unvalidated")
-    table = [["e", "a1", "a2", "a3", "a4", "a5", "a6", "p_a", "ordered_count"]]
-    table += [[r.e, *r.a_multiset, r.p_a, r.ordered_count] for r in rows]
-    return Output(payload, lines, table)
+        "totals": {str(g): totals[g] for g in genera},
+    }, lines, table)
 
 
 def _component(comp: census.Component) -> tuple[dict, str]:
@@ -332,34 +329,35 @@ def cmd_census(args) -> Output:
         per_point = {s: census.count_M4(s) for s in torsion.Stratum}
         sizes = torsion.stratum_sizes()
         cross = sum(sizes[s] * per_point[s] for s in torsion.Stratum)
-        payload = {
+
+        def lines():
+            for s in torsion.Stratum:
+                yield (f"{s.value}: N = {totals[s]:>5}, per point "
+                       f"{per_point[s]:>2} (stratum size {sizes[s]})")
+            yield f"cross-check: sum of per-point counts over all points = {cross}"
+
+        return Output(lambda: {
             "N": {s.value: totals[s] for s in torsion.Stratum},
             "per_point": {s.value: per_point[s] for s in torsion.Stratum},
             "cross_check": cross,
-        }
-        lines = [
-            f"{s.value}: N = {totals[s]:>5}, per point "
-            f"{per_point[s]:>2} (stratum size {sizes[s]})"
-            for s in torsion.Stratum
-        ]
-        lines.append(f"cross-check: sum of per-point counts over all points = {cross}")
-        return Output(payload, lines)
+        }, lines)
 
     entry = census.boundary_census(args.degree, args.stratum,
                                    special_cubic=args.special_cubic)
-    parts = [_component(comp) for comp in entry.components]
-    payload = {
+    variant = "; special cubic" if entry.special_cubic else ""
+
+    def lines():
+        yield f"degree {entry.degree} at {entry.stratum} ({entry.points} points{variant}):"
+        for comp in entry.components:
+            yield f"  {_component(comp)[1]}"
+
+    return Output(lambda: {
         "degree": entry.degree,
         "stratum": entry.stratum,
         "points": entry.points,
         "special_cubic": entry.special_cubic,
-        "components": [part for part, _ in parts],
-    }
-    variant = "; special cubic" if entry.special_cubic else ""
-    lines = [f"degree {entry.degree} at {entry.stratum} "
-             f"({entry.points} points{variant}):"]
-    lines += [f"  {text}" for _, text in parts]
-    return Output(payload, lines)
+        "components": [_component(comp)[0] for comp in entry.components],
+    }, lines)
 
 
 def cmd_check_gw(args) -> Output:
@@ -369,32 +367,27 @@ def cmd_check_gw(args) -> Output:
         ledger = assembly.assemble_invariant(args.degree)
     except assembly.AssemblyMismatch as exc:
         raise VerificationFailure(f"FAIL {exc}") from exc
-    payload = {
+
+    def lines():
+        for line in ledger.lines:
+            yield (f"{line.stratum:>3} x{line.points:<3} {str(line.per_point):>6} "
+                   f"per point = {str(line.subtotal):>8}   [{line.provenance}]")
+        yield f"total {ledger.total} vs reference {ledger.reference}: PASS"
+        if ledger.note:
+            yield f"note: {ledger.note}"
+
+    return Output(lambda: {
         "degree": ledger.degree,
         "lines": [
-            {
-                "stratum": line.stratum,
-                "points": line.points,
-                "per_point": str(line.per_point),
-                "subtotal": str(line.subtotal),
-                "provenance": line.provenance,
-            }
+            {"stratum": line.stratum, "points": line.points, "per_point": str(line.per_point),
+             "subtotal": str(line.subtotal), "provenance": line.provenance}
             for line in ledger.lines
         ],
         "total": str(ledger.total),
         "reference": str(ledger.reference),
         "match": ledger.total == ledger.reference,
-    }
-    lines = [
-        f"{line.stratum:>3} x{line.points:<3} {str(line.per_point):>6} "
-        f"per point = {str(line.subtotal):>8}   [{line.provenance}]"
-        for line in ledger.lines
-    ]
-    lines.append(f"total {ledger.total} vs reference {ledger.reference}: PASS")
-    if ledger.note:
-        payload["note"] = ledger.note
-        lines.append(f"note: {ledger.note}")
-    return Output(payload, lines)
+        **({"note": ledger.note} if ledger.note else {}),
+    }, lines)
 
 
 def cmd_graphs(args) -> Output:
@@ -412,10 +405,15 @@ def cmd_graphs(args) -> Output:
     from . import trees
 
     shapes = trees.enumerate_types(args.n, args.r)
-    weighted = [
-        trees.propagate_weights(s, weights) if weights else None for s in shapes
-    ]
-    payload = {
+    weighted = [trees.propagate_weights(s, weights) if weights else None for s in shapes]
+
+    def lines():
+        yield f"{len(shapes)} types for n={args.n}, r={args.r}"
+        for index, (shape, w) in enumerate(zip(shapes, weighted), start=1):
+            yield f"type {index}:"
+            yield from _tree_lines(shape, w)
+
+    return Output(lambda: {
         "n": args.n,
         "r": args.r,
         "count": len(shapes),
@@ -428,18 +426,12 @@ def cmd_graphs(args) -> Output:
             }
             for s, w in zip(shapes, weighted)
         ],
-    }
-    lines = [f"{len(shapes)} types for n={args.n}, r={args.r}"]
-    for index, (shape, w) in enumerate(zip(shapes, weighted), start=1):
-        lines.append(f"type {index}:")
-        lines += _tree_lines(shape, w)
-    return Output(payload, lines)
+    }, lines)
 
 
-def _tree_lines(shape: trees.CombType, weighted) -> list[str]:
+def _tree_lines(shape: trees.CombType, weighted) -> Iterator[str]:
     children = shape.children_map
     labels = {v: i + 1 for i, v in enumerate(shape.leaf_order)}
-    lines = []
     stack = [(shape.layers[0][0], 0)]  # pre-order: a vertex, then its children in order
     while stack:
         v, depth = stack.pop()
@@ -448,9 +440,8 @@ def _tree_lines(shape: trees.CombType, weighted) -> list[str]:
             text += f" = label {labels[v]}"
         if weighted is not None:
             text += f" (weight {weighted.weight(v)})"
-        lines.append("  " * (depth + 1) + text)
+        yield "  " * (depth + 1) + text
         stack += [(child, depth + 1) for child in reversed(children[v])]
-    return lines
 
 
 def cmd_verify_all(args) -> Output:
@@ -458,16 +449,16 @@ def cmd_verify_all(args) -> Output:
 
     results = verify.run_all_checks()
     all_passed = all(r.passed for r in results)
-    payload = {
-        "checks": [
-            {"name": r.name, "passed": r.passed, "detail": r.detail}
-            for r in results
-        ],
+
+    def lines():
+        for r in results:
+            yield f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}"
+        yield f"{sum(r.passed for r in results)}/{len(results)} checks passed"
+
+    return Output(lambda: {
+        "checks": [{"name": r.name, "passed": r.passed, "detail": r.detail} for r in results],
         "all_passed": all_passed,
-    }
-    lines = [f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}" for r in results]
-    lines.append(f"{sum(r.passed for r in results)}/{len(results)} checks passed")
-    return Output(payload, lines, code=0 if all_passed else 2)
+    }, lines, code=0 if all_passed else 2)
 
 
 # ---------------------------------------------------------------------------

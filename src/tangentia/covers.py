@@ -78,8 +78,9 @@ def local_cover(n: int, d: int) -> Fraction:
 
 
 def divisors(d: int) -> tuple[int, ...]:
-    """Positive divisors of d in increasing order, by trial division."""
-    d = _integer(d, "d", 1)
+    """Positive divisors of d in increasing order, by trial division.
+    Bounded to d <= MAX_INSTANTON_DEGREE."""
+    d = _integer(d, "d", 1, MAX_INSTANTON_DEGREE)
     return tuple(k for k in range(1, d + 1) if d % k == 0)
 
 

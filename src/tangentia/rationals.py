@@ -30,7 +30,8 @@ def binomial(n: int, k: int) -> int:
 
     This is the falling factorial n(n-1)...(n-k+1)/k!, so negative upper
     arguments are allowed, e.g. C(-1, 2) = 1, through the reflection
-    C(n, k) = (-1)^k C(k - n - 1, k).  Returns 0 for k < 0.
+    C(n, k) = (-1)^k C(k - n - 1, k).  Returns 0 for k < 0.  It has no
+    work budget: its callers read and budget the sizes they pass.
     """
     if k < 0:
         return 0

@@ -72,6 +72,14 @@ def test_divisors_increasing_order():
             divisors(value)
 
 
+def test_divisors_refuses_past_its_budget_before_any_work():
+    assert divisors(covers.MAX_INSTANTON_DEGREE) == (1, 2, 4, 5, 8, 10, 20, 25, 40, 50, 100,
+                                                     125, 200, 250, 500, 1000)
+    for value in (1001, 10**30):  # trial division to 10**30 would never return
+        with pytest.raises(ValueError, match=f"^d is budgeted to at most 1000, got {value}$"):
+            divisors(value)
+
+
 # every covers entry point, one argument varied and the other held at 3
 ENTRY_POINTS = [
     ("multiple_cover", lambda v: multiple_cover(v, 3), "w"),

@@ -327,7 +327,8 @@ def test_each_call_frees_its_memos_when_it_returns():
     # makes stays in the youngest generation, so collecting that one finds
     # all of the call's garbage.  The class search (126 objects over degrees
     # 0..20 as a self-referring closure) and the CLI's tree rendering (91,263
-    # objects for graphs --n 4 --r 6 as one) are held to the same bound
+    # objects for graphs --n 4 --r 6 as one) are held to the same bound; the
+    # handler only enumerates, so its text and json are rendered here
     enabled = gc.isenabled()
     gc.collect()
     gc.disable()
@@ -338,7 +339,9 @@ def test_each_call_frees_its_memos_when_it_returns():
         for degree in range(MAX_CLASS_DEGREE + 1):
             enumerate_classes(degree)
         assert gc.collect(0) < 100
-        cli.cmd_graphs(argparse.Namespace(n=4, r=6, weights=None))
+        rendered = cli.cmd_graphs(argparse.Namespace(n=4, r=6, weights=None))
+        assert len(list(rendered.text())) == 78_091 and rendered.json()["count"] == 4245
+        del rendered
         assert gc.collect(0) < 100
     finally:
         if enabled:
