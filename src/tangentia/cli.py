@@ -18,7 +18,10 @@ TANGENTIA_FORMAT environment variable; an explicit flag wins over the
 environment.  Each handler does its checking and kernel work and returns
 an :class:`Output` record; ``_emit`` builds only the selected format and
 writes it as it is made, a text line or a json chunk at a time.  Exit
-codes: 0 success, 1 usage or input error, 2 verification failure.
+codes: 0 success, 1 usage or input error, 2 verification failure.  An
+argv that names a subcommand first builds the option parser of that
+subcommand alone; any other argv, such as ``--help`` or a misspelled
+name, builds all nine, so the help and the list of choices stay whole.
 
 Examples:
 
@@ -59,63 +62,58 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def build_parser() -> _Parser:
+def build_parser(command: Optional[str] = None) -> _Parser:
+    """The parser with every subcommand, or, when ``command`` names one,
+    with that subcommand alone."""
+    # the subcommands in parser order, the one list of their names: each
+    # one's help, handler and options, as (flag, keywords) or, for a
+    # required mutually exclusive group, a list of them.  Handlers are read
+    # per call, so a wrapper patched over one after import is the one run
+    subcommands = {
+        "mcover": ("multiple-cover contribution M_w[d]", cmd_mcover, [
+            ("--w", dict(type=int, required=True, help="contact order of the base curve")),
+            ("--d", dict(type=int, required=True, help="covering degree"))]),
+        "instantons": ("instanton numbers m_w[1..dmax]", cmd_instantons, [
+            ("--w", dict(type=int, required=True)), ("--dmax", dict(type=int, required=True))]),
+        "integrality": ("integrality report for m_w[d]", cmd_integrality, [
+            ("--wmax", dict(type=int, required=True)), ("--dmax", dict(type=int, required=True))]),
+        "torsion": ("torsion strata and division points", cmd_torsion, [
+            [("--strata", dict(action="store_true", help="print stratum sizes")),
+             ("--solve", dict(action="store_true", help="solve m*P = restriction of --class"))],
+            ("--class", dict(dest="class_literal", metavar="CLASS",
+                             help='divisor class literal, e.g. "2H-E1-E2"')),
+            ("--m", dict(type=int, help="division order (default 4)"))]),
+        "classes": ("class table for a tangency degree", cmd_classes, [
+            ("--degree", dict(type=int, default=4))]),
+        "census": ("boundary census of tangent curves", cmd_census, [
+            ("--degree", dict(type=int, help="curve degree, 1..4")),
+            ("--stratum", dict(help="T1, T2, T3, or NF9 (degree 3)")),
+            ("--aggregate", dict(action="store_true",
+                                 help="aggregate quartic counts instead of one entry")),
+            ("--special-cubic", dict(action="store_true",
+                                     help="census variant for special smooth cubics"))]),
+        "check-gw": ("assemble an invariant and verify it", cmd_check_gw, [
+            ("--degree", dict(type=int, required=True))]),
+        "graphs": ("combinatorial degeneration types", cmd_graphs, [
+            ("--n", dict(type=int, required=True, help="number of layer steps")),
+            ("--r", dict(type=int, required=True, help="number of labeled bottom vertices")),
+            ("--weights", dict(help="comma-separated positive weights, one per label"))]),
+        "verify-all": ("run every verification check", cmd_verify_all, []),
+    }
     parser = _Parser(prog="tangentia", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("mcover", help="multiple-cover contribution M_w[d]")
-    p.add_argument("--w", type=int, required=True, help="contact order of the base curve")
-    p.add_argument("--d", type=int, required=True, help="covering degree")
-    p.set_defaults(handler=cmd_mcover)
-
-    p = sub.add_parser("instantons", help="instanton numbers m_w[1..dmax]")
-    p.add_argument("--w", type=int, required=True)
-    p.add_argument("--dmax", type=int, required=True)
-    p.set_defaults(handler=cmd_instantons)
-
-    p = sub.add_parser("integrality", help="integrality report for m_w[d]")
-    p.add_argument("--wmax", type=int, required=True)
-    p.add_argument("--dmax", type=int, required=True)
-    p.set_defaults(handler=cmd_integrality)
-
-    p = sub.add_parser("torsion", help="torsion strata and division points")
-    mode = p.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--strata", action="store_true", help="print stratum sizes")
-    mode.add_argument("--solve", action="store_true",
-                      help="solve m*P = restriction of --class")
-    p.add_argument("--class", dest="class_literal", metavar="CLASS",
-                   help='divisor class literal, e.g. "2H-E1-E2"')
-    p.add_argument("--m", type=int, help="division order (default 4)")
-    p.set_defaults(handler=cmd_torsion)
-
-    p = sub.add_parser("classes", help="class table for a tangency degree")
-    p.add_argument("--degree", type=int, default=4)
-    p.set_defaults(handler=cmd_classes)
-
-    p = sub.add_parser("census", help="boundary census of tangent curves")
-    p.add_argument("--degree", type=int, help="curve degree, 1..4")
-    p.add_argument("--stratum", help="T1, T2, T3, or NF9 (degree 3)")
-    p.add_argument("--aggregate", action="store_true",
-                   help="aggregate quartic counts instead of one entry")
-    p.add_argument("--special-cubic", action="store_true",
-                   help="census variant for special smooth cubics")
-    p.set_defaults(handler=cmd_census)
-
-    p = sub.add_parser("check-gw", help="assemble an invariant and verify it")
-    p.add_argument("--degree", type=int, required=True)
-    p.set_defaults(handler=cmd_check_gw)
-
-    p = sub.add_parser("graphs", help="combinatorial degeneration types")
-    p.add_argument("--n", type=int, required=True, help="number of layer steps")
-    p.add_argument("--r", type=int, required=True, help="number of labeled bottom vertices")
-    p.add_argument("--weights", help="comma-separated positive weights, one per label")
-    p.set_defaults(handler=cmd_graphs)
-
-    p = sub.add_parser("verify-all", help="run every verification check")
-    p.set_defaults(handler=cmd_verify_all)
-
-    # format options come last on every subcommand; --csv only on CSV_COMMANDS
-    for name, p in sub.choices.items():
+    for name in [command] if command in subcommands else subcommands:
+        help_text, handler, options = subcommands[name]
+        p = sub.add_parser(name, help=help_text)
+        for option in options:
+            if isinstance(option, list):
+                group = p.add_mutually_exclusive_group(required=True)
+                for flag, keywords in option:
+                    group.add_argument(flag, **keywords)
+            else:
+                p.add_argument(option[0], **option[1])
+        p.set_defaults(handler=handler)
+        # format options come last on every subcommand; --csv only on CSV_COMMANDS
         p.add_argument("--format", choices=FORMATS, default=None,
                        help="output format (default: text)")
         p.add_argument("--json", action="store_const", const="json", dest="format",
@@ -464,7 +462,8 @@ def cmd_verify_all(args) -> Output:
 # ---------------------------------------------------------------------------
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
         fmt = _resolve_format(args)

@@ -221,13 +221,18 @@ O_PRIME = TorsionPoint(1, 0, 9)
 
 def restriction_class(c: DivisorClass) -> TorsionPoint:
     """Restriction of the class e*H - sum ai*Ei to the cubic, as a torsion
-    point: 3e * theta(O') - sum ai * theta(Pi).
+    point: 3e * theta(O') - sum ai * theta(Pi), one integer combination of
+    the marking's numerators over N = O_PRIME.n, which every base point's
+    order divides, reduced by one ``_point``.
 
     The result is always 3-torsion (e and the ai are integers and the
     building blocks conspire), which is what lets the quartic equation
     4P = c have its uniform (1, 3, 12) solution pattern.
     """
-    total = (3 * c.e) * O_PRIME
+    n = O_PRIME.n
+    x, y = 3 * c.e * O_PRIME.a, 3 * c.e * O_PRIME.b
     for ai, p in zip(c.a, BASE_POINTS):
-        total = total - ai * p
-    return total
+        k = ai * (n // p.n)
+        x -= k * p.a
+        y -= k * p.b
+    return _point(x, y, n)

@@ -11,11 +11,12 @@ import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tangentia import assembly, census, covers, lattice, torsion, trees, verify
+from tangentia import assembly, census, cli, covers, lattice, torsion, trees, verify
 from tangentia.cli import build_parser, main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -736,13 +737,15 @@ OPTION_STRINGS = ("2H-E1-E2", "3H-E1-E2-E3-E4-E5-E6", "4H-E1-E2-2E3", "H", "0H",
                   "T1", "T2", "T3", "NF9", "T4", "1,2,3", "1,0", "", "x")
 
 
+def _subparsers(parser):
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+
+
 def _subcommand_options():
     """Each subcommand of the parser with its options; verify-all, whose only
     options are formats and whose exits the tests above pin, is left out."""
-    parser = build_parser()
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     return {name: [a for a in p._actions if a.dest != "help"]
-            for name, p in sub.choices.items() if name != "verify-all"}
+            for name, p in _subparsers(build_parser()).choices.items() if name != "verify-all"}
 
 
 def _argv(name, actions):
@@ -768,7 +771,10 @@ ARGVS = st.one_of([_argv(name, actions) for name, actions in _subcommand_options
 def _run_quietly(argv):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
-        code = main(argv)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # --help
+            code = exc.code
     return code, out.getvalue(), err.getvalue()
 
 
@@ -783,6 +789,41 @@ def test_every_argv_keeps_the_exit_code_contract(argv):
     if code == 0:
         assert err == ""
     assert _run_quietly(argv) == result
+
+
+# ---------------------------------------------------------------------------
+# one option parser per subcommand: an argv that names a subcommand first
+# builds the top-level parser and that subcommand's alone, any other argv
+# builds all nine, and the two read every argv alike
+# ---------------------------------------------------------------------------
+
+SUBCOMMANDS = list(_subparsers(build_parser()).choices)
+
+
+def _run_with_every_parser(argv):
+    with mock.patch.object(cli, "build_parser", lambda command=None: build_parser()):
+        return _run_quietly(argv)
+
+
+@pytest.mark.parametrize("name", SUBCOMMANDS)
+def test_a_subcommand_help_is_the_same_from_its_own_parser(name):
+    result = _run_quietly([name, "--help"])
+    assert result == _run_with_every_parser([name, "--help"])
+    assert result[0] == 0 and result[1].startswith(f"usage: tangentia {name} [-h]")
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(ARGVS)
+def test_the_subcommand_parser_reads_every_argv_as_the_full_parser_does(argv):
+    assert _run_quietly(argv) == _run_with_every_parser(argv)
+
+
+def test_readme_and_module_docstring_list_the_parser_subcommands():
+    readme = (ROOT / "README.md").read_text().split("## Command line", 1)[1]
+    table = re.search(r"```text\n(.*?)```", readme, re.S).group(1).splitlines()
+    listed = cli.__doc__.split("Subcommands:\n\n", 1)[1].split("\n\n", 1)[0].splitlines()
+    assert [line.removeprefix("  ") for line in listed] == table
+    assert [line.split()[0] for line in table] == SUBCOMMANDS
 
 
 # ---------------------------------------------------------------------------
@@ -851,10 +892,10 @@ KERNEL_CALLS = {
     "torsion --strata": {},
     "torsion --strata --json": {},
     "TANGENTIA_FORMAT=json torsion --strata": {},
-    "torsion --solve --class 2H-E1-E2": {"_point": 45},
-    "torsion --solve --class 2H-E1-E2 --json": {"_point": 45},
-    "TANGENTIA_FORMAT=json torsion --solve --class 2H-E1-E2": {"_point": 45},
-    "torsion --solve --class 4H-E1-E2-2E3 --m 3": {"_point": 31},
+    "torsion --solve --class 2H-E1-E2": {"_point": 33},
+    "torsion --solve --class 2H-E1-E2 --json": {"_point": 33},
+    "TANGENTIA_FORMAT=json torsion --solve --class 2H-E1-E2": {"_point": 33},
+    "torsion --solve --class 4H-E1-E2-2E3 --m 3": {"_point": 19},
     "classes --degree 3": {"_least_spend": 42},
     "classes --degree 4": {"_least_spend": 55},
     "classes --degree 4 --csv": {"_least_spend": 55},
@@ -881,9 +922,9 @@ KERNEL_CALLS = {
     "TANGENTIA_FORMAT=json graphs --n 2 --r 3 --weights 1,2,3": {"_coarsening_patterns": 2,
                                                                  "propagate_weights": 3},
     "graphs --n 4 --r 6": {"_coarsening_patterns": 5},
-    "verify-all": {"binomial": 329, "_least_spend": 110, "_point": 11_322,
+    "verify-all": {"binomial": 329, "_least_spend": 110, "_point": 8_406,
                    "boundary_census": 19, "propagate_weights": 20_530, "_coarsening_patterns": 24},
-    "verify-all --json": {"binomial": 329, "_least_spend": 110, "_point": 11_322,
+    "verify-all --json": {"binomial": 329, "_least_spend": 110, "_point": 8_406,
                           "boundary_census": 19, "propagate_weights": 20_530,
                           "_coarsening_patterns": 24},
     **REFUSED,
@@ -891,7 +932,7 @@ KERNEL_CALLS = {
     "classes --degree 20": {"_least_spend": 21_186},
     "instantons --w 3 --dmax 1000": {"binomial": 4},
     "integrality --wmax 64 --dmax 64": {"binomial": 3851},
-    "torsion --solve --class 2H-E1-E2 --m 256": {"_point": 131_085},
+    "torsion --solve --class 2H-E1-E2 --m 256": {"_point": 131_073},
     "graphs --n 5 --r 6": {"_coarsening_patterns": 5},
 }
 
@@ -928,6 +969,12 @@ def _counted(calls, name, fn):
     return counted
 
 
+def _count_parsers(monkeypatch):
+    built = {"_Parser": 0}
+    monkeypatch.setattr(cli._Parser, "__init__", _counted(built, "_Parser", cli._Parser.__init__))
+    return built
+
+
 @pytest.mark.parametrize("argv", list(KERNEL_CALLS))
 def test_points_built_per_subcommand(capsys, monkeypatch, argv):
     calls = dict.fromkeys(["_point", "CombType", "propagate_weights", "_least_spend",
@@ -941,6 +988,7 @@ def test_points_built_per_subcommand(capsys, monkeypatch, argv):
     census_entry = _counted(calls, "boundary_census", census.boundary_census)
     monkeypatch.setattr(census, "boundary_census", census_entry)
     monkeypatch.setattr(assembly, "boundary_census", census_entry)  # imported there by name
+    parsers = _count_parsers(monkeypatch)
     census.aggregate_N.cache_clear()
     words = argv.split()
     while "=" in words[0] and not words[0].startswith("-"):  # NAME=value settings in front
@@ -951,6 +999,23 @@ def test_points_built_per_subcommand(capsys, monkeypatch, argv):
     else:
         assert (code, err) == (0, "")
     assert {k: v for k, v in calls.items() if v > KERNEL_CALLS[argv].get(k, 0)} == {}
+    assert parsers == {"_Parser": 2}  # the top-level parser and the named subcommand's
+
+
+# argv that name no subcommand first: each builds every option parser, the
+# top-level one and the nine subcommands'
+EVERY_PARSER = ("--help", "", "covers", "--json mcover --w 3 --d 4")
+
+
+@pytest.mark.parametrize("argv", EVERY_PARSER)
+def test_an_argv_naming_no_subcommand_first_builds_every_parser(monkeypatch, argv):
+    built = _count_parsers(monkeypatch)
+    code, out, err = _run_quietly(argv.split())
+    assert built == {"_Parser": 10}
+    if argv == "--help":
+        assert code == 0 and "{" + ",".join(SUBCOMMANDS) + "}" in out
+    else:
+        assert (code, out) == (1, "") and err.startswith("usage error: ")
 
 
 @pytest.mark.parametrize("argv", list(PEAK_BYTES))

@@ -219,6 +219,34 @@ def test_restriction_class_is_always_three_torsion():
             assert (3 * c).is_zero
 
 
+def _restriction_by_group_law(c):
+    """The oracle: (3e) * O' - sum ai * Pi, folded point by point by the
+    group law, as restriction_class once did."""
+    total = (3 * c.e) * O_PRIME
+    for ai, p in zip(c.a, BASE_POINTS):
+        total = total - ai * p
+    return total
+
+
+def test_restriction_class_matches_the_group_law_on_every_ordered_class():
+    from tangentia.lattice import enumerate_classes
+
+    classes = [DivisorClass(row.e, ordering) for row in enumerate_classes(4)
+               for ordering in set(permutations(row.a_multiset))]
+    assert len(classes) == 243
+    for c in classes:
+        assert restriction_class(c) == _restriction_by_group_law(c)
+
+
+coefficients = st.integers(-10**9, 10**9)
+
+
+@given(coefficients, st.lists(coefficients, min_size=6, max_size=6))
+def test_restriction_class_matches_the_group_law(e, a):
+    c = DivisorClass(e, a)
+    assert restriction_class(c) == _restriction_by_group_law(c)
+
+
 # ---------------------------------------------------------------------------
 # the integer model against a Fraction oracle: a point is the pair
 # (x mod 1, y mod 1) of Fractions, and its order is the lcm of the
