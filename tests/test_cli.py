@@ -771,10 +771,7 @@ ARGVS = st.one_of([_argv(name, actions) for name, actions in _subcommand_options
 def _run_quietly(argv):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # --help
-            code = exc.code
+        code = main(argv)
     return code, out.getvalue(), err.getvalue()
 
 
@@ -800,15 +797,24 @@ def test_every_argv_keeps_the_exit_code_contract(argv):
 SUBCOMMANDS = list(_subparsers(build_parser()).choices)
 
 
-def _run_with_every_parser(argv):
+def _run_to_exit(argv):
+    """As _run_quietly, for an argv such as --help that argparse ends by
+    SystemExit; an argv that returns instead fails."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err), pytest.raises(SystemExit) as exit:
+        main(argv)
+    return exit.value.code, out.getvalue(), err.getvalue()
+
+
+def _run_with_every_parser(argv, run=_run_quietly):
     with mock.patch.object(cli, "build_parser", lambda command=None: build_parser()):
-        return _run_quietly(argv)
+        return run(argv)
 
 
 @pytest.mark.parametrize("name", SUBCOMMANDS)
 def test_a_subcommand_help_is_the_same_from_its_own_parser(name):
-    result = _run_quietly([name, "--help"])
-    assert result == _run_with_every_parser([name, "--help"])
+    result = _run_to_exit([name, "--help"])
+    assert result == _run_with_every_parser([name, "--help"], run=_run_to_exit)
     assert result[0] == 0 and result[1].startswith(f"usage: tangentia {name} [-h]")
 
 
@@ -1010,7 +1016,7 @@ EVERY_PARSER = ("--help", "", "covers", "--json mcover --w 3 --d 4")
 @pytest.mark.parametrize("argv", EVERY_PARSER)
 def test_an_argv_naming_no_subcommand_first_builds_every_parser(monkeypatch, argv):
     built = _count_parsers(monkeypatch)
-    code, out, err = _run_quietly(argv.split())
+    code, out, err = (_run_to_exit if argv == "--help" else _run_quietly)(argv.split())
     assert built == {"_Parser": 10}
     if argv == "--help":
         assert code == 0 and "{" + ",".join(SUBCOMMANDS) + "}" in out
