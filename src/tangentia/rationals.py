@@ -9,7 +9,8 @@ The integer rule is the package's one rule for what an integer is.  It reads
 every size: degrees, torsion orders, class coefficients, a tree's layers,
 labels and weights, the w, d and bounds of :mod:`~tangentia.covers`, and
 the numbers of a census ``Component``.  A value equal to an int is that int,
-so 4.0 is 4 and True is 1; 2.5, inf, nan, a string or None is refused.  The
+so 4.0 is 4 and True is 1; 2.5, inf, nan, a string or None is refused.  A
+tuple of exact ints is kept as given, not copied: a tuple never changes.  The
 rule also reads each size's floor and, where it has one, its work budget:
 the largest size its kernel takes, refused before any work in one wording.
 
@@ -41,7 +42,15 @@ def binomial(n: int, k: int) -> int:
 
 
 def _integers(values: Sequence) -> Optional[tuple[int, ...]]:
-    """``values`` as ints by the integer rule, or None if one is not integral."""
+    """``values`` as ints by the integer rule, or None if one is not integral.
+    A tuple of exact ints is returned as given; anything else (a list, or a
+    tuple holding True, an ``IntEnum`` member or 4.0) as a new tuple."""
+    if type(values) is tuple:
+        for value in values:  # a plain loop: no generator frame per call
+            if type(value) is not int:
+                break
+        else:
+            return values
     try:
         return tuple(map(index, values))
     except TypeError:

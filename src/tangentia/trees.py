@@ -292,7 +292,8 @@ def propagate_weights(
     stored as ints, read by the integer rule of :mod:`~tangentia.rationals`;
     one that is not integral, or is no number, raises ValueError, and so do
     weights that are no sequence (an iterator, a set, a dict or a number)
-    and a shape that is not a :class:`CombType`."""
+    and a shape that is not a :class:`CombType`.  A tuple of exact ints is
+    stored as given: it never changes, and the record is read-only."""
     try:
         shape._labels_below  # validates the shape: a broken type raises ValueError
     except AttributeError:  # no test on the valid path: only a non-type lacks the map
@@ -302,12 +303,14 @@ def propagate_weights(
         raise ValueError(f"weights must be a sequence of integers, got {root_weights!r}")
     if len(root_weights) != shape.r:
         raise ValueError(f"expected {shape.r} weights, got {len(root_weights)}")
-    try:
+    bottom = _integers(root_weights)
+    if bottom is not None and min(bottom) >= 1:
+        return _record(WeightedCombType, (shape, bottom))  # a plain record: no checks skipped
+    try:  # refused: a weight below 1 is named before one that is not integral
         if min(root_weights) < 1:
             raise ValueError("weights must be positive integers")
-    except TypeError:  # a weight that is no number: the integer rule refuses it
+    except TypeError:  # a weight that is no number, or has no order
         pass
-    bottom = _integers(root_weights)
     if bottom is None:
         raise ValueError(f"weights must be integers, got {root_weights!r}")
-    return _record(WeightedCombType, (shape, bottom))  # a plain record: no checks skipped
+    raise ValueError("weights must be positive integers")

@@ -1,5 +1,6 @@
 import math
 import re
+from enum import IntEnum
 from fractions import Fraction
 
 import pytest
@@ -101,11 +102,16 @@ def _integral_by_fraction(value):
         return False
 
 
+class Size(IntEnum):
+    ZERO = 0
+    TWO = 2
+
+
 sizes = st.one_of(
     st.integers(-10**30, 10**30), st.booleans(), st.fractions(max_denominator=12),
     st.floats(allow_nan=True, allow_infinity=True), st.text(max_size=4),
     st.from_regex(r"\A-?\d{1,3}\Z"), st.none(), st.complex_numbers(max_magnitude=4),
-    st.just([2]),
+    st.just([2]), st.sampled_from(Size),
 )
 
 
@@ -118,7 +124,9 @@ def _floor_phrase(least):
 bounds = st.one_of(st.none(), st.integers(-3, 3))
 
 
-@given(st.lists(sizes, max_size=4), bounds, bounds)
+# lists, and tuples, which a tuple of exact ints reads without a copy
+@given(st.lists(sizes, max_size=4).flatmap(lambda v: st.sampled_from([v, tuple(v)])),
+       bounds, bounds)
 def test_integer_rule_matches_fraction_oracle(values, least, most):
     ints = _integers(values)
     if all(map(_integral_by_fraction, values)):

@@ -7,6 +7,7 @@ import pickle
 import re
 import time
 import tracemalloc
+from enum import IntEnum
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -15,6 +16,7 @@ from hypothesis import given, strategies as st
 
 from tangentia import cli, trees
 from tangentia.lattice import MAX_CLASS_DEGREE, enumerate_classes
+from tangentia.rationals import _integers
 from tangentia.trees import (
     MAX_LABELS,
     MAX_LAYERS,
@@ -573,6 +575,16 @@ def test_weight_propagation_conserves_totals():
                             )
 
 
+class _Index:
+    """An integer by ``__index__`` alone: it has no order."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
 def test_weight_propagation_input_checks():
     shape = enumerate_types(2, 3)[0]
     with pytest.raises(ValueError):
@@ -604,6 +616,37 @@ def test_weight_propagation_input_checks():
     # integral values are stored as ints
     bottom = propagate_weights(shape, [1.0, True, 3]).bottom
     assert bottom == (1, 1, 3) and all(type(w) is int for w in bottom)
+    # a weight below 1 is named before one that is not integral, unless a
+    # weight cannot be compared at all
+    for weights in [(0, 2.5, 3), (2.5, 0, 3)]:
+        with pytest.raises(ValueError, match="^weights must be positive integers$"):
+            propagate_weights(shape, weights)
+    for weights in [[0, None, 3], [None, 0, 3], (0, "1", 3)]:
+        with pytest.raises(ValueError, match=f"^{re.escape(f'weights must be integers, got {weights!r}')}$"):
+            propagate_weights(shape, weights)
+    # a weight with no order is read by the integer rule, then its sign checked
+    pair = enumerate_types(1, 2)[0]
+    for value in (0, -3):
+        with pytest.raises(ValueError, match="^weights must be positive integers$"):
+            propagate_weights(pair, (_Index(value), 2))
+    bottom = propagate_weights(pair, (_Index(5), 2)).bottom
+    assert bottom == (5, 2) and all(type(w) is int for w in bottom)
+
+
+class _Weight(IntEnum):
+    ONE = 1
+
+
+def test_a_tuple_of_exact_ints_is_stored_without_a_copy():
+    shape = enumerate_types(2, 3)[0]
+    weights = (1, 2, 3)
+    assert _integers(weights) is weights
+    assert propagate_weights(shape, weights).bottom is weights
+    # anything else is read into a new tuple of exact ints
+    for weights in ([1, 2, 3], (True, 2, 3), (_Weight.ONE, 2, 3)):
+        bottom = propagate_weights(shape, weights).bottom
+        assert bottom is not weights and type(bottom) is tuple
+        assert bottom == (1, 2, 3) and all(type(w) is int for w in bottom)
 
 
 def test_invalid_type_is_refused_on_every_call():
