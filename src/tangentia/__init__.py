@@ -12,6 +12,10 @@ multiple-cover contributions and instanton numbers
 and a self-verification battery (:mod:`~tangentia.verify`) also exposed on
 the command line as ``tangentia verify-all``.
 
+A ValueError refuses an input and a RuntimeError says an input is outside a
+routine's regime; both exit 1 on the command line.  An ArithmeticError says
+a derivation failed its own check, and exits 2.
+
 ``import tangentia`` loads none of these modules.  Each name below, such as
 ``tangentia.multiple_cover``, resolves on first use by importing the module
 that defines it (PEP 562), and is then the same object as that module's

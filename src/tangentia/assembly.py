@@ -36,9 +36,9 @@ class HypothesisViolation(ValueError):
     """A pair contribution was requested where the pair rule does not hold."""
 
 
-class AssemblyMismatch(ValueError):
-    """A ledger total disagrees with the tabulated reference value; the
-    ledger that does not balance is kept as ``ledger``."""
+class AssemblyMismatch(ArithmeticError):
+    """A ledger total disagrees with the tabulated reference value, a failed
+    self-check; the ledger, kept as ``ledger``, carries no note."""
 
     def __init__(self, ledger: GwLedger) -> None:
         self.ledger = ledger
@@ -74,13 +74,6 @@ REFERENCE_INVARIANTS = {
     3: Fraction(244),
     4: Fraction(36999, 16),
 }
-
-# The degree-4 total circulates in print with a dropped denominator factor;
-# the line-by-line sum below and the reference table agree on 36999/16.
-DEGREE_4_MISPRINT_NOTE = (
-    "the degree-4 total is sometimes printed as 36999/4; that is a misprint. "
-    "The line-by-line sum is 36999/16, matching the reference invariant."
-)
 
 
 def reference_invariant(degree: int) -> Fraction:
@@ -166,7 +159,8 @@ def assemble_invariant(degree: int) -> GwLedger:
     covers, and check its total against the reference invariant.
 
     Raises :class:`AssemblyMismatch`, carrying the ledger, if the total
-    disagrees.
+    disagrees.  A balanced degree-4 ledger gets a note naming its total and
+    the misprint 4 * total that circulates in print.
     """
     entries = [boundary_census(degree, label) for label in census_strata(degree)]
     degree = entries[0].degree  # read by the census as an integer: 4.0 is 4
@@ -176,10 +170,13 @@ def assemble_invariant(degree: int) -> GwLedger:
         for e in entries
         for comp in e.components
     )
-    note = DEGREE_4_MISPRINT_NOTE if degree == 4 else None
-    ledger = GwLedger(degree, lines, reference_invariant(degree), note)
+    ledger = GwLedger(degree, lines, reference_invariant(degree))
     if ledger.total != ledger.reference:
         raise AssemblyMismatch(ledger)
+    if degree == 4:
+        ledger = ledger._replace(note=(
+            f"the degree-4 total is sometimes printed as {4 * ledger.total}; that is a misprint. "
+            f"The line-by-line sum is {ledger.total}, matching the reference invariant."))
     return ledger
 
 

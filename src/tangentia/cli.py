@@ -18,7 +18,10 @@ TANGENTIA_FORMAT environment variable; an explicit flag wins over the
 environment.  Each handler does its checking and kernel work and returns
 an :class:`Output` record; ``_emit`` builds only the selected format and
 writes it as it is made, a text line or a json chunk at a time.  Exit
-codes: 0 success, 1 usage or input error, 2 verification failure.  An
+codes: 0 success, 1 usage or input error, 2 verification failure: a
+result printed with its failing rows (integrality, verify-all), or a
+census, division or ledger that fails its own arithmetic check, an
+ArithmeticError, which prints ``FAIL <reason>`` on stderr.  An
 argv that names a subcommand first builds the option parser of that
 subcommand alone; any other argv, such as ``--help`` or a misspelled
 name, builds all nine, so the help and the list of choices stay whole.
@@ -51,10 +54,6 @@ CSV_COMMANDS = ("classes", "integrality")
 
 class UsageError(Exception):
     pass
-
-
-class VerificationFailure(Exception):
-    """A result that does not verify: the message goes to stderr, exit 2."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -361,10 +360,7 @@ def cmd_census(args) -> Output:
 def cmd_check_gw(args) -> Output:
     from . import assembly
 
-    try:
-        ledger = assembly.assemble_invariant(args.degree)
-    except assembly.AssemblyMismatch as exc:
-        raise VerificationFailure(f"FAIL {exc}") from exc
+    ledger = assembly.assemble_invariant(args.degree)
 
     def lines():
         for line in ledger.lines:
@@ -471,10 +467,10 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except VerificationFailure as exc:
-        print(exc, file=sys.stderr)
+    except ArithmeticError as exc:  # a derivation that fails its own check
+        print(f"FAIL {exc}", file=sys.stderr)
         return 2
-    except (ValueError, ArithmeticError, RuntimeError) as exc:
+    except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

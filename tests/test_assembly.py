@@ -139,6 +139,9 @@ def test_ledger_rejects_mismatched_reference(monkeypatch):
     assert excinfo.value.ledger.total == 9
     assert excinfo.value.ledger.reference == 10
     assert str(excinfo.value) == "degree 1: assembled 9, reference 10"
+    # a failed self-check, not a refused input
+    assert isinstance(excinfo.value, ArithmeticError)
+    assert not isinstance(excinfo.value, ValueError)
 
 
 def test_one_rule_refuses_a_cuspidal_member(monkeypatch):

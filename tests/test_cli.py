@@ -239,6 +239,32 @@ def test_check_gw_mismatch_exits_two(capsys, monkeypatch, fmt):
     assert err == "FAIL degree 4: assembled 36999/16, reference 36999/4\n"
 
 
+SELF_CHECK_FAILURES = [
+    (census, "aggregate_N",
+     lambda: {torsion.Stratum.T1: 217, torsion.Stratum.T2: 1134, torsion.Stratum.T3: 5184},
+     argv, "aggregate count 217 for T1 is not divisible by 27")
+    for argv in (["census", "--aggregate"], ["census", "--degree", "4", "--stratum", "T1"],
+                 ["check-gw", "--degree", "4"])
+] + [
+    (torsion.TorsionPoint, "__rmul__", lambda p, k: p,  # m * P is P
+     ["torsion", "--solve", "--class", "2H-E1-E2"],
+     "a solution of 4 * P = (1/3, 0) does not multiply back"),
+]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("target, attr, patch, argv, message", SELF_CHECK_FAILURES,
+                         ids=[" ".join(case[3][:2]) for case in SELF_CHECK_FAILURES])
+def test_a_failed_self_check_exits_two(capsys, monkeypatch, fmt, target, attr, patch, argv,
+                                       message):
+    # a census, division or ledger that fails its own arithmetic check is a
+    # failed verification, not a bad input
+    monkeypatch.setattr(target, attr, patch)
+    code, out, err = run(capsys, *argv, "--format", fmt)
+    assert (code, out) == (2, "")
+    assert err == f"FAIL {message}\n"
+
+
 def test_graphs_json(capsys):
     code, out, _ = run(capsys, "graphs", "--n", "2", "--r", "3", "--json")
     payload = json.loads(out)
@@ -778,8 +804,9 @@ def _run_quietly(argv):
 @settings(derandomize=True, deadline=None, max_examples=200)
 @given(ARGVS)
 def test_every_argv_keeps_the_exit_code_contract(argv):
+    # a correct library fails no verification, so no argv here exits 2
     code, out, err = result = _run_quietly(argv)
-    assert code in (0, 1, 2)
+    assert code in (0, 1)
     if code == 1:
         assert out == ""
         assert re.fullmatch(r"(usage )?error: [^\n]*\n", err)

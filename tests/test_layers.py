@@ -171,21 +171,22 @@ def test_the_integer_rule_scan_sees_isinstance_and_operator_index():
 
 
 # exactness: the package computes in ints and Fractions, so no module writes
-# a float constant, calls float(), round(), math.sqrt or math.log, or divides
-# with "/", which turns two ints into a float.  Each exception is listed once
-# with its reason, and a new one fails the suite until it is listed here
+# a float constant, calls float(), round(), math.sqrt, math.log or a float
+# clock, or divides with "/", which turns two ints into a float.  Each
+# exception is listed once with its reason, and a new one fails the suite
+# until it is listed here
 INEXACT_ALLOWED = {
     ("assembly", "local_invariant", "/"):
         "ledger.total is a Fraction, and a Fraction divided by an int is exact",
-    ("verify", "check_degeneration_trees", "10.0"):
-        "a wall-clock bound in seconds inside a check, not a computed number",
 }
-_INEXACT_CALLS = {"float", "round", "math.sqrt", "math.log"}
+_INEXACT_CALLS = {"float", "round", "math.sqrt", "math.log",
+                  "time.time", "time.monotonic", "time.perf_counter"}
 
 
 def inexact_nodes(nodes, scope=()):
     """(enclosing definition, what) of each float constant, float(), round(),
-    math.sqrt or math.log call and true division under ``nodes``."""
+    math.sqrt, math.log or float clock call and true division under
+    ``nodes``."""
     found = []
     for node in nodes:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -217,10 +218,12 @@ def test_the_exactness_scan_sees_floats_calls_and_true_division():
         "        x /= 2\n"
         "        return math.sqrt(x) + math.log(x)\n"
         "def exact(a, b):\n"
-        "    return a // b + int(a) + math.floor(b) + math.isqrt(a)\n"
+        "    return a // b + int(a) + math.floor(b) + math.isqrt(a) + time.monotonic_ns()\n"
+        "T = time.time() + time.monotonic() + time.perf_counter()\n"
     ).body
     assert sorted(inexact_nodes(body)) == [
-        ("", "0.5"), ("C.g", "/"), ("C.g", "math.log"), ("C.g", "math.sqrt"),
+        ("", "0.5"), ("", "time.monotonic"), ("", "time.perf_counter"), ("", "time.time"),
+        ("C.g", "/"), ("C.g", "math.log"), ("C.g", "math.sqrt"),
         ("f", "/"), ("f", "float"), ("f", "round"),
     ]
 
