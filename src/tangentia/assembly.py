@@ -77,9 +77,10 @@ REFERENCE_INVARIANTS = {
 
 
 def reference_invariant(degree: int) -> Fraction:
-    if degree not in REFERENCE_INVARIANTS:
-        raise ValueError(f"no tabulated invariant for degree {degree}")
-    return REFERENCE_INVARIANTS[degree]
+    try:
+        return REFERENCE_INVARIANTS[degree]
+    except (KeyError, TypeError):  # TypeError: a value with no hash, such as [1]
+        raise ValueError(f"no tabulated invariant for degree {degree!r}") from None
 
 
 class LedgerLine(NamedTuple):

@@ -94,6 +94,8 @@ def parse_class_literal(text: str) -> DivisorClass:
     Every character must belong to some term; repeated H or Ei terms
     accumulate.  Raises ValueError on anything else.
     """
+    if not isinstance(text, str):
+        raise ValueError(f"class literal must be a string, got {text!r}")
     compact = text.replace(" ", "")
     if not compact:
         raise ValueError("empty class literal")
@@ -168,11 +170,14 @@ def _grow(prefix: tuple[int, ...], total: int, budget: int, d: int,
     """Complete the ascending ``prefix`` with parts in [prefix[-1], d]
     summing to ``total`` within the genus ``budget`` left, largest next
     part first, appending each (multiset, genus) to ``found``; False if even
-    the least spend exceeds the budget."""
+    the least spend exceeds the budget.  The last part is forced, ``total``,
+    in [prefix[-1], d] by the caller's range, and placed with no leaf call."""
     parts = NUM_POINTS - len(prefix)
-    if not parts:
-        found.append((prefix, budget))
-        return True
+    if parts == 1:
+        budget -= _spend(total)
+        if budget >= 0:
+            found.append((prefix + (total,), budget))
+        return budget >= 0
     if _least_spend(total, parts) > budget:
         return False
     low = max(prefix[-1] if prefix else 0, total - (parts - 1) * d)
@@ -191,12 +196,13 @@ def enumerate_classes(target_degree: int = 4) -> list[ClassTableRow]:
     part at a time, each spending ``_spend(ai)`` of the genus budget
     ``_spend(e - 1)``.  A branch is cut once what it has spent plus the
     least its remaining parts can spend (their sum split evenly) exceeds the
-    budget; that least is a valid completion, so every branch kept ends in
-    a row, and what is left of the budget is the row's genus.  Larger parts
-    are tried first, so a branch's next part stops at the first cut, and
-    each e's rows, reversed, come out in (e, multiset) order.  The search
-    is the module-level :func:`_grow`, which reaches itself by name, not
-    through a closure, so a call leaves no cycle for the collector.  No
+    budget; that least is a valid completion, so every branch kept ends in a
+    row, and what is left of the budget is the row's genus.  The last part
+    is forced, the rest of the sum, and is placed with no call of its own.
+    Larger parts are tried first, so a branch's next part stops at the first
+    cut, and each e's rows, reversed, come out in (e, multiset) order.  The
+    search is the module-level :func:`_grow`, which reaches itself by name,
+    not through a closure, so a call leaves no cycle for the collector.  No
     ``DivisorClass`` is built for a candidate.  The degree is read by the
     integer rule of :mod:`~tangentia.rationals` with floor 0 and budget
     MAX_CLASS_DEGREE, before the search (4.0 is 4; 2.5, -1 and 21 raise

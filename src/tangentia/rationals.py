@@ -11,8 +11,8 @@ labels and weights, the w, d and bounds of :mod:`~tangentia.covers`, and
 the numbers of a census ``Component``.  A value equal to an int is that int,
 so 4.0 is 4 and True is 1; 2.5, inf, nan, a string or None is refused.  A
 tuple of exact ints is kept as given, not copied: a tuple never changes.  The
-rule also reads each size's floor and, where it has one, its work budget:
-the largest size its kernel takes, refused before any work in one wording.
+rule tests each size's floor in the same pass, and reads its work budget if
+it has one: the largest size its kernel takes, refused before any work.
 
 A checked record (a ``DivisorClass``, ``TorsionPoint``, ``Component``,
 ``CombType`` or ``WeightedCombType``) derives from :class:`_Record`: it never
@@ -41,32 +41,34 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-def _integers(values: Sequence) -> Optional[tuple[int, ...]]:
-    """``values`` as ints by the integer rule, or None if one is not integral.
-    A tuple of exact ints is returned as given; anything else (a list, or a
-    tuple holding True, an ``IntEnum`` member or 4.0) as a new tuple."""
+def _integers(values: Sequence, least: Optional[int] = None) -> Optional[tuple[int, ...]]:
+    """``values`` as ints by the integer rule, or None if one is not integral
+    or is below the floor ``least``, tested in the same pass.  A tuple of
+    exact ints is returned as given; anything else (a list, or a tuple
+    holding True, an ``IntEnum`` member or 4.0) as a new tuple."""
     if type(values) is tuple:
         for value in values:  # a plain loop: no generator frame per call
-            if type(value) is not int:
-                break
+            if type(value) is not int or (least is not None and value < least):
+                break  # the general path reads it, and refuses one below the floor
         else:
             return values
     try:
-        return tuple(map(index, values))
+        ints = tuple(map(index, values))
     except TypeError:
-        pass
-    try:
-        ints = tuple(map(int, values))
-    except (TypeError, ValueError, OverflowError):  # None, nan, inf, or a string that is no number
-        return None
-    return ints if ints == tuple(values) else None
+        try:
+            ints = tuple(map(int, values))
+        except (TypeError, ValueError, OverflowError):  # None, nan, inf, or a string of no number
+            return None
+        if ints != tuple(values):
+            return None
+    return None if least is not None and min(ints, default=least) < least else ints
 
 
 def _integer(value, name: str, least: Optional[int] = None, most: Optional[int] = None) -> int:
     """``value`` read by the integer rule, at least ``least`` if given, and
     then at most ``most``, its work budget, if given; else ValueError."""
-    ints = _integers((value,))
-    if ints is None or (least is not None and ints[0] < least):
+    ints = _integers((value,), least)
+    if ints is None:
         what = {None: "an integer", 1: "a positive integer"}.get(least, f"an integer >= {least}")
         raise ValueError(f"{name} must be {what}, got {value!r}")
     if most is not None and ints[0] > most:

@@ -303,14 +303,14 @@ def propagate_weights(
         raise ValueError(f"weights must be a sequence of integers, got {root_weights!r}")
     if len(root_weights) != shape.r:
         raise ValueError(f"expected {shape.r} weights, got {len(root_weights)}")
-    bottom = _integers(root_weights)
-    if bottom is not None and min(bottom) >= 1:
+    bottom = _integers(root_weights, 1)
+    if bottom is not None:
         return _record(WeightedCombType, (shape, bottom))  # a plain record: no checks skipped
     try:  # refused: a weight below 1 is named before one that is not integral
         if min(root_weights) < 1:
             raise ValueError("weights must be positive integers")
     except TypeError:  # a weight that is no number, or has no order
         pass
-    if bottom is None:
+    if _integers(root_weights) is None:
         raise ValueError(f"weights must be integers, got {root_weights!r}")
     raise ValueError("weights must be positive integers")

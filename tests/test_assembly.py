@@ -76,6 +76,16 @@ def test_reference_invariants():
         reference_invariant(0)
 
 
+def test_reference_invariant_refuses_every_non_degree_by_its_repr():
+    # an int keeps its message; a string is named as a string, not as the
+    # degree it spells, and a value with no hash is refused, not a TypeError
+    for value, shown in ((5, "5"), (0, "0"), ("4", "'4'"), ([1], "[1]"), ({1: 1}, "{1: 1}"),
+                         (None, "None"), (2.5, "2.5"), ((), "()")):
+        message = f"no tabulated invariant for degree {shown}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            reference_invariant(value)
+
+
 def test_assembled_totals_match_reference():
     for degree in (1, 2, 3, 4):
         ledger = assemble_invariant(degree)

@@ -929,24 +929,24 @@ KERNEL_CALLS = {
     "torsion --solve --class 2H-E1-E2 --json": {"_point": 33},
     "TANGENTIA_FORMAT=json torsion --solve --class 2H-E1-E2": {"_point": 33},
     "torsion --solve --class 4H-E1-E2-2E3 --m 3": {"_point": 19},
-    "classes --degree 3": {"_least_spend": 42},
-    "classes --degree 4": {"_least_spend": 55},
-    "classes --degree 4 --csv": {"_least_spend": 55},
-    "classes --degree 4 --json": {"_least_spend": 55},
-    "TANGENTIA_FORMAT=csv classes --degree 4": {"_least_spend": 55},
-    "census --aggregate": {"_least_spend": 55},
-    "census --aggregate --json": {"_least_spend": 55},
-    "TANGENTIA_FORMAT=json census --aggregate": {"_least_spend": 55},
+    "classes --degree 3": {"_least_spend": 36},
+    "classes --degree 4": {"_least_spend": 44},
+    "classes --degree 4 --csv": {"_least_spend": 44},
+    "classes --degree 4 --json": {"_least_spend": 44},
+    "TANGENTIA_FORMAT=csv classes --degree 4": {"_least_spend": 44},
+    "census --aggregate": {"_least_spend": 44},
+    "census --aggregate --json": {"_least_spend": 44},
+    "TANGENTIA_FORMAT=json census --aggregate": {"_least_spend": 44},
     "census --degree 2 --stratum T2 --json": {"boundary_census": 1},
     "census --degree 3 --stratum NF9": {"boundary_census": 1},
     "census --degree 3 --stratum T1 --special-cubic": {"boundary_census": 1},
-    "census --degree 4 --stratum T1": {"_least_spend": 55, "boundary_census": 1},
-    "census --degree 4 --stratum T1 --json": {"_least_spend": 55, "boundary_census": 1},
+    "census --degree 4 --stratum T1": {"_least_spend": 44, "boundary_census": 1},
+    "census --degree 4 --stratum T1 --json": {"_least_spend": 44, "boundary_census": 1},
     "check-gw --degree 1": {"boundary_census": 1},
     "check-gw --degree 3": {"boundary_census": 2, "binomial": 1},
-    "check-gw --degree 4": {"boundary_census": 3, "_least_spend": 55, "binomial": 2},
-    "check-gw --degree 4 --json": {"boundary_census": 3, "_least_spend": 55, "binomial": 2},
-    "TANGENTIA_FORMAT=json check-gw --degree 4": {"boundary_census": 3, "_least_spend": 55,
+    "check-gw --degree 4": {"boundary_census": 3, "_least_spend": 44, "binomial": 2},
+    "check-gw --degree 4 --json": {"boundary_census": 3, "_least_spend": 44, "binomial": 2},
+    "TANGENTIA_FORMAT=json check-gw --degree 4": {"boundary_census": 3, "_least_spend": 44,
                                                   "binomial": 2},
     "graphs --n 1 --r 2": {"_coarsening_patterns": 1},
     "graphs --n 2 --r 3 --weights 1,2,3": {"_coarsening_patterns": 2, "propagate_weights": 3},
@@ -955,14 +955,14 @@ KERNEL_CALLS = {
     "TANGENTIA_FORMAT=json graphs --n 2 --r 3 --weights 1,2,3": {"_coarsening_patterns": 2,
                                                                  "propagate_weights": 3},
     "graphs --n 4 --r 6": {"_coarsening_patterns": 5},
-    "verify-all": {"binomial": 329, "_least_spend": 110, "_point": 8_406,
+    "verify-all": {"binomial": 329, "_least_spend": 88, "_point": 8_406,
                    "boundary_census": 19, "propagate_weights": 20_530, "_coarsening_patterns": 24},
-    "verify-all --json": {"binomial": 329, "_least_spend": 110, "_point": 8_406,
+    "verify-all --json": {"binomial": 329, "_least_spend": 88, "_point": 8_406,
                           "boundary_census": 19, "propagate_weights": 20_530,
                           "_coarsening_patterns": 24},
     **REFUSED,
     # at each work budget; one past it is refused in test_past_the_work_budgets
-    "classes --degree 20": {"_least_spend": 21_186},
+    "classes --degree 20": {"_least_spend": 8_144},
     "instantons --w 3 --dmax 1000": {"binomial": 4},
     "integrality --wmax 64 --dmax 64": {"binomial": 3851},
     "torsion --solve --class 2H-E1-E2 --m 256": {"_point": 131_073},

@@ -99,6 +99,13 @@ def test_parse_class_literal_rejects_junk():
             parse_class_literal(bad)
 
 
+def test_parse_class_literal_refuses_a_non_string_with_value_error():
+    for bad in (None, 2.5, 0, (), [], b"2H-E1-E2", CONIC):
+        message = f"class literal must be a string, got {bad!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            parse_class_literal(bad)
+
+
 def test_divisor_class_needs_six_multiplicities():
     with pytest.raises(ValueError):
         DivisorClass(1, (0, 0, 0))

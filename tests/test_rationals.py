@@ -133,6 +133,16 @@ def test_integer_rule_matches_fraction_oracle(values, least, most):
         assert ints == tuple(values) and all(type(i) is int for i in ints)
     else:
         assert ints is None
+    # the floor is tested in the same pass: the oracle's tuple when every
+    # value is integral and at least ``least``, and a passing tuple of exact
+    # ints is the same object
+    floored = _integers(values, least)
+    if ints is not None and all(least is None or value >= least for value in values):
+        assert floored == tuple(values) and all(type(i) is int for i in floored)
+        if type(values) is tuple and all(type(value) is int for value in values):
+            assert floored is values
+    else:
+        assert floored is None
     # no floor and no budget are the defaults
     given_bounds = {k: v for k, v in (("least", least), ("most", most)) if v is not None}
     for value in values:

@@ -565,6 +565,7 @@ def test_weight_propagation_conserves_totals():
             for shape in enumerate_types(n, r):
                 for weights in product(range(1, 6), repeat=r):
                     weighted = propagate_weights(shape, weights)
+                    assert weighted.bottom is weights  # an accepted tuple is stored as given
                     assert weighted.top_weight == sum(weights)
                     # every interior vertex carries the sum of its children
                     children = shape.children_map
